@@ -15,6 +15,18 @@ kernel.  Three routes compute it here:
   the reproducing property and conjugate linearity handles the
   conj(g) part.
 
+A grid sweep by the integral route evaluates phi once per rule rather
+than once per node.  The rule's angles and the grid's are both
+equispaced, so on each grid ring the kernel-weighted angular sum is a
+circular convolution of the real, even kernel
+(1 - rho^2)^2 / (1 - 2 rho r cos t + rho^2 r^2)^2 with the weighted
+symbol values, and one FFT per ring gives every node of the ring at
+once: the same rule and the same sum, reordered, so equal up to
+rounding.  This needs every grid angle on the rule's angle lattice,
+i.e. ``angles_per_radius`` dividing ``angular_nodes``; other grids
+fall back to the per-node :func:`berezin_integral`, which also stays
+the per-point API and the oracle for the ring route.
+
 Route disagreement is signal, not noise; every sample therefore records
 its route and an error estimate, and grid sweeps preserve node order so
 tables from different routes compare line by line.
@@ -27,7 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc import QuadratureSpec, kernel_eval, normalized_kernel_coeffs, _inside_disc
+from .disc import (
+    QuadratureSpec,
+    _eval_on_nodes,
+    _inside_disc,
+    kernel_eval,
+    normalized_kernel_coeffs,
+)
 from .errors import NumericalError
 from .symbols import DiscGrid, HarmonicSymbol
 from .toeplitz import TruncatedOperator, toeplitz_harmonic
@@ -91,8 +109,6 @@ def _kernel_weighted_integral(phi, z: complex, spec: QuadratureSpec) -> complex:
     nodes, weights = spec.points()
     pref = (1.0 - abs(z) ** 2) ** 2
     kern = pref * np.abs(kernel_eval(z, nodes)) ** 2
-    from .disc import _eval_on_nodes
-
     vals = _eval_on_nodes(phi, nodes)
     return complex(np.sum(weights * kern * vals))
 
@@ -114,12 +130,7 @@ def berezin_matrix(
     n = op.n
     x = abs(z) ** 2
     tail = x**n * ((n + 1) * (1.0 - x) + x)
-    proxy = float(
-        np.sqrt(
-            np.linalg.norm(op.matrix, 1) * np.linalg.norm(op.matrix, np.inf)
-        )
-    )
-    estimate = proxy * tail
+    estimate = op.norm_proxy * tail
     if estimate > tail_tol:
         raise NumericalError(
             f"kernel tail estimate {estimate:.3e} exceeds {tail_tol:.1e} "
@@ -156,7 +167,11 @@ def berezin_grid(
     """Sweep the transform over a polar grid, row-major node order.
 
     The matrix route builds one truncated operator of size ``n`` and
-    reuses it for every node.
+    reuses it for every node.  The integral route evaluates phi once per
+    rule and convolves ring by ring with FFTs when
+    ``grid.angles_per_radius`` divides ``spec.angular_nodes`` (see the
+    module docstring), matching per-node :func:`berezin_integral` up to
+    rounding; other grids run :func:`berezin_integral` node by node.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
@@ -165,8 +180,56 @@ def berezin_grid(
         op = toeplitz_harmonic(phi, n)
         return [berezin_matrix(op, z, tail_tol) for z in nodes]
     if route == "integral":
-        return [berezin_integral(phi, z, spec) for z in nodes]
+        if spec.angular_nodes % grid.angles_per_radius:
+            return [berezin_integral(phi, z, spec) for z in nodes]
+        _inside_disc(nodes, "z")
+        v1 = _ring_integrals(phi, grid, spec).ravel().tolist()
+        v2 = _ring_integrals(phi, grid, spec.doubled()).ravel().tolist()
+        return [
+            BerezinSample(z=complex(z), value=a, route="integral", error_estimate=abs(a - b))
+            for z, a, b in zip(nodes, v1, v2)
+        ]
     return [berezin_harmonic(phi, z) for z in nodes]
+
+
+def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:
+    """Kernel-weighted integrals at every grid node, one FFT per ring.
+
+    Returns shape (len(grid.radii), grid.angles_per_radius); grid angles
+    are every ``angular_nodes // angles_per_radius``-th entry of each
+    ring's convolution (see the module docstring).
+    """
+    m = spec.angular_nodes
+    nodes, weights = spec.points()
+    # copies, so that the full node and weight arrays can be freed early
+    r = nodes[::m].real.copy()  # the node at angle 0 of each radial ring
+    w = weights[::m].copy()  # constant along a ring: it scales the kernel spectrum
+    del weights
+    vals = _eval_on_nodes(phi, nodes).reshape(-1, m)
+    del nodes
+    # complex spectrum as (re, im) pairs, so the real kernel multiplies it
+    # without being cast to complex
+    spectrum = np.fft.fft(vals, axis=1).view(np.float64).reshape(len(r), m, 2)
+    del vals
+    cos = np.cos(2.0 * np.pi * np.arange(m) / m)
+    half = m // 2 + 1
+    stride = m // grid.angles_per_radius
+    out = np.empty((len(grid.radii), grid.angles_per_radius), dtype=np.complex128)
+    for i, rho in enumerate(grid.radii):
+        # |1 - conj(z) w|^2 = 1 - 2 rho r cos(t - alpha) + rho^2 r^2
+        kern = np.multiply.outer(-2.0 * rho * r, cos)
+        kern += (1.0 + (rho * r) ** 2)[:, None]
+        np.square(kern, out=kern)
+        np.divide((1.0 - rho**2) ** 2, kern, out=kern)
+        # a real even kernel has a real, even spectrum
+        khat = np.fft.rfft(kern, axis=1).real
+        khat *= w[:, None]
+        kern[:, :half] = khat
+        kern[:, half:] = khat[:, m - half : 0 : -1]
+        del khat
+        acc = np.einsum("jm,jmc->mc", kern, spectrum)
+        out[i] = np.fft.ifft(acc.view(np.complex128).ravel())[::stride]
+    return out
 
 
 def grid_to_csv(samples: list[BerezinSample], path) -> None:

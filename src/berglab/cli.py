@@ -118,7 +118,10 @@ def _parse_analytic(d, where: str):
         _reject_unknown(d, {"type", "num", "den"}, where)
         num = _coeff_list(_require(d, "num", where), f"{where}.num")
         den = _coeff_list(_require(d, "den", where), f"{where}.den")
-        return rational_symbol(num, den)
+        try:
+            return rational_symbol(num, den)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     if kind == "principal_power":
         _reject_unknown(d, {"type", "plus_exponent", "minus_exponent"}, where)
         return principal_power_symbol(

@@ -89,7 +89,11 @@ class PolynomialSymbol(AnalyticSymbol):
 
 
 class RationalSymbol(AnalyticSymbol):
-    """Quotient p/q of polynomials with q zero-free on the closed disc."""
+    """Quotient p/q of polynomials with q zero-free on the closed disc.
+
+    Construction refuses, with :class:`DomainError`, a q with a zero of
+    modulus at most 1.
+    """
 
     kind = "rational"
 
@@ -98,14 +102,20 @@ class RationalSymbol(AnalyticSymbol):
         self.q = q if isinstance(q, PowerSeries) else PowerSeries(q)
         if self.q.coeffs[0] == 0:
             raise ValueError("denominator must not vanish at the origin")
-        self.boundary_singular = self._pole_near_circle()
+        nearest = self._nearest_pole()
+        if nearest <= 1.0:
+            raise DomainError(
+                f"denominator vanishes at |z| = {nearest:.6g}, inside the closed unit disc"
+            )
+        self.boundary_singular = nearest < _POLE_MARGIN
 
-    def _pole_near_circle(self) -> bool:
+    def _nearest_pole(self) -> float:
+        """Smallest modulus of a zero of q; infinite for constant q."""
         c = np.trim_zeros(self.q.coeffs, "b")
         if len(c) <= 1:
-            return False
+            return np.inf
         roots = np.roots(c[::-1])  # np.roots wants highest degree first
-        return bool(np.min(np.abs(roots)) < _POLE_MARGIN)
+        return float(np.min(np.abs(roots)))
 
     def __call__(self, z):
         return self.p(z) / self.q(z)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +72,21 @@ class TruncatedOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def norm_proxy(self) -> float:
+        """Cheap operator-norm proxy sqrt(||T||_1 ||T||_inf), computed once."""
+        return float(
+            np.sqrt(
+                np.linalg.norm(self.matrix, 1) * np.linalg.norm(self.matrix, np.inf)
+            )
+        )
+
     def adjoint_matrix(self) -> np.ndarray:
         return self.matrix.conj().T
 
 
 def _analytic_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.complex128)
-    cols = np.arange(n, dtype=float)
     for k in range(min(len(coeffs), n)):
         idx = np.arange(n - k)
         out[idx + k, idx] = coeffs[k] * np.sqrt((idx + 1.0) / (idx + k + 1.0))
@@ -145,11 +154,13 @@ def toeplitz_quadrature(
         raise ValueError("n must be at least 1")
     z, w = spec.points()
     vals = _eval_on_nodes(f, z)
-    powers = np.ones((n, z.size), dtype=np.complex128)
+    basis = np.ones((n, z.size), dtype=np.complex128)
     for k in range(1, n):
-        powers[k] = powers[k - 1] * z
-    basis = np.sqrt(np.arange(1.0, n + 1.0))[:, None] * powers
-    mat = np.einsum("mp,p,np->mn", basis.conj(), w * vals, basis)
+        basis[k] = basis[k - 1] * z
+    basis *= np.sqrt(np.arange(1.0, n + 1.0))[:, None]
+    weighted = basis.conj()
+    weighted *= w * vals
+    mat = weighted @ basis.T
     return TruncatedOperator(
         matrix=mat, symbol_tag=tag or "quadrature_symbol", builder="quadrature"
     )

@@ -1,5 +1,6 @@
 """Berezin transform routes, their agreement, and grid exports."""
 
+import cmath
 import json
 
 import numpy as np
@@ -14,7 +15,12 @@ from berglab.berezin import (
     grid_to_csv,
     grid_to_json,
 )
-from berglab.symbols import DiscGrid, HarmonicSymbol, polynomial_symbol
+from berglab.symbols import (
+    DiscGrid,
+    HarmonicSymbol,
+    polynomial_symbol,
+    principal_power_symbol,
+)
 from berglab.toeplitz import toeplitz_analytic, toeplitz_harmonic
 
 BOOSTED = QuadratureSpec(96, 384)  # boundary-capable integral spec
@@ -141,6 +147,66 @@ class TestRouteAgreement:
         tmin = min(abs(s.value) for s in samples)
         smin = np.min(np.abs(phi(grid.nodes())))
         assert tmin == pytest.approx(smin, abs=1e-8)
+
+
+def per_node(phi, grid, spec):
+    return [berezin_integral(phi, z, spec) for z in grid.nodes().ravel()]
+
+
+def assert_matches_per_node(phi, grid, spec, tol=1e-13):
+    """The ring/FFT sweep against the per-node oracle it replaces."""
+    ring = berezin_grid(phi, grid, "integral", spec)
+    oracle = per_node(phi, grid, spec)
+    assert len(ring) == len(oracle)
+    for a, b in zip(ring, oracle):
+        assert a.z == b.z
+        assert a.route == "integral"
+        assert abs(a.value - b.value) < tol
+        assert abs(a.error_estimate - b.error_estimate) < tol
+    return ring
+
+
+class TestRingRoute:
+    def test_criterion_3_grid_polynomial(self):
+        phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0, 0.3]))
+        grid = DiscGrid((0.0, 0.3, 0.6, 0.8, 0.9), 32)
+        assert_matches_per_node(phi, grid, QuadratureSpec(48, 192))
+
+    def test_principal_power(self):
+        phi = HarmonicSymbol(1.0, 0.25, principal_power_symbol(1.0, -1.0))
+        assert_matches_per_node(phi, DiscGrid((0.0, 0.5, 0.8), 16), QuadratureSpec(32, 128))
+
+    def test_scalar_only_callable_evaluated_once_per_rule_node(self):
+        calls = []
+
+        def phi(w):
+            calls.append(1)
+            return cmath.exp(0.5 * complex(w).conjugate())  # arrays raise TypeError
+
+        spec = QuadratureSpec(8, 16)
+        grid = DiscGrid((0.2, 0.6), 8)
+        assert_matches_per_node(phi, grid, spec)
+        calls.clear()
+        berezin_grid(phi, grid, "integral", spec)
+        # one failed array call, then the scalar loop, per rule
+        assert len(calls) == (1 + 8 * 16) + (1 + 16 * 32)
+
+    def test_ring_at_origin(self):
+        phi = HarmonicSymbol(1.0, 2.0, polynomial_symbol([0.5, 1.0, -0.25]))
+        grid = DiscGrid((0.0, 0.5), 8)
+        samples = assert_matches_per_node(phi, grid, QuadratureSpec())
+        origin = samples[: grid.angles_per_radius]
+        assert all(s.z == 0 for s in origin)
+        # every node of the ring is z = 0, where phi~(0) = phi(0) = 1.5
+        assert all(abs(s.value - 1.5) < 1e-12 for s in origin)
+        assert max(abs(s.value - origin[0].value) for s in origin) < 1e-15
+
+    def test_non_dividing_grid_falls_back_exactly(self):
+        phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0]))
+        grid = DiscGrid((0.0, 0.4, 0.7), 12)  # 12 does not divide 128
+        spec = QuadratureSpec()
+        assert spec.angular_nodes % grid.angles_per_radius
+        assert berezin_grid(phi, grid, "integral", spec) == per_node(phi, grid, spec)
 
 
 class TestPositivity:

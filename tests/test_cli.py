@@ -118,6 +118,12 @@ class TestParseScenario:
         }
         assert parse_scenario(config).symbol.g.kind == "principal_power"
 
+    def test_rational_pole_in_disc_is_a_config_error(self):
+        config = invertibility_config()
+        config["symbol"]["g"] = {"type": "rational", "num": [1.0], "den": [1.0, -2.0]}
+        with pytest.raises(ConfigError, match="symbol.g: .*closed unit disc"):
+            parse_scenario(config)
+
     def test_complex_pairs(self):
         config = invertibility_config()
         config["symbol"]["c"] = [1.0, 2.0]
@@ -265,6 +271,24 @@ class TestExitCodes:
         path = write_config(tmp_path, config)
         assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
         assert "'c'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rational_pole_in_disc(self, tmp_path, capsys, command):
+        # den 1 - 2z puts a pole at z = 0.5; the run used to exit 0 with
+        # a NaN inf_estimate in report.json
+        config = invertibility_config()
+        config["symbol"]["g"] = {"type": "rational", "num": [1.0], "den": [1.0, -2.0]}
+        path = write_config(tmp_path, config)
+        outdir = tmp_path / "o"
+        args = [command, str(path)] + (["--output-dir", str(outdir)] if command == "run" else [])
+        assert main(args) == 2
+        assert "closed unit disc" in capsys.readouterr().err
+        assert not (outdir / "report.json").exists()
+
+    def test_rational_pole_outside_disc_accepted(self, tmp_path):
+        config = invertibility_config()
+        config["symbol"]["g"] = {"type": "rational", "num": [1.0], "den": [1.0, -1.0 / 1.05]}
+        assert main(["validate", str(write_config(tmp_path, config))]) == 0
 
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from berglab import ExtractionError, PowerSeries
+from berglab import DomainError, ExtractionError, PowerSeries
 from berglab.symbols import (
     DiscGrid,
     HarmonicSymbol,
@@ -35,6 +35,14 @@ class TestAnalyticFamilies:
     def test_rational_near_circle_pole_is_flagged(self):
         g = rational_symbol([1.0], [1.0, -1.0 / 1.05])
         assert g.boundary_singular
+
+    @pytest.mark.parametrize(
+        "den", [[1.0, -2.0], [1.0, -1.0], [1.0, 0.0, 4.0], [2.0, 0.0, -2.0]]
+    )
+    def test_rational_rejects_pole_in_closed_disc(self, den):
+        # poles at 0.5, 1, +-0.5i and +-1
+        with pytest.raises(DomainError, match="closed unit disc"):
+            rational_symbol([1.0], den)
 
     def test_rational_rejects_vanishing_origin(self):
         with pytest.raises(ValueError):

@@ -130,6 +130,18 @@ class TestQuadratureBuilder:
             q = toeplitz_quadrature(lambda w: np.conj(p(w)), 6)
             assert np.max(np.abs(a.adjoint_matrix() - q.matrix)) < 1e-9
 
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_gemm_matches_einsum_expression(self, n):
+        # the scaled GEMM against the three-operand einsum it replaced
+        phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0, 0.3]))
+        spec = QuadratureSpec(32, 64)
+        z, w = spec.points()
+        powers = z[None, :] ** np.arange(n)[:, None]
+        basis = np.sqrt(np.arange(1.0, n + 1.0))[:, None] * powers
+        expected = np.einsum("mp,p,np->mn", basis.conj(), w * phi(z), basis)
+        got = toeplitz_quadrature(phi, n, spec).matrix
+        assert np.max(np.abs(got - expected)) < 1e-13
+
 
 class TestHyponormalityWindow:
     @pytest.mark.parametrize(
@@ -195,6 +207,14 @@ class TestTruncatedOperator:
     def test_rejects_unknown_builder(self):
         with pytest.raises(ValueError, match="builder"):
             TruncatedOperator(np.eye(2), "x", "magic")
+
+    def test_norm_proxy_computed_once(self):
+        op = toeplitz_harmonic(HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])), 16)
+        m = op.matrix
+        assert op.norm_proxy == float(
+            np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
+        )
+        assert "norm_proxy" in vars(op)  # cached on the instance
 
 
 class TestExports:
