@@ -36,12 +36,19 @@ from .symbols import (
     DiscGrid,
     HarmonicSymbol,
     ModulusScan,
+    PolynomialSymbol,
     PrincipalPowerSymbol,
     default_modulus_grid,
     inf_modulus,
     power_symbol,
 )
-from .toeplitz import TruncatedOperator, toeplitz_analytic, toeplitz_harmonic
+from .toeplitz import (
+    TruncatedOperator,
+    _analytic_matrix,
+    _jordan_wielandt_band,
+    toeplitz_analytic,
+    toeplitz_harmonic,
+)
 
 __all__ = [
     "SIGMA_POSITIVE_TOL",
@@ -56,6 +63,7 @@ __all__ = [
     "ShiftWindowDemo",
     "PowerStudyReport",
     "smallest_singular_value",
+    "check_schedule",
     "bounded_below_trend",
     "normality_defect",
     "adjoint_mix",
@@ -74,6 +82,12 @@ SIGMA_POSITIVE_TOL = 1e-6
 INF_POSITIVE_TOL = 1e-3
 #: trend counts as stabilized when the last relative step is below this
 DRIFT_THRESHOLD = 0.05
+#: the trend takes the banded route while (2 deg + 1) * ratio <= N: band
+#: tridiagonalization costs O(N^2 deg), and these ratios keep it below the
+#: dense SVD (1 BLAS thread); complex bands go through LAPACK hbevx, about
+#: 4x slower than sbevx on real ones
+_BAND_RATIO_REAL = 16
+_BAND_RATIO_COMPLEX = 64
 
 _NOTES = (
     "grid minimum of |phi| is an upper bound for the true infimum",
@@ -97,6 +111,42 @@ def smallest_singular_value(t) -> float:
         return float(np.linalg.svd(m, compute_uv=False)[-1])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"SVD failed on {m.shape[0]} x {m.shape[1]} matrix") from exc
+
+
+def _banded_sigma_min(ab: np.ndarray) -> float:
+    """sigma_min of T from the upper band storage of [[0, T], [T^*, 0]].
+
+    The 2N eigenvalues are +-sigma_i(T), so the one at ascending index N
+    is +sigma_min; bisection on the band finds it at absolute accuracy
+    eps ||T||, without squaring the condition number as T^*T would.
+    """
+    # scipy.linalg adds ~0.07 s and ~6 MB to a launch; only this route needs it
+    from scipy.linalg import eigvals_banded
+
+    n = ab.shape[1] // 2
+    if not ab.imag.any():
+        ab = ab.real  # sbevx, about 4x faster than hbevx
+    # bisection can return a rounding-level value just below zero
+    return float(abs(eigvals_banded(ab, select="i", select_range=(n, n))[0]))
+
+
+def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
+    """sigma_min of ``toeplitz_harmonic(phi, n)`` by the cheaper exact route.
+
+    Polynomial g of degree 0 gives T = (c a_0 + d conj(a_0)) I; narrow
+    polynomial bands take :func:`_banded_sigma_min`; everything else,
+    and bands too wide to pay, the dense SVD.
+    """
+    if isinstance(phi.g, PolynomialSymbol):
+        coeffs = np.trim_zeros(phi.g.series(n - 1).coeffs, "b")
+        if len(coeffs) <= 1:
+            a0 = coeffs[0] if len(coeffs) else 0.0
+            return float(abs(phi.c * a0 + phi.d * np.conj(a0)))
+        real = not (np.imag([phi.c, phi.d]).any() or coeffs.imag.any())
+        ratio = _BAND_RATIO_REAL if real else _BAND_RATIO_COMPLEX
+        if (2 * len(coeffs) - 1) * ratio <= n:
+            return _banded_sigma_min(_jordan_wielandt_band(phi.c, phi.d, coeffs, n))
+    return smallest_singular_value(toeplitz_harmonic(phi, n))
 
 
 def normality_defect(t) -> float:
@@ -142,6 +192,22 @@ class TrendReport:
         }
 
 
+def check_schedule(sizes) -> tuple[int, ...]:
+    """The sizes as ints: at least three, each at least 1, strictly increasing.
+
+    The verdict machinery reads the last relative step of a trend as
+    its stabilization signal, which needs three sizes.
+    """
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < 3:
+        raise ValueError("schedule needs at least 3 sizes")
+    if min(sizes) < 1:
+        raise ValueError("schedule sizes must be at least 1")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    return sizes
+
+
 def bounded_below_trend(
     phi: HarmonicSymbol,
     sizes=(16, 32, 64, 128, 256),
@@ -149,17 +215,12 @@ def bounded_below_trend(
 ) -> TrendReport:
     """sigma_min of the truncated operator at each size of the schedule.
 
-    Requires at least three strictly increasing sizes; the verdict
-    machinery reads the last relative step as its stabilization signal.
+    The schedule must pass :func:`check_schedule`.  Polynomial symbols
+    with narrow bands never build the dense matrix (see
+    :func:`_trend_sigma_min`).
     """
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < 3:
-        raise ValueError("schedule needs at least 3 sizes")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    sigmas = tuple(
-        smallest_singular_value(toeplitz_harmonic(phi, n)) for n in sizes
-    )
+    sizes = check_schedule(sizes)
+    sigmas = tuple(_trend_sigma_min(phi, n) for n in sizes)
     drift = abs(sigmas[-1] - sigmas[-2]) / max(sigmas[-2], 1e-300)
     return TrendReport(
         sizes=sizes,
@@ -609,7 +670,7 @@ def power_symbol_study(
             f"|t| = {abs(t):g} refused: modulus spread e^(|t| pi) exceeds "
             "double-precision dynamic range for trustworthy floors"
         )
-    sizes = tuple(int(n) for n in sizes)
+    sizes = check_schedule(sizes)
     grid = grid or default_modulus_grid()
     ratio = power_symbol(t)
     plus = PrincipalPowerSymbol(t, 0.0)
@@ -628,10 +689,13 @@ def power_symbol_study(
 
     residuals = []
     for n in sizes:
-        a_minus = toeplitz_analytic(minus.series(n - 1), n).matrix
-        a_ratio = toeplitz_analytic(ratio.series(n - 1), n).matrix
-        a_plus = toeplitz_analytic(plus.series(n - 1), n).matrix
-        residuals.append(float(np.max(np.abs(a_minus @ a_ratio - a_plus))))
+        # bare matrices, one operand at a time: three N x N operators plus
+        # their copies set the peak memory of the whole study otherwise
+        defect = _analytic_matrix(minus.series(n - 1).coeffs, n)
+        defect = defect @ _analytic_matrix(ratio.series(n - 1).coeffs, n)
+        defect -= _analytic_matrix(plus.series(n - 1).coeffs, n)
+        residuals.append(float(np.max(np.abs(defect))))
+        del defect
 
     trend = bounded_below_trend(
         HarmonicSymbol(1.0, 0.0, ratio), sizes, drift_threshold

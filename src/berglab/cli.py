@@ -28,7 +28,7 @@ import scipy
 
 from . import __version__
 from .analysis import (
-    bounded_below_trend,
+    check_schedule,
     invertibility_verdict,
     mix_bound_check,
     mix_sandwich_check,
@@ -173,7 +173,11 @@ def _parse_quadrature(d, where: str = "quadrature") -> QuadratureSpec:
 def _parse_schedule(v, where: str = "schedule") -> tuple[int, ...]:
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{where} must be a nonempty list of integers")
-    return tuple(_as_int(x, f"{where}[{i}]") for i, x in enumerate(v))
+    sizes = [_as_int(x, f"{where}[{i}]") for i, x in enumerate(v)]
+    try:
+        return check_schedule(sizes)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_thresholds(d, where: str = "thresholds") -> dict:

@@ -85,12 +85,42 @@ class TruncatedOperator:
         return self.matrix.conj().T
 
 
+def _analytic_diagonal(a_k: complex, k: int, n: int) -> np.ndarray:
+    """Entries a_k sqrt((m+1)/(m+k+1)) at (m + k, m), m < n - k, of the analytic truncation."""
+    idx = np.arange(n - k)
+    return a_k * np.sqrt((idx + 1.0) / (idx + k + 1.0))
+
+
 def _analytic_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.complex128)
     for k in range(min(len(coeffs), n)):
         idx = np.arange(n - k)
-        out[idx + k, idx] = coeffs[k] * np.sqrt((idx + 1.0) / (idx + k + 1.0))
+        out[idx + k, idx] = _analytic_diagonal(coeffs[k], k, n)
     return out
+
+
+def _jordan_wielandt_band(c: complex, d: complex, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Upper band storage of H = [[0, T], [T^*, 0]] for T = c A + d A^*.
+
+    A is the N x N analytic truncation of the polynomial with
+    coefficients a_0 .. a_deg.  Unknowns are interleaved, H[2i, 2j+1] =
+    T[i, j], so H has bandwidth u = 2 deg + 1, and H[r, s] (r <= s) sits
+    at ``ab[u + r - s, s]`` of the (u + 1) x 2N array LAPACK's
+    ``?sbevx``/``?hbevx`` read.  H has eigenvalues +-sigma_i(T).
+    """
+    deg = min(len(coeffs), n) - 1
+    u = 2 * deg + 1
+    ab = np.zeros((u + 1, 2 * n), dtype=np.complex128)
+    for k in range(deg + 1):
+        diag = _analytic_diagonal(coeffs[k], k, n)
+        if k == 0:
+            ab[u - 1, 1::2] = c * diag + d * diag.conj()
+            continue
+        # T[i, i+k] = d conj(A[i+k, i]) at H[2i, 2i+2k+1]
+        ab[u - 2 * k - 1, 2 * k + 1 :: 2] = d * diag.conj()
+        # conj(T[j+k, j]) = conj(c A[j+k, j]) at H[2j+1, 2j+2k]
+        ab[u - 2 * k + 1, 2 * k :: 2] = (c * diag).conj()
+    return ab
 
 
 def toeplitz_analytic(g, n: int, tag: str | None = None) -> TruncatedOperator:

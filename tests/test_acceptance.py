@@ -25,7 +25,7 @@ from berglab.analysis import (
     random_normal_matrix,
     shift_window_demo,
 )
-from berglab.berezin import berezin_harmonic, berezin_integral, berezin_matrix
+from berglab.berezin import berezin_grid, berezin_harmonic, berezin_integral, berezin_matrix
 from berglab.cli import run_scenario
 from berglab.disc import QuadratureSpec
 from berglab.symbols import (
@@ -112,9 +112,10 @@ def test_criterion_03_transform_preserves_grid_minimum():
     worst = 0.0
     for label, phi, _ in SUITE:
         direct = float(np.min(np.abs(phi(nodes))))
-        transformed = float(
-            min(abs(berezin_integral(phi, z, BOOSTED).value) for z in nodes)
-        )
+        # the ring/FFT sweep; tests/test_berezin.py checks it node by node
+        # against berezin_integral on this grid
+        samples = berezin_grid(phi, SHARED_GRID, "integral", spec=BOOSTED)
+        transformed = float(min(abs(s.value) for s in samples))
         worst = max(worst, abs(direct - transformed))
     ok = worst <= 1e-5
     _line(3, ok, f"max |min|phi~| - min|phi|| = {worst:.2e} on the shared grid")

@@ -1,10 +1,15 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from berglab import analysis
 from berglab.analysis import (
     DRIFT_THRESHOLD,
     InvertibilityReport,
     VerdictConfig,
+    _banded_sigma_min,
     adjoint_mix,
     bounded_below_trend,
     invertibility_verdict,
@@ -19,7 +24,7 @@ from berglab.analysis import (
 )
 from berglab.errors import NumericalError
 from berglab.symbols import HarmonicSymbol, polynomial_symbol, rational_symbol
-from berglab.toeplitz import toeplitz_analytic, toeplitz_harmonic
+from berglab.toeplitz import _jordan_wielandt_band, toeplitz_analytic, toeplitz_harmonic
 
 EXACT = 1e-14
 
@@ -130,6 +135,8 @@ class TestBoundedBelowTrend:
             bounded_below_trend(phi, (16, 16, 32))
         with pytest.raises(ValueError):
             bounded_below_trend(phi, (32, 16, 64))
+        with pytest.raises(ValueError, match="at least 1"):
+            bounded_below_trend(phi, (0, 16, 32))
 
     def test_report_dict_keys(self):
         phi = HarmonicSymbol(1.0, 0.0, TWO_PLUS_Z)
@@ -430,3 +437,99 @@ class TestPowerSymbolStudy:
             "residuals",
             "trend",
         }
+
+
+def band_sigma_min(c, d, coeffs, n):
+    """The banded route on the polynomial's coefficients as given, untrimmed."""
+    band = _jordan_wielandt_band(complex(c), complex(d), np.asarray(coeffs, complex), n)
+    return _banded_sigma_min(band), band
+
+
+_RNG = np.random.default_rng(404)
+#: (c, d, coefficients of g)
+BAND_CASES = {
+    "real": (1.0, 0.5, [2.0, 1.0, 0.3]),
+    "complex": (1 + 0.5j, 0.3 - 0.2j, [1.0, 0.5j, 0.2, 0.1 - 0.1j]),
+    "c=0": (0.0, 1.0, [2.0, 1.0]),
+    "d=0": (1.0, 0.0, [0.5, 1.0, 0.3j]),
+    "degree 0": (3.0, 0.5j, [1.0 - 1j]),
+    "degree 8 real": (1.0, -0.7, _RNG.normal(size=9)),
+    "degree 8 complex": (
+        0.4 - 1j, 0.9j, _RNG.normal(size=9) + 1j * _RNG.normal(size=9)
+    ),
+    "trailing zeros": (1.0, 0.5, [2.0, 1.0, 0.0, 0.0]),
+}
+COMPLEX_BANDS = {"complex", "d=0", "degree 0", "degree 8 complex"}
+
+
+def band_symbol(case):
+    c, d, coeffs = BAND_CASES[case]
+    return HarmonicSymbol(c, d, polynomial_symbol(coeffs))
+
+
+class TestBandedSigmaMin:
+    """The banded Jordan-Wielandt route against the dense SVD it replaces."""
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 512])
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_matches_dense_svd(self, case, n):
+        banded, band = band_sigma_min(*BAND_CASES[case], n)
+        # real bands reach LAPACK sbevx, complex ones hbevx
+        assert bool(band.imag.any()) == (case in COMPLEX_BANDS)
+        dense = smallest_singular_value(toeplitz_harmonic(band_symbol(case), n))
+        assert abs(banded - dense) <= 1e-12
+
+    def test_collapsing_symbol_is_nonnegative_noise(self):
+        banded, _ = band_sigma_min(1.0, 0.5, [0.0, 1.0], 512)
+        assert 0.0 <= banded <= 1e-12
+
+    @staticmethod
+    def _dense_calls(monkeypatch, phi, sizes):
+        calls = []
+        dense = analysis.smallest_singular_value
+
+        def counted(t):
+            calls.append(t.n)
+            return dense(t)
+
+        monkeypatch.setattr(analysis, "smallest_singular_value", counted)
+        return bounded_below_trend(phi, sizes), calls
+
+    def test_narrow_bands_skip_the_dense_svd(self, monkeypatch):
+        sizes = (128, 256, 512)
+        for phi in (
+            band_symbol("real"),
+            # trailing zeros are trimmed: degree 1, not 31
+            HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0] + [0.0] * 30)),
+        ):
+            trend, calls = self._dense_calls(monkeypatch, phi, sizes)
+            assert calls == []
+            for n, s in zip(sizes, trend.sigma_min):
+                assert abs(s - smallest_singular_value(toeplitz_harmonic(phi, n))) <= 1e-12
+
+    def test_wide_bands_take_the_dense_route(self, monkeypatch):
+        coeffs = np.random.default_rng(41).normal(size=41)
+        wide = HarmonicSymbol(1.0, 0.5, polynomial_symbol(coeffs))
+        _, calls = self._dense_calls(monkeypatch, wide, (64, 128, 256))
+        assert calls == [64, 128, 256]
+        # a complex band of degree 3 pays only from N = 7 * 64 on
+        _, calls = self._dense_calls(monkeypatch, band_symbol("complex"), (64, 256, 448))
+        assert calls == [64, 256]
+
+    def test_rational_symbols_keep_the_dense_route(self, monkeypatch):
+        phi = HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5]))
+        _, calls = self._dense_calls(monkeypatch, phi, (128, 256, 512))
+        assert calls == [128, 256, 512]
+
+    def test_constant_symbol_uses_the_closed_form(self, monkeypatch):
+        phi = HarmonicSymbol(1.0 + 2j, 0.5, polynomial_symbol([2.0, 0.0, 0.0]))
+        trend, calls = self._dense_calls(monkeypatch, phi, (1, 2, 700))
+        assert calls == []
+        assert trend.sigma_min == (abs((1.0 + 2j) * 2.0 + 0.5 * 2.0),) * 3
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        code = "import sys, berglab.cli; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"

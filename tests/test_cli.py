@@ -285,6 +285,24 @@ class TestExitCodes:
         assert "closed unit disc" in capsys.readouterr().err
         assert not (outdir / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ([64, 32, 16], "strictly increasing"),
+            ([16, 32], "at least 3"),
+            ([0, 16, 32], "at least 1"),
+        ],
+    )
+    def test_bad_schedule(self, tmp_path, capsys, command, schedule, message):
+        # validate used to accept these and exit 0 while run exited 2
+        path = write_config(tmp_path, invertibility_config(schedule=schedule))
+        outdir = tmp_path / "o"
+        args = [command, str(path)] + (["--output-dir", str(outdir)] if command == "run" else [])
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (outdir / "report.json").exists()
+
     def test_rational_pole_outside_disc_accepted(self, tmp_path):
         config = invertibility_config()
         config["symbol"]["g"] = {"type": "rational", "num": [1.0], "den": [1.0, -1.0 / 1.05]}
