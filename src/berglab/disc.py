@@ -25,7 +25,6 @@ from numbers import Number
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import roots_legendre
 
 from .errors import DomainError
 
@@ -215,6 +214,9 @@ class QuadratureSpec:
 def _radial_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     # int_D f dA = int_0^1 (avg over angle) f(r e^it) 2r dr for the
     # normalized measure; map Gauss-Legendre from [-1, 1] to [0, 1].
+    # scipy.special adds 0.2-0.45 s to a launch; only quadrature rules need it
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(m)
     r = 0.5 * (x + 1.0)
     mass = w * r  # (w/2) * 2r

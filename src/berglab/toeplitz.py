@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .disc import PowerSeries, QuadratureSpec, _coeff_vector, _eval_on_nodes
+from .errors import NumericalError
 from .symbols import HarmonicSymbol
 
 __all__ = [
@@ -163,11 +164,15 @@ def toeplitz_harmonic(phi: HarmonicSymbol, n: int) -> TruncatedOperator:
     if n < 1:
         raise ValueError("n must be at least 1")
     a = _analytic_matrix(phi.g.series(n - 1).coeffs, n)
-    return TruncatedOperator(
-        matrix=phi.c * a + phi.d * a.conj().T,
-        symbol_tag=phi.tag(),
-        builder="closed_form",
-    )
+    # c A + d A^* in place: one temporary besides A, dropped before the copy.
+    # The scalar goes first, as in ``c * a``: numpy's complex multiply may
+    # use FMA, so operand order can change the last bit.
+    t = a.conj().T
+    np.multiply(phi.d, t, out=t)
+    np.multiply(phi.c, a, out=a)
+    a += t
+    del t
+    return TruncatedOperator(matrix=a, symbol_tag=phi.tag(), builder="closed_form")
 
 
 def toeplitz_quadrature(
@@ -276,34 +281,63 @@ def verify_product_identities(g, phi: HarmonicSymbol, n: int) -> ProductDefects:
     )
 
 
+def _row_reprs(row: np.ndarray):
+    """re, im, re, im, ... of one matrix row as shortest round-trip strings.
+
+    ``float.__repr__`` is what ``json`` emits for a finite float, so
+    both writers produce the bytes of the element-wise encoders they
+    replace.
+    """
+    return map(float.__repr__, row.view(np.float64).tolist())
+
+
+def _check_finite(op: TruncatedOperator) -> None:
+    if not np.isfinite(op.matrix).all():
+        raise NumericalError(
+            f"{op.symbol_tag}: matrix holds non-finite entries, refusing to export"
+        )
+
+
 def matrix_to_csv(op: TruncatedOperator, path) -> None:
     """Write rows of alternating re,im entries, full double precision."""
+    _check_finite(op)
     with open(path, "w") as fh:
         for row in op.matrix:
-            cells = []
-            for v in row:
-                cells.append(repr(float(v.real)))
-                cells.append(repr(float(v.imag)))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(_row_reprs(row)) + "\n")
+
+
+# json.dump(indent=1) layout of the [re, im] pairs of one row of "data"
+_JSON_ROW_OPEN = "\n  [\n   [\n    "
+_JSON_RE_IM = ",\n    "
+_JSON_PAIR_SEP = "\n   ],\n   [\n    "
+_JSON_ROW_CLOSE = "\n   ]\n  ]"
 
 
 def matrix_to_json(op: TruncatedOperator, path) -> None:
     """JSON envelope {N, symbol_tag, builder, data}; round-trips bit-exactly.
 
     ``data`` holds [re, im] pairs; Python's float serialization is
-    shortest round-trip, so loading reproduces the exact doubles.
+    shortest round-trip, so loading reproduces the exact doubles.  The
+    file is byte-identical to ``json.dump(payload, fh, indent=1)`` plus a
+    newline, but is written one row at a time.
     """
-    payload = {
-        "N": op.n,
-        "symbol_tag": op.symbol_tag,
-        "builder": op.builder,
-        "data": [
-            [[float(v.real), float(v.imag)] for v in row] for row in op.matrix
-        ],
-    }
+    _check_finite(op)
+    header = json.dumps(
+        {"N": op.n, "symbol_tag": op.symbol_tag, "builder": op.builder}, indent=1
+    )
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(header[: -len("\n}")] + ',\n "data": [')
+        sep = ""
+        for row in op.matrix:
+            it = _row_reprs(row)
+            fh.write(
+                sep
+                + _JSON_ROW_OPEN
+                + _JSON_PAIR_SEP.join(map(_JSON_RE_IM.join, zip(it, it)))
+                + _JSON_ROW_CLOSE
+            )
+            sep = ","
+        fh.write("\n ]\n}\n")
 
 
 def matrix_from_json(path) -> TruncatedOperator:

@@ -528,8 +528,12 @@ class TestBandedSigmaMin:
         assert trend.sigma_min == (abs((1.0 + 2j) * 2.0 + 0.5 * 2.0),) * 3
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
-        code = "import sys, berglab.cli; print('scipy.linalg' in sys.modules)"
+        # scipy.special (Gauss-Legendre rules) is deferred the same way
+        code = (
+            "import sys, berglab.cli; "
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"

@@ -168,6 +168,28 @@ class TestRunScenario:
         report = json.loads((outdir / "report.json").read_text())
         assert report["sigma_min"] <= 1e-14
 
+    def test_toeplitz_build_golden_hashes(self, tmp_path):
+        # closed-form entries are sqrt and products of exact inputs, so the
+        # files pin the exporters' bytes; report.json's LAPACK sigma_min is
+        # left out because it may differ across machines
+        config = {
+            "name": "golden",
+            "kind": "toeplitz_build",
+            "builder": "closed_form",
+            "n": 64,
+            "symbol": {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0, 0.3]}},
+        }
+        outdir = tmp_path / "out"
+        run_scenario(write_config(tmp_path, config), str(outdir))
+        digests = {
+            name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in ("matrix.json", "matrix.csv")
+        }
+        assert digests == {
+            "matrix.json": "a7f669b193ea87b2f60bf08fc462660f6df4edc3178dd859402a87dcd69758a0",
+            "matrix.csv": "e0e768592277a4022acec678b128b27949baa4a8ef2b836e5d364493b9b9200a",
+        }
+
     def test_berezin_grid_outputs(self, tmp_path):
         config = {
             "name": "bz",

@@ -1,10 +1,18 @@
 """Truncated Toeplitz matrices: builders, identities, exports."""
 
+import json
+
 import numpy as np
 import pytest
 
 from berglab import PowerSeries, QuadratureSpec
-from berglab.symbols import HarmonicSymbol, polynomial_symbol, power_symbol
+from berglab.errors import NumericalError
+from berglab.symbols import (
+    HarmonicSymbol,
+    polynomial_symbol,
+    power_symbol,
+    rational_symbol,
+)
 from berglab.toeplitz import (
     TruncatedOperator,
     matrix_from_json,
@@ -103,6 +111,21 @@ class TestHarmonicBuilder:
         ]
         assert errs[1] < errs[0] / 4
         assert errs[1] < 1e-4
+
+    @pytest.mark.parametrize(
+        "c, d",
+        [(1.0, 0.5), (-2.0, 0.0), (1.0 + 0.5j, 0.25 - 0.75j), (0.0, 1j / 3)],
+    )
+    def test_in_place_build_is_bit_identical(self, c, d):
+        for g in (
+            polynomial_symbol([2.0, 1.0, 0.3]),
+            rational_symbol([1.0, 0.5j], [2.0, -0.5]),
+        ):
+            phi = HarmonicSymbol(c, d, g)
+            a = toeplitz_analytic(g.series(47), 48).matrix
+            expected = phi.c * a + phi.d * a.conj().T
+            got = toeplitz_harmonic(phi, 48).matrix
+            assert np.array_equal(got.view(float), expected.view(float))
 
 
 class TestQuadratureBuilder:
@@ -217,6 +240,46 @@ class TestTruncatedOperator:
         assert "norm_proxy" in vars(op)  # cached on the instance
 
 
+def _json_oracle(op, path):
+    """The element-wise encoder the streaming writer replaced."""
+    payload = {
+        "N": op.n,
+        "symbol_tag": op.symbol_tag,
+        "builder": op.builder,
+        "data": [[[float(v.real), float(v.imag)] for v in row] for row in op.matrix],
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def _csv_oracle(op, path):
+    with open(path, "w") as fh:
+        for row in op.matrix:
+            cells = []
+            for v in row:
+                cells.append(repr(float(v.real)))
+                cells.append(repr(float(v.imag)))
+            fh.write(",".join(cells) + "\n")
+
+
+EXPORT_TAG = 'quote " and \u00e9t\u00e9'
+REAL_SPECIALS = [-0.0, 5e-324, 1e300, 1e16, 0.1]
+COMPLEX_SPECIALS = [complex(-0.0, 5e-324), 0.1 - 1e16j, complex(1e300, -0.0)] + REAL_SPECIALS
+
+
+def _export_cases():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 8):
+        real = rng.normal(size=(n, n)).astype(np.complex128)
+        cplx = real + 1j * rng.normal(size=(n, n))
+        cases = (("real", real, REAL_SPECIALS), ("complex", cplx, COMPLEX_SPECIALS))
+        for kind, m, specials in cases:
+            k = min(len(specials), n * n)
+            m.flat[:k] = specials[:k]
+            yield pytest.param(m, id=f"n{n}-{kind}")
+
+
 class TestExports:
     def test_json_roundtrip_bit_exact(self, tmp_path):
         phi = HarmonicSymbol(1.0 + 1j / 3, 0.5j, power_symbol(1.0))
@@ -238,3 +301,33 @@ class TestExports:
         assert len(first) == 6
         assert first[0] == 0.5 * np.sqrt(1 / 2)  # re of entry (1,0)
         assert first[1] == 0.0
+
+    # the row-streaming writers against the element-wise encoders, byte for byte
+    @pytest.mark.parametrize("matrix", _export_cases())
+    @pytest.mark.parametrize(
+        "writer, oracle", [(matrix_to_json, _json_oracle), (matrix_to_csv, _csv_oracle)]
+    )
+    def test_bytes_match_oracle(self, tmp_path, matrix, writer, oracle):
+        for builder in ("closed_form", "quadrature"):
+            op = TruncatedOperator(matrix, EXPORT_TAG, builder)
+            writer(op, tmp_path / "new")
+            oracle(op, tmp_path / "old")
+            assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    @pytest.mark.parametrize("matrix", _export_cases())
+    def test_json_roundtrip_special_entries(self, tmp_path, matrix):
+        op = TruncatedOperator(matrix, EXPORT_TAG, "closed_form")
+        matrix_to_json(op, tmp_path / "m.json")
+        back = matrix_from_json(tmp_path / "m.json")
+        assert np.array_equal(back.matrix.view(float), op.matrix.view(float))
+        assert back.symbol_tag == EXPORT_TAG
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("writer", [matrix_to_json, matrix_to_csv])
+    def test_non_finite_refused_without_a_file(self, tmp_path, bad, writer):
+        m = np.eye(3, dtype=np.complex128)
+        m[2, 1] = bad
+        path = tmp_path / "m.out"
+        with pytest.raises(NumericalError, match="non-finite"):
+            writer(TruncatedOperator(m, "x", "closed_form"), path)
+        assert not path.exists()
