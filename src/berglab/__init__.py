@@ -12,122 +12,20 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    InvertibilityReport,
-    PowerStudyReport,
-    TrendReport,
-    VerdictConfig,
-    adjoint_mix,
-    bounded_below_trend,
-    invertibility_verdict,
-    mix_bound_check,
-    mix_sandwich_check,
-    mix_transfer_check,
-    normality_defect,
-    power_symbol_study,
-    random_normal_matrix,
-    shift_window_demo,
-    smallest_singular_value,
-)
-from .berezin import (
-    BerezinSample,
-    berezin_grid,
-    berezin_harmonic,
-    berezin_integral,
-    berezin_matrix,
-    grid_to_csv,
-    grid_to_json,
-)
-from .disc import (
-    PowerSeries,
-    QuadratureSpec,
-    bergman_inner_product,
-    disc_quadrature,
-    kernel_eval,
-    normalized_kernel_coeffs,
-)
-from .errors import ConfigError, DomainError, ExtractionError, NumericalError
-from .symbols import (
-    DiscGrid,
-    HarmonicSymbol,
-    ModulusScan,
-    PolynomialSymbol,
-    PrincipalPowerSymbol,
-    RationalSymbol,
-    default_modulus_grid,
-    inf_modulus,
-    polynomial_symbol,
-    power_symbol,
-    principal_power_symbol,
-    rational_symbol,
-    taylor_coeffs,
-)
-from .toeplitz import (
-    ProductDefects,
-    TruncatedOperator,
-    matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
-    toeplitz_analytic,
-    toeplitz_harmonic,
-    toeplitz_quadrature,
-    verify_product_identities,
-)
+from . import analysis, berezin, disc, errors, symbols, toeplitz
+from .analysis import *  # noqa: F401,F403
+from .berezin import *  # noqa: F401,F403
+from .disc import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .symbols import *  # noqa: F401,F403
+from .toeplitz import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "PowerSeries",
-    "QuadratureSpec",
-    "bergman_inner_product",
-    "disc_quadrature",
-    "kernel_eval",
-    "normalized_kernel_coeffs",
-    "ConfigError",
-    "DomainError",
-    "ExtractionError",
-    "NumericalError",
-    "DiscGrid",
-    "HarmonicSymbol",
-    "ModulusScan",
-    "PolynomialSymbol",
-    "PrincipalPowerSymbol",
-    "RationalSymbol",
-    "default_modulus_grid",
-    "inf_modulus",
-    "polynomial_symbol",
-    "power_symbol",
-    "principal_power_symbol",
-    "rational_symbol",
-    "taylor_coeffs",
-    "ProductDefects",
-    "TruncatedOperator",
-    "matrix_from_json",
-    "matrix_to_csv",
-    "matrix_to_json",
-    "toeplitz_analytic",
-    "toeplitz_harmonic",
-    "toeplitz_quadrature",
-    "verify_product_identities",
-    "BerezinSample",
-    "berezin_grid",
-    "berezin_harmonic",
-    "berezin_integral",
-    "berezin_matrix",
-    "grid_to_csv",
-    "grid_to_json",
-    "InvertibilityReport",
-    "PowerStudyReport",
-    "TrendReport",
-    "VerdictConfig",
-    "adjoint_mix",
-    "bounded_below_trend",
-    "invertibility_verdict",
-    "mix_bound_check",
-    "mix_sandwich_check",
-    "mix_transfer_check",
-    "normality_defect",
-    "power_symbol_study",
-    "random_normal_matrix",
-    "shift_window_demo",
-    "smallest_singular_value",
+    *disc.__all__,
+    *errors.__all__,
+    *symbols.__all__,
+    *toeplitz.__all__,
+    *berezin.__all__,
+    *analysis.__all__,
 ]

@@ -64,6 +64,8 @@ __all__ = [
     "PowerStudyReport",
     "smallest_singular_value",
     "check_schedule",
+    "check_mix_s",
+    "check_shift_window",
     "bounded_below_trend",
     "normality_defect",
     "adjoint_mix",
@@ -208,6 +210,31 @@ def check_schedule(sizes) -> tuple[int, ...]:
     return sizes
 
 
+def check_mix_s(s, side: str) -> complex:
+    """``s`` as a complex number with |s| on ``side`` of 1: "<", ">" or "!=".
+
+    The operator-mix results hold only there: |s| < 1 for
+    :func:`mix_bound_check`, |s| > 1 for :func:`mix_sandwich_check` and
+    :func:`shift_window_demo`, |s| != 1 for :func:`mix_transfer_check`.
+    """
+    s = complex(s)
+    r = abs(s)
+    if side == "<" and r >= 1.0:
+        raise ValueError(f"requires |s| < 1, got |s| = {r:.4f}")
+    if side == ">" and r <= 1.0:
+        raise ValueError(f"requires |s| > 1, got |s| = {r:.4f}")
+    if side == "!=" and abs(r - 1.0) <= 1e-12:
+        raise ValueError("requires |s| != 1; the equivalence fails on the unit circle")
+    return s
+
+
+def check_shift_window(n: int) -> int:
+    """The shift truncation size of :func:`shift_window_demo`, at least 8."""
+    if n < 8:
+        raise ValueError("n must be at least 8")
+    return n
+
+
 def bounded_below_trend(
     phi: HarmonicSymbol,
     sizes=(16, 32, 64, 128, 256),
@@ -268,9 +295,7 @@ def mix_bound_check(
     quantitative floor (1 - |s|) sigma_min(T) whenever T is invertible.
     """
     m = _as_matrix(t)
-    s = complex(s)
-    if abs(s) >= 1.0:
-        raise ValueError(f"requires |s| < 1, got |s| = {abs(s):.4f}")
+    s = check_mix_s(s, "<")
     _require_normal(m, normal_tol)
     sigma_t = smallest_singular_value(m)
     sigma_mix = smallest_singular_value(adjoint_mix(m, s))
@@ -335,9 +360,7 @@ def mix_sandwich_check(
     kernel of T^* agrees, so the sandwich is trivially 0 <= 0 there).
     """
     m = _as_matrix(t)
-    s = complex(s)
-    if abs(s) <= 1.0:
-        raise ValueError(f"requires |s| > 1, got |s| = {abs(s):.4f}")
+    s = check_mix_s(s, ">")
     _require_normal(m, normal_tol)
     rng = np.random.default_rng(rng)
     n = m.shape[0]
@@ -406,9 +429,7 @@ def mix_transfer_check(
     silent answer would be misleading.
     """
     m = _as_matrix(t)
-    s = complex(s)
-    if abs(abs(s) - 1.0) <= 1e-12:
-        raise ValueError("requires |s| != 1; the equivalence fails on the unit circle")
+    s = check_mix_s(s, "!=")
     _require_normal(m, normal_tol)
     sigma_t = smallest_singular_value(m)
     sigma_mix = smallest_singular_value(adjoint_mix(m, s))
@@ -460,11 +481,8 @@ def shift_window_demo(n: int, s: complex) -> ShiftWindowDemo:
     row of the shift truncation vanishes, so the adjoint annihilates it
     while the mix maps it to a vector of norm |s| sqrt(1/2).
     """
-    if n < 8:
-        raise ValueError("n must be at least 8")
-    s = complex(s)
-    if abs(s) <= 1.0:
-        raise ValueError(f"requires |s| > 1, got |s| = {abs(s):.4f}")
+    check_shift_window(n)
+    s = check_mix_s(s, ">")
     a = toeplitz_analytic([0.0, 1.0], n).matrix
     mix = s * a + a.conj().T
     e0 = np.zeros(n)

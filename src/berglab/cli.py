@@ -2,15 +2,18 @@
 
 A scenario names one experiment kind, carries every physically
 meaningful parameter explicitly (sizes, grids, thresholds, seeds have
-no defaults), and is parsed strictly: a misspelled or extraneous field
-is an error naming the field, not a silent ignore.  Reports are plain
-JSON with deterministic key order and shortest-round-trip floats, so a
-rerun with the same config and seed reproduces them byte for byte;
-wall-clock timings live only in the manifest, which also inventories
-every emitted file with its SHA-256.
+no defaults), and is parsed strictly against :data:`SCHEMA`: a
+misspelled, extraneous or out-of-domain field is an error naming the
+field, not a silent ignore, and a field's domain is checked by the same
+function the computation calls.  Reports are plain JSON with
+deterministic key order and shortest-round-trip floats, so a rerun with
+the same config and seed reproduces them byte for byte; wall-clock
+timings live only in the manifest, which also inventories every
+emitted file with its SHA-256.
 
 Exit codes: 0 success, 2 config or validation error, 3 numerical
-refusal (the underlying module error text is passed through verbatim).
+refusal or exhausted memory (the underlying error text is passed
+through verbatim).
 """
 
 from __future__ import annotations
@@ -18,17 +21,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .analysis import (
+    check_mix_s,
     check_schedule,
+    check_shift_window,
     invertibility_verdict,
     mix_bound_check,
     mix_sandwich_check,
@@ -40,7 +47,7 @@ from .analysis import (
     smallest_singular_value,
     VerdictConfig,
 )
-from .berezin import ROUTES, berezin_grid, grid_to_csv, grid_to_json
+from .berezin import berezin_grid, grid_to_csv, grid_to_json
 from .disc import QuadratureSpec
 from .errors import ConfigError, NumericalError
 from .symbols import (
@@ -51,42 +58,50 @@ from .symbols import (
     rational_symbol,
 )
 from .toeplitz import (
+    check_size,
     matrix_to_csv,
     matrix_to_json,
     toeplitz_harmonic,
     toeplitz_quadrature,
 )
 
-__all__ = ["Scenario", "RunManifest", "parse_scenario", "run_scenario", "main"]
+__all__ = ["SCHEMA", "Scenario", "RunManifest", "parse_scenario", "run_scenario", "main"]
 
-KINDS = (
-    "toeplitz_build",
-    "berezin_grid",
-    "invertibility",
-    "theorem_check",
-    "example_3_5",
-)
-CHECKS = ("3.1", "3.2", "3.3", "shift_demo")
+# A parser is a function of (value, where) that returns the typed value or
+# raises ConfigError naming ``where``, the field's path in the config.
 
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
-    extra = sorted(set(d) - allowed)
-    if extra:
-        raise ConfigError(f"unknown field(s) {', '.join(map(repr, extra))} in {where}")
+def _checked(check, where: str, *args):
+    """``check(*args)``, with its ValueError reported against ``where``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing required field {key!r} in {where}")
-    return d[key]
+def _then(parse, check, *args):
+    """Parser: ``parse``, then the domain check ``check(value, *args)``."""
+    return lambda v, where: _checked(check, where, parse(v, where), *args)
+
+
+def _as_float(v, where: str) -> float:
+    """A finite number: ``json.loads`` accepts ``NaN`` and ``Infinity``, reads
+    ``1e999`` as ``inf``, and an integer literal may overflow a float."""
+    try:
+        x = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be a finite number")
+    return x
 
 
 def _as_complex(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise ConfigError(f"{where} must be a number or a [re, im] pair")
+    if not isinstance(v, list):
+        return complex(_as_float(v, where))
+    if len(v) != 2:
+        raise ConfigError(f"{where} must be a finite number or a [re, im] pair")
+    return complex(_as_float(v[0], f"{where}[0]"), _as_float(v[1], f"{where}[1]"))
 
 
 def _as_int(v, where: str) -> int:
@@ -95,128 +110,142 @@ def _as_int(v, where: str) -> int:
     return v
 
 
-def _as_float(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    return float(v)
+def _at_least(n: int, least: int) -> int:
+    if n < least:
+        raise ValueError(f"must be at least {least}")
+    return n
 
 
-def _coeff_list(v, where: str) -> list[complex]:
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{where} must be a nonempty list")
-    return [_as_complex(x, f"{where}[{i}]") for i, x in enumerate(v)]
+def _name(v, where: str) -> str:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{where} must be a nonempty string")
+    return v
 
 
-def _parse_analytic(d, where: str):
+def _list(item):
+    """Parser of a nonempty list whose entries ``item`` parses."""
+
+    def parse(v, where):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{where} must be a nonempty list")
+        return [item(x, f"{where}[{i}]") for i, x in enumerate(v)]
+
+    return parse
+
+
+def _variant(d, key: str, table: dict, where: str):
+    """The tag ``d[key]``, its entry of ``table``, and ``d`` without ``key``."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object")
-    kind = _require(d, "type", where)
-    if kind == "polynomial":
-        _reject_unknown(d, {"type", "coeffs"}, where)
-        return polynomial_symbol(_coeff_list(_require(d, "coeffs", where), f"{where}.coeffs"))
-    if kind == "rational":
-        _reject_unknown(d, {"type", "num", "den"}, where)
-        num = _coeff_list(_require(d, "num", where), f"{where}.num")
-        den = _coeff_list(_require(d, "den", where), f"{where}.den")
-        try:
-            return rational_symbol(num, den)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if kind == "principal_power":
-        _reject_unknown(d, {"type", "plus_exponent", "minus_exponent"}, where)
-        return principal_power_symbol(
-            _as_float(_require(d, "plus_exponent", where), f"{where}.plus_exponent"),
-            _as_float(_require(d, "minus_exponent", where), f"{where}.minus_exponent"),
-        )
-    raise ConfigError(
-        f"{where}.type must be one of 'polynomial', 'rational', 'principal_power'"
-    )
+    tag = d.get(key)
+    if not isinstance(tag, str) or tag not in table:
+        raise ConfigError(f"{where}.{key} must be one of {', '.join(table)}")
+    return tag, table[tag], {k: v for k, v in d.items() if k != key}
 
 
-def _parse_symbol(d, where: str = "symbol") -> HarmonicSymbol:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(d, {"c", "d", "g"}, where)
-    c = _as_complex(_require(d, "c", where), f"{where}.c")
-    dd = _as_complex(_require(d, "d", where), f"{where}.d")
-    g = _parse_analytic(_require(d, "g", where), f"{where}.g")
-    return HarmonicSymbol(c, dd, g)
+def _object(fields: dict, build=None):
+    """Parser of an object holding exactly ``fields``, {field: parser}.
+
+    A field ``fields`` does not list is refused by name, and so is a
+    listed field the object lacks.  The parsed values come back as a
+    dict, or passed in order to ``build``.
+    """
+
+    def parse(d, where):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{where} must be an object")
+        extra = sorted(set(d) - set(fields))
+        if extra:
+            raise ConfigError(f"unknown field(s) {', '.join(map(repr, extra))} in {where}")
+        for key in fields:
+            if key not in d:
+                raise ConfigError(f"missing required field {key!r} in {where}")
+        values = [field(d[key], f"{where}.{key}") for key, field in fields.items()]
+        return dict(zip(fields, values)) if build is None else _checked(build, where, *values)
+
+    return parse
 
 
-def _parse_grid(d, where: str = "grid") -> DiscGrid:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(d, {"radii", "angles"}, where)
-    radii = _require(d, "radii", where)
-    if not isinstance(radii, list) or not all(isinstance(r, (int, float)) for r in radii):
-        raise ConfigError(f"{where}.radii must be a list of numbers")
-    angles = _as_int(_require(d, "angles", where), f"{where}.angles")
-    try:
-        return DiscGrid(tuple(float(r) for r in radii), angles)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+_COEFFS = _list(_as_complex)
+
+#: symbol.g by its ``type``
+_ANALYTIC = {
+    "polynomial": _object({"coeffs": _COEFFS}, polynomial_symbol),
+    "rational": _object({"num": _COEFFS, "den": _COEFFS}, rational_symbol),
+    "principal_power": _object(
+        {"plus_exponent": _as_float, "minus_exponent": _as_float}, principal_power_symbol
+    ),
+}
 
 
-def _parse_quadrature(d, where: str = "quadrature") -> QuadratureSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(d, {"radial", "angular"}, where)
-    try:
-        return QuadratureSpec(
-            _as_int(_require(d, "radial", where), f"{where}.radial"),
-            _as_int(_require(d, "angular", where), f"{where}.angular"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _analytic(d, where: str):
+    _, parse, rest = _variant(d, "type", _ANALYTIC, where)
+    return parse(rest, where)
 
 
-def _parse_schedule(v, where: str = "schedule") -> tuple[int, ...]:
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{where} must be a nonempty list of integers")
-    sizes = [_as_int(x, f"{where}[{i}]") for i, x in enumerate(v)]
-    try:
-        return check_schedule(sizes)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+_SYMBOL = _object({"c": _as_complex, "d": _as_complex, "g": _analytic}, HarmonicSymbol)
+_GRID = _object({"radii": _list(_as_float), "angles": _as_int}, DiscGrid)
+_QUADRATURE = _object({"radial": _as_int, "angular": _as_int}, QuadratureSpec)
+_THRESHOLDS = _object({key: _as_float for key in ("inf_positive", "sigma_positive", "drift")})
+_SCHEDULE = _then(_list(_as_int), check_schedule)
+_SIZE = _then(_as_int, check_size)
+_COUNT = _then(_as_int, _at_least, 1)
+#: required by every kind that has it; ``invertibility`` and ``shift_demo`` only echo it
+_SEED = _then(_as_int, _at_least, 0)
 
 
-def _parse_thresholds(d, where: str = "thresholds") -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(d, {"inf_positive", "sigma_positive", "drift"}, where)
-    return {
-        key: _as_float(_require(d, key, where), f"{where}.{key}")
-        for key in ("inf_positive", "sigma_positive", "drift")
-    }
+def _mix(side: str) -> dict:
+    s = _then(_as_complex, check_mix_s, side)
+    return {"count": _COUNT, "matrix_size": _COUNT, "s": s, "seed": _SEED}
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One validated experiment: kind plus the typed fields it needs."""
+#: every scenario kind's fields, {field: parser}, besides ``name`` and the
+#: optional ``output_dir``; a kind with variants is a pair of its
+#: discriminating field and one such table per variant
+SCHEMA = {
+    "toeplitz_build": (
+        "builder",
+        {
+            "closed_form": {"symbol": _SYMBOL, "n": _SIZE},
+            "quadrature": {"symbol": _SYMBOL, "n": _SIZE, "quadrature": _QUADRATURE},
+        },
+    ),
+    "berezin_grid": (
+        "route",
+        {
+            "integral": {"symbol": _SYMBOL, "grid": _GRID, "quadrature": _QUADRATURE},
+            "matrix": {"symbol": _SYMBOL, "grid": _GRID, "n": _SIZE, "tail_tol": _as_float},
+            "harmonic_closed_form": {"symbol": _SYMBOL, "grid": _GRID},
+        },
+    ),
+    "invertibility": {
+        "symbol": _SYMBOL,
+        "schedule": _SCHEDULE,
+        "grid": _GRID,
+        "thresholds": _THRESHOLDS,
+        "seed": _SEED,
+    },
+    "theorem_check": (
+        "check",
+        {
+            "3.1": _mix("<"),
+            "3.2": {**_mix(">"), "vector_trials": _COUNT},
+            "3.3": _mix("!="),
+            "shift_demo": {
+                "n": _then(_as_int, check_shift_window),
+                "s": _then(_as_complex, check_mix_s, ">"),
+                "seed": _SEED,
+            },
+        },
+    ),
+    "example_3_5": {"t": _as_float, "schedule": _SCHEDULE},
+}
 
-    name: str
-    kind: str
-    raw: dict
-    symbol: HarmonicSymbol | None = None
-    grid: DiscGrid | None = None
-    quadrature: QuadratureSpec | None = None
-    schedule: tuple[int, ...] | None = None
-    thresholds: dict | None = None
-    seed: int | None = None
-    n: int | None = None
-    builder: str | None = None
-    route: str | None = None
-    tail_tol: float | None = None
-    check: str | None = None
-    count: int | None = None
-    matrix_size: int | None = None
-    s: complex | None = None
-    vector_trials: int | None = None
-    t: float | None = None
-    output_dir: str | None = None
 
-
-_COMMON = {"name", "kind", "output_dir"}
+class Scenario(SimpleNamespace):
+    """One validated experiment: ``name``, ``kind``, ``output_dir`` (or None),
+    the discriminating field of a kind with variants, and exactly the typed
+    fields :data:`SCHEMA` lists for its variant."""
 
 
 def parse_scenario(config: dict) -> Scenario:
@@ -225,119 +254,23 @@ def parse_scenario(config: dict) -> Scenario:
     Every check happens before any computation; error messages name the
     offending field.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be an object")
-    name = _require(config, "name", "config")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("config.name must be a nonempty string")
-    kind = _require(config, "kind", "config")
-    if kind not in KINDS:
-        raise ConfigError(f"config.kind must be one of {', '.join(KINDS)}")
-    out = config.get("output_dir")
+    kind, fields, rest = _variant(config, "kind", SCHEMA, "config")
+    tags = {"kind": kind}
+    if isinstance(fields, tuple):
+        key, table = fields
+        tags[key], fields, rest = _variant(rest, key, table, "config")
+    out = rest.pop("output_dir", None)
     if out is not None and not isinstance(out, str):
         raise ConfigError("config.output_dir must be a string")
-    base = dict(name=name, kind=kind, raw=config, output_dir=out)
-
-    if kind == "toeplitz_build":
-        _reject_unknown(config, _COMMON | {"symbol", "n", "builder", "quadrature"}, "config")
-        builder = _require(config, "builder", "config")
-        if builder not in ("closed_form", "quadrature"):
-            raise ConfigError("config.builder must be 'closed_form' or 'quadrature'")
-        quad = None
-        if builder == "quadrature":
-            quad = _parse_quadrature(_require(config, "quadrature", "config"))
-        elif "quadrature" in config:
-            raise ConfigError("config.quadrature only applies to the quadrature builder")
-        return Scenario(
-            **base,
-            symbol=_parse_symbol(_require(config, "symbol", "config")),
-            n=_as_int(_require(config, "n", "config"), "config.n"),
-            builder=builder,
-            quadrature=quad,
-        )
-
-    if kind == "berezin_grid":
-        _reject_unknown(
-            config, _COMMON | {"symbol", "grid", "route", "quadrature", "n", "tail_tol"}, "config"
-        )
-        route = _require(config, "route", "config")
-        if route not in ROUTES:
-            raise ConfigError(f"config.route must be one of {', '.join(ROUTES)}")
-        quad = n = tail = None
-        if route == "integral":
-            quad = _parse_quadrature(_require(config, "quadrature", "config"))
-        elif route == "matrix":
-            n = _as_int(_require(config, "n", "config"), "config.n")
-            tail = _as_float(_require(config, "tail_tol", "config"), "config.tail_tol")
-        return Scenario(
-            **base,
-            symbol=_parse_symbol(_require(config, "symbol", "config")),
-            grid=_parse_grid(_require(config, "grid", "config")),
-            route=route,
-            quadrature=quad,
-            n=n,
-            tail_tol=tail,
-        )
-
-    if kind == "invertibility":
-        _reject_unknown(
-            config, _COMMON | {"symbol", "schedule", "grid", "thresholds", "seed"}, "config"
-        )
-        return Scenario(
-            **base,
-            symbol=_parse_symbol(_require(config, "symbol", "config")),
-            schedule=_parse_schedule(_require(config, "schedule", "config")),
-            grid=_parse_grid(_require(config, "grid", "config")),
-            thresholds=_parse_thresholds(_require(config, "thresholds", "config")),
-            seed=_as_int(_require(config, "seed", "config"), "config.seed"),
-        )
-
-    if kind == "theorem_check":
-        check = _require(config, "check", "config")
-        if check not in CHECKS:
-            raise ConfigError(f"config.check must be one of {', '.join(CHECKS)}")
-        if check == "shift_demo":
-            _reject_unknown(config, _COMMON | {"check", "n", "s", "seed"}, "config")
-            return Scenario(
-                **base,
-                check=check,
-                n=_as_int(_require(config, "n", "config"), "config.n"),
-                s=_as_complex(_require(config, "s", "config"), "config.s"),
-                seed=_as_int(_require(config, "seed", "config"), "config.seed"),
-            )
-        allowed = _COMMON | {"check", "count", "matrix_size", "s", "seed"}
-        if check == "3.2":
-            allowed |= {"vector_trials"}
-        _reject_unknown(config, allowed, "config")
-        trials = None
-        if check == "3.2":
-            trials = _as_int(
-                _require(config, "vector_trials", "config"), "config.vector_trials"
-            )
-        return Scenario(
-            **base,
-            check=check,
-            count=_as_int(_require(config, "count", "config"), "config.count"),
-            matrix_size=_as_int(_require(config, "matrix_size", "config"), "config.matrix_size"),
-            s=_as_complex(_require(config, "s", "config"), "config.s"),
-            seed=_as_int(_require(config, "seed", "config"), "config.seed"),
-            vector_trials=trials,
-        )
-
-    # example_3_5
-    _reject_unknown(config, _COMMON | {"t", "schedule"}, "config")
-    return Scenario(
-        **base,
-        t=_as_float(_require(config, "t", "config"), "config.t"),
-        schedule=_parse_schedule(_require(config, "schedule", "config")),
-    )
+    parsed = _object({"name": _name, **fields})(rest, "config")
+    return Scenario(**tags, output_dir=out, **parsed)
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def _run_toeplitz_build(sc: Scenario, outdir: Path) -> list[Path]:
+def _run_toeplitz_build(sc: Scenario, outdir: Path):
     if sc.builder == "quadrature":
         op = toeplitz_quadrature(sc.symbol, sc.n, sc.quadrature, sc.symbol.tag())
     else:
@@ -353,17 +286,14 @@ def _run_toeplitz_build(sc: Scenario, outdir: Path) -> list[Path]:
         "sigma_min": smallest_singular_value(op),
         "normality_defect": normality_defect(op),
     }
-    _write_json(outdir / "report.json", report)
-    return [outdir / "matrix.json", outdir / "matrix.csv", outdir / "report.json"]
+    return report, [outdir / "matrix.json", outdir / "matrix.csv"]
 
 
-def _run_berezin_grid(sc: Scenario, outdir: Path) -> list[Path]:
-    kwargs = {}
+def _run_berezin_grid(sc: Scenario, outdir: Path):
+    # the route's own fields: quadrature (integral), n and tail_tol (matrix)
+    kwargs = {key: v for key, v in vars(sc).items() if key in ("n", "tail_tol")}
     if sc.route == "integral":
         kwargs["spec"] = sc.quadrature
-    elif sc.route == "matrix":
-        kwargs["n"] = sc.n
-        kwargs["tail_tol"] = sc.tail_tol
     samples = berezin_grid(sc.symbol, sc.grid, sc.route, **kwargs)
     grid_to_csv(samples, outdir / "grid.csv")
     grid_to_json(samples, outdir / "grid.json")
@@ -379,11 +309,10 @@ def _run_berezin_grid(sc: Scenario, outdir: Path) -> list[Path]:
         "argmin": [samples[k].z.real, samples[k].z.imag],
         "max_error_estimate": max(s.error_estimate for s in samples),
     }
-    _write_json(outdir / "report.json", report)
-    return [outdir / "grid.csv", outdir / "grid.json", outdir / "report.json"]
+    return report, [outdir / "grid.csv", outdir / "grid.json"]
 
 
-def _run_invertibility(sc: Scenario, outdir: Path) -> list[Path]:
+def _run_invertibility(sc: Scenario, outdir: Path):
     config = VerdictConfig(
         sizes=sc.schedule,
         grid=sc.grid,
@@ -393,57 +322,48 @@ def _run_invertibility(sc: Scenario, outdir: Path) -> list[Path]:
         seed=sc.seed,
     )
     report = invertibility_verdict(sc.symbol, config).to_dict()
-    report["name"] = sc.name
-    report["kind"] = sc.kind
-    _write_json(outdir / "report.json", report)
-    return [outdir / "report.json"]
+    return {**report, "name": sc.name, "kind": sc.kind}, []
 
 
-def _run_theorem_check(sc: Scenario, outdir: Path) -> list[Path]:
+def _run_theorem_check(sc: Scenario, outdir: Path):
     report = {"name": sc.name, "kind": sc.kind, "check": sc.check, "seed": sc.seed}
     if sc.check == "shift_demo":
-        report.update(shift_window_demo(sc.n, sc.s).to_dict())
-    else:
-        rng = np.random.default_rng(sc.seed)
-        passes = 0
-        margins = []
-        for _ in range(sc.count):
-            t = random_normal_matrix(rng, sc.matrix_size)
-            if sc.check == "3.1":
-                c = mix_bound_check(t, sc.s)
-                ok = c.equivalence_holds and bool(c.bound_holds)
-                margins.append(c.sigma_mix - c.lower_bound)
-            elif sc.check == "3.2":
-                c = mix_sandwich_check(t, sc.s, trials=sc.vector_trials, rng=rng)
-                ok = c.within_bounds and c.equivalence_holds
-                margins.append(min(c.ratio_min - c.lower, c.upper - c.ratio_max))
-            else:
-                c = mix_transfer_check(t, sc.s)
-                ok = c.transfer_holds
-                margins.append(min(c.sigma_t, c.sigma_mix))
-            passes += ok
-        report.update(
-            {
-                "count": sc.count,
-                "matrix_size": sc.matrix_size,
-                "s": [sc.s.real, sc.s.imag],
-                "passes": passes,
-                "all_pass": passes == sc.count,
-                "min_margin": float(min(margins)),
-            }
-        )
-    _write_json(outdir / "report.json", report)
-    return [outdir / "report.json"]
+        return {**report, **shift_window_demo(sc.n, sc.s).to_dict()}, []
+    rng = np.random.default_rng(sc.seed)
+    passes = 0
+    margins = []
+    for _ in range(sc.count):
+        t = random_normal_matrix(rng, sc.matrix_size)
+        if sc.check == "3.1":
+            c = mix_bound_check(t, sc.s)
+            ok = c.equivalence_holds and bool(c.bound_holds)
+            margins.append(c.sigma_mix - c.lower_bound)
+        elif sc.check == "3.2":
+            c = mix_sandwich_check(t, sc.s, trials=sc.vector_trials, rng=rng)
+            ok = c.within_bounds and c.equivalence_holds
+            margins.append(min(c.ratio_min - c.lower, c.upper - c.ratio_max))
+        else:
+            c = mix_transfer_check(t, sc.s)
+            ok = c.transfer_holds
+            margins.append(min(c.sigma_t, c.sigma_mix))
+        passes += ok
+    report.update(
+        count=sc.count,
+        matrix_size=sc.matrix_size,
+        s=[sc.s.real, sc.s.imag],
+        passes=passes,
+        all_pass=passes == sc.count,
+        min_margin=float(min(margins)),
+    )
+    return report, []
 
 
-def _run_example_3_5(sc: Scenario, outdir: Path) -> list[Path]:
+def _run_example_3_5(sc: Scenario, outdir: Path):
     report = power_symbol_study(sc.t, sizes=sc.schedule).to_dict()
-    report["name"] = sc.name
-    report["kind"] = sc.kind
-    _write_json(outdir / "report.json", report)
-    return [outdir / "report.json"]
+    return {**report, "name": sc.name, "kind": sc.kind}, []
 
 
+#: each kind's computation: (report, the other files it wrote)
 _PIPELINES = {
     "toeplitz_build": _run_toeplitz_build,
     "berezin_grid": _run_berezin_grid,
@@ -451,6 +371,14 @@ _PIPELINES = {
     "theorem_check": _run_theorem_check,
     "example_3_5": _run_example_3_5,
 }
+
+
+def _emit(sc: Scenario, outdir: Path) -> tuple[dict, list[Path]]:
+    """Run ``sc`` into ``outdir``; returns the report and every file written, report.json last."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    report, files = _PIPELINES[sc.kind](sc, outdir)
+    _write_json(outdir / "report.json", report)
+    return report, [*files, outdir / "report.json"]
 
 
 @dataclass(frozen=True)
@@ -475,6 +403,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _load_config(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
 def run_scenario(config_path, output_dir: str | None = None) -> RunManifest:
     """Execute one scenario file end to end and write its manifest.
 
@@ -483,19 +418,14 @@ def run_scenario(config_path, output_dir: str | None = None) -> RunManifest:
     (the manifest itself is written last and cannot self-reference).
     """
     t0 = time.perf_counter()
-    raw = Path(config_path).read_text()
-    try:
-        config = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    config = _load_config(config_path)
     sc = parse_scenario(config)
     outdir = output_dir or sc.output_dir
     if outdir is None:
         raise ConfigError("missing required field 'output_dir' (config or --output-dir)")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     t1 = time.perf_counter()
-    files = _PIPELINES[sc.kind](sc, outdir)
+    _, files = _emit(sc, outdir)
     t2 = time.perf_counter()
     manifest = RunManifest(
         scenario=config,
@@ -525,31 +455,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        config = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    sc = parse_scenario(config)
+    sc = parse_scenario(_load_config(args.config))
     print(f"ok: {sc.kind} scenario {sc.name!r}")
     return 0
 
 
 def _cmd_example35(args) -> int:
     try:
-        schedule = tuple(int(x) for x in args.schedule.split(","))
+        schedule = [int(x) for x in args.schedule.split(",")]
     except ValueError as exc:
         raise ConfigError("--schedule must be comma-separated integers") from exc
-    config = {
-        "name": f"example35-t{args.t:g}",
-        "kind": "example_3_5",
-        "t": args.t,
-        "schedule": list(schedule),
-    }
-    sc = parse_scenario(config)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = _run_example_3_5(sc, outdir)
-    report = json.loads(files[0].read_text())
+    sc = parse_scenario(
+        {"name": f"example35-t{args.t:g}", "kind": "example_3_5", "t": args.t, "schedule": schedule}
+    )
+    report, _ = _emit(sc, Path(args.output_dir))
     print(
         f"t={args.t:g}  grid_min={report['grid_min']:.6g}  "
         f"bound={report['modulus_bound']:.6g}  bounds_hold={report['bounds_hold']}  "
@@ -583,15 +502,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+        error, code = exc, 2
+    except (NumericalError, MemoryError) as exc:
+        error, code = exc, 3
+    print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "ConfigError", "NumericalError", "ExtractionError"]
+
 
 class DomainError(ValueError):
     """A point lies outside the open unit disc where evaluation is defined."""

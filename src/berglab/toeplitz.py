@@ -36,6 +36,7 @@ from .symbols import HarmonicSymbol
 __all__ = [
     "TruncatedOperator",
     "ProductDefects",
+    "check_size",
     "toeplitz_analytic",
     "toeplitz_harmonic",
     "toeplitz_quadrature",
@@ -124,6 +125,13 @@ def _jordan_wielandt_band(c: complex, d: complex, coeffs: np.ndarray, n: int) ->
     return ab
 
 
+def check_size(n: int) -> int:
+    """The truncation size of every builder, at least 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return n
+
+
 def toeplitz_analytic(g, n: int, tag: str | None = None) -> TruncatedOperator:
     """Truncation of T_g for analytic g given by Taylor coefficients.
 
@@ -143,8 +151,7 @@ def toeplitz_analytic(g, n: int, tag: str | None = None) -> TruncatedOperator:
            [0., 1., 0.],
            [0., 0., 1.]])
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_size(n)
     coeffs = _coeff_vector(g)
     return TruncatedOperator(
         matrix=_analytic_matrix(coeffs, n),
@@ -161,8 +168,7 @@ def toeplitz_harmonic(phi: HarmonicSymbol, n: int) -> TruncatedOperator:
     is the exact N x N compression, built from the symbol family's
     exact coefficient route.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_size(n)
     a = _analytic_matrix(phi.g.series(n - 1).coeffs, n)
     # c A + d A^* in place: one temporary besides A, dropped before the copy.
     # The scalar goes first, as in ``c * a``: numpy's complex multiply may
@@ -185,8 +191,7 @@ def toeplitz_quadrature(
     only route for non-harmonic symbols like |w|^2.  Cost is
     O(n^2 M_r M_theta); keep it for desk-size checks.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_size(n)
     z, w = spec.points()
     vals = _eval_on_nodes(f, z)
     basis = np.ones((n, z.size), dtype=np.complex128)

@@ -1,12 +1,16 @@
+import copy
 import hashlib
 import json
+import math
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from berglab.cli import main, parse_scenario, run_scenario
+from berglab.cli import SCHEMA, main, parse_scenario, run_scenario
 from berglab.errors import ConfigError
 from berglab.symbols import HarmonicSymbol, polynomial_symbol
 from berglab.toeplitz import matrix_from_json, toeplitz_harmonic
@@ -363,6 +367,224 @@ class TestExitCodes:
         path = write_config(tmp_path, invertibility_config())
         assert main(["validate", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
+
+
+SYMBOL = {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0]}}
+GRID = {"radii": [0.0, 0.5], "angles": 8}
+QUADRATURE = {"radial": 8, "angular": 16}
+
+
+def mix_config(check, **overrides):
+    config = {"name": "t", "kind": "theorem_check", "check": check, "count": 2,
+              "matrix_size": 4, "s": 0.5, "seed": 1}
+    if check == "3.2":
+        config.update(s=2.0, vector_trials=5)
+    config.update(overrides)
+    return config
+
+
+def grid_config(route, **overrides):
+    config = {"name": "g", "kind": "berezin_grid", "route": route, "symbol": SYMBOL, "grid": GRID}
+    config.update(overrides)
+    return config
+
+
+def with_symbol(**fields):
+    config = invertibility_config()
+    config["symbol"] = {**SYMBOL, **fields}
+    return config
+
+
+def run_both(tmp_path, text):
+    """Exit codes of validate and run on one config text."""
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    outdir = tmp_path / "o"
+    shutil.rmtree(outdir, ignore_errors=True)
+    codes = (main(["validate", str(path)]), main(["run", str(path), "--output-dir", str(outdir)]))
+    return codes, (outdir / "report.json").exists()
+
+
+class TestSchemaRefusals:
+    """Configs that validate accepted while run refused or crashed, or that
+    run accepted with a field it ignored or a non-finite number."""
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            pytest.param({"name": "b", "kind": "toeplitz_build", "builder": "closed_form", "n": 0,
+                          "symbol": SYMBOL}, "config.n", id="build-n0"),
+            pytest.param(grid_config("matrix", n=0, tail_tol=1e-6), "config.n", id="matrix-n0"),
+            pytest.param(mix_config("3.1", s=1.5), "config.s", id="3.1-s"),
+            pytest.param(mix_config("3.1", count=0), "config.count", id="count0"),
+            pytest.param(mix_config("3.2", vector_trials=0), "config.vector_trials", id="trials0"),
+            pytest.param({"name": "s", "kind": "theorem_check", "check": "shift_demo", "n": 4,
+                          "s": 2.0, "seed": 0}, "config.n", id="shift-n4"),
+            pytest.param(mix_config("3.3", matrix_size=0), "config.matrix_size", id="size0"),
+            pytest.param(mix_config("3.1", seed=-1), "config.seed", id="seed-negative"),
+            pytest.param(grid_config("integral", quadrature=QUADRATURE, n=4), "'n'",
+                         id="integral-n"),
+            pytest.param(grid_config("integral", quadrature=QUADRATURE, tail_tol=1e-6),
+                         "'tail_tol'", id="integral-tail_tol"),
+            pytest.param(grid_config("matrix", n=16, tail_tol=1.0, quadrature=QUADRATURE),
+                         "'quadrature'", id="matrix-quadrature"),
+            pytest.param(grid_config("harmonic_closed_form", n=16), "'n'", id="closed-n"),
+            pytest.param(grid_config("harmonic_closed_form", tail_tol=1.0), "'tail_tol'",
+                         id="closed-tail_tol"),
+            pytest.param(grid_config("harmonic_closed_form", quadrature=QUADRATURE),
+                         "'quadrature'", id="closed-quadrature"),
+            pytest.param(invertibility_config(grid={"radii": [0.0, float("nan")], "angles": 8}),
+                         "config.grid.radii[1]", id="nan-radius"),
+            pytest.param(invertibility_config(thresholds={"inf_positive": float("nan"),
+                                                          "sigma_positive": 1e-6, "drift": 0.05}),
+                         "config.thresholds.inf_positive", id="nan-threshold"),
+            pytest.param(with_symbol(c=float("inf")), "config.symbol.c", id="inf-c"),
+            pytest.param(with_symbol(d=[0.5, float("-inf")]), "config.symbol.d", id="inf-d-pair"),
+            pytest.param(with_symbol(g={"type": "polynomial", "coeffs": [2.0, 10**400]}),
+                         "config.symbol.g.coeffs[1]", id="int-overflow-coeff"),
+            pytest.param(with_symbol(g={"type": "principal_power", "plus_exponent": float("nan"),
+                                        "minus_exponent": 0.0}),
+                         "config.symbol.g.plus_exponent", id="nan-exponent"),
+            pytest.param({"name": "e", "kind": "example_3_5", "t": float("inf"),
+                          "schedule": [4, 8, 16]}, "config.t", id="inf-t"),
+        ],
+    )
+    def test_validate_and_run_refuse(self, tmp_path, capsys, config, field):
+        codes, wrote = run_both(tmp_path, json.dumps(config))
+        assert codes == (2, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(field in line for line in err)
+        assert not wrote
+
+    def test_overflowing_literal_refused(self, tmp_path, capsys):
+        # json.loads reads 1e999 as inf
+        text = json.dumps(invertibility_config()).replace("0.05", "1e999")
+        assert run_both(tmp_path, text) == ((2, 2), False)
+        assert capsys.readouterr().err.count("config.thresholds.drift") == 2
+
+    def test_memory_exhaustion_exits_3(self, tmp_path, capsys):
+        # the N = 10**7 complex matrix is 1.42 PiB, beyond any 64-bit user
+        # address space, so numpy refuses it without allocating; a smaller
+        # oversize N could actually be mapped
+        config = {"name": "b", "kind": "toeplitz_build", "builder": "closed_form", "n": 10**7,
+                  "symbol": SYMBOL}
+        assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
+        assert "error: " in capsys.readouterr().err
+
+    def test_seed_parses_where_only_echoed(self):
+        # bench/workloads.py sends it to invertibility and shift_demo
+        assert parse_scenario(invertibility_config(seed=0)).seed == 0
+        shift = {"name": "s", "kind": "theorem_check", "check": "shift_demo", "n": 8, "s": 2.0}
+        with pytest.raises(ConfigError, match="'seed'"):
+            parse_scenario(shift)
+        assert parse_scenario({**shift, "seed": 0}).seed == 0
+
+    def test_scenario_carries_only_its_variant_fields(self):
+        sc = parse_scenario(grid_config("harmonic_closed_form"))
+        assert set(vars(sc)) == {"name", "kind", "route", "output_dir", "symbol", "grid"}
+
+
+# out-of-domain, wrong-typed and borderline values; all small, so that a
+# value that happens to be valid still runs in milliseconds
+BAD = [None, "x", True, -1, 0, 1, 3, 7, 0.5, 1.0, 1.5, -2.5, float("nan"), float("inf"),
+       [], {}, [1, 2, 3], [0.5, 2.0], "matrix", "3.3", "quadrature", "rational"]
+
+
+def _s(moduli):
+    """s as a number or a [re, im] pair, its modulus drawn from ``moduli``."""
+    return st.tuples(st.sampled_from(moduli), st.sampled_from([0.0, 0.7, math.pi])).map(
+        lambda ra: ra[0] if ra[1] == 0.0 else [ra[0] * math.cos(ra[1]), ra[0] * math.sin(ra[1])]
+    )
+
+
+@st.composite
+def small_configs(draw):
+    """A valid config of any kind and variant of SCHEMA, with small sizes."""
+    g = draw(st.sampled_from([
+        {"type": "polynomial", "coeffs": [2.0, 1.0]},
+        {"type": "polynomial", "coeffs": [[1.0, 0.5], 0.0, 0.3]},
+        {"type": "rational", "num": [1.0, 0.5], "den": [2.0, -0.5]},
+        {"type": "principal_power", "plus_exponent": 0.5, "minus_exponent": -0.5},
+    ]))
+    c = draw(st.sampled_from([1.0, [0.5, 0.5], 0]))
+    symbol = {"c": c, "d": draw(st.sampled_from([0.5, 0])), "g": g}
+    n = draw(st.integers(1, 32))
+    schedule = sorted(draw(st.sets(st.integers(1, 32), min_size=3, max_size=4)))
+    grid = {"radii": sorted(draw(st.sets(st.sampled_from([0.0, 0.3, 0.6, 0.9]), min_size=1))),
+            "angles": draw(st.sampled_from([4, 8]))}
+    quadrature = {"radial": draw(st.integers(2, 8)), "angular": draw(st.sampled_from([8, 16]))}
+    seed = draw(st.integers(0, 2**32))
+    kind = draw(st.sampled_from(sorted(SCHEMA)))
+    config = {"name": "p", "kind": kind}
+    if kind == "toeplitz_build":
+        config.update(builder="closed_form", symbol=symbol, n=n)
+        if draw(st.booleans()):
+            config.update(builder="quadrature", quadrature=quadrature)
+    elif kind == "berezin_grid":
+        route = draw(st.sampled_from(sorted(SCHEMA[kind][1])))
+        config.update(route=route, symbol=symbol, grid=grid)
+        if config["route"] == "integral":
+            config["quadrature"] = quadrature
+        elif config["route"] == "matrix":
+            config.update(n=n, tail_tol=draw(st.sampled_from([1e-6, 10.0])))
+    elif kind == "invertibility":
+        thresholds = {"inf_positive": 1e-3, "sigma_positive": 1e-6, "drift": 0.05}
+        config.update(symbol=symbol, schedule=schedule, grid=grid, thresholds=thresholds, seed=seed)
+    elif kind == "example_3_5":
+        config.update(t=draw(st.floats(-25, 25)), schedule=schedule)
+    else:
+        check = config["check"] = draw(st.sampled_from(sorted(SCHEMA[kind][1])))
+        if check == "shift_demo":
+            config.update(n=draw(st.integers(8, 32)), s=draw(_s([1.01, 2.0])), seed=seed)
+        else:
+            s = {"3.1": _s([0.0, 0.5, 0.99]), "3.2": _s([1.01, 2.0]), "3.3": _s([0.5, 2.0])}[check]
+            config.update(count=draw(st.integers(1, 3)), matrix_size=draw(st.integers(1, 6)),
+                          s=draw(s), seed=seed)
+            if check == "3.2":
+                config["vector_trials"] = draw(st.integers(1, 16))
+    return config
+
+
+def _leaves(node, path=()):
+    """Paths to every value inside a config, objects and lists included."""
+    yield path
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    for key, child in node.items() if isinstance(node, dict) else ():
+        yield from _leaves(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small valid config, or one with a single field replaced, removed or added."""
+    # sampled_from hands out the same objects each time: mutate a copy
+    config = copy.deepcopy(draw(small_configs()))
+    action = draw(st.sampled_from(["none", "replace", "remove", "add"]))
+    if action == "none":
+        return config, True
+    path = draw(st.sampled_from([p for p in _leaves(config) if p]))
+    *head, last = path
+    parent = config
+    for key in head:
+        parent = parent[key]
+    if action == "replace":
+        parent[last] = draw(st.sampled_from(BAD))
+    elif action == "remove" and isinstance(parent, dict):
+        del parent[last]
+    elif isinstance(parent, dict):
+        parent["unexpected"] = 1
+    return config, False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_configs())
+def test_validate_passes_iff_run_succeeds_or_refuses(tmp_path, case):
+    config, valid = case
+    (validated, ran), _ = run_both(tmp_path, json.dumps(config))
+    if valid:
+        assert validated == 0, config
+    assert (validated == 0) == (ran in (0, 3)), config
 
 
 class TestExample35Command:

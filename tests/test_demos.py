@@ -1,0 +1,21 @@
+"""Smoke test: every script under demos/ runs to completion."""
+
+import runpy
+import tempfile
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_present():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(script, tmp_path, monkeypatch):
+    # scenario_runs.py writes under tempfile.mkdtemp(); keep that in tmp_path too
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(script), run_name="__main__")
