@@ -23,19 +23,19 @@ scenario = {
     "seed": 7,
 }
 
-workdir = Path(tempfile.mkdtemp(prefix="berglab-demo-"))
-config = workdir / "scenario.json"
-config.write_text(json.dumps(scenario, indent=1))
+with tempfile.TemporaryDirectory(prefix="berglab-demo-") as tmp:
+    workdir = Path(tmp)
+    config = workdir / "scenario.json"
+    config.write_text(json.dumps(scenario, indent=1))
 
-manifest = run_scenario(config, str(workdir / "run1"))
-report = json.loads((workdir / "run1" / "report.json").read_text())
-print(f"verdict: {report['verdict']}  (inf estimate {report['inf_estimate']:.4f})")
-print("emitted files:")
-for entry in manifest.outputs:
-    print(f"  {entry['path']:14} {entry['bytes']:6d} bytes  sha256 {entry['sha256'][:16]}...")
+    manifest = run_scenario(config, str(workdir / "run1"))
+    report = json.loads((workdir / "run1" / "report.json").read_text())
+    print(f"verdict: {report['verdict']}  (inf estimate {report['inf_estimate']:.4f})")
+    print("emitted files:")
+    for entry in manifest.outputs:
+        print(f"  {entry['path']:14} {entry['bytes']:6d} bytes  sha256 {entry['sha256'][:16]}...")
 
-# rerun into a second directory: the reports must match byte for byte
-run_scenario(config, str(workdir / "run2"))
-same = (workdir / "run1" / "report.json").read_bytes() == (workdir / "run2" / "report.json").read_bytes()
-print(f"\nrerun report byte-identical: {same}")
-print(f"outputs under {workdir}")
+    # rerun into a second directory: the reports must match byte for byte
+    run_scenario(config, str(workdir / "run2"))
+    first, second = (workdir / run / "report.json" for run in ("run1", "run2"))
+    print(f"\nrerun report byte-identical: {first.read_bytes() == second.read_bytes()}")

@@ -2,9 +2,9 @@
 Truncated Toeplitz operators, two ways
 ======================================
 
-Closed-form entries against brute quadrature, the exactness of
-triangular products, and where the multiplicative identities break
-under truncation.
+Closed-form entries against brute quadrature, the compression
+c A + d A^* of a harmonic symbol, and hyponormality on the window where
+the truncation acts exactly.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from berglab import (
     toeplitz_analytic,
     toeplitz_harmonic,
     toeplitz_quadrature,
-    verify_product_identities,
 )
 
 # the shift: entries sqrt((n+1)/(n+2)) on the subdiagonal
@@ -34,14 +33,6 @@ phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0]))
 op = toeplitz_harmonic(phi, 6)
 print(f"\nharmonic truncation Hermitian error (real symbol would be 0): "
       f"{np.max(np.abs(op.matrix - op.adjoint_matrix())):.3f}")
-
-# product identities: T_phi T_g - T_{phi g} vanishes on the leading
-# block but not at the far corner, where the cut-off tail shows up
-defects = verify_product_identities([0.0, 1.0],
-                                    HarmonicSymbol(0.0, 1.0, polynomial_symbol([0.0, 1.0])), 9)
-print("\nproduct identity for phi = conj(z), g = z at N = 9:")
-print(f"  leading-block defect {defects.product_defect_block:.2e}")
-print(f"  full-matrix defect   {defects.product_defect_full:.6f}  (exact N/(N+1) = {9 / 10})")
 
 # hyponormality on the window where the truncation acts exactly:
 # ||A f|| >= ||A* f|| for every f supported on low degrees

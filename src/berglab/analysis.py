@@ -270,17 +270,6 @@ class MixBoundCheck:
     lower_bound: float
     bound_holds: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": [self.s.real, self.s.imag],
-            "sigma_t": self.sigma_t,
-            "sigma_mix": self.sigma_mix,
-            "equivalence_holds": self.equivalence_holds,
-            "lower_bound": self.lower_bound,
-            "bound_holds": self.bound_holds,
-        }
-
 
 def mix_bound_check(
     t,
@@ -328,21 +317,6 @@ class MixSandwichCheck:
     sigma_t: float
     sigma_mix: float
     equivalence_holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": [self.s.real, self.s.imag],
-            "trials": self.trials,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "lower": self.lower,
-            "upper": self.upper,
-            "within_bounds": self.within_bounds,
-            "sigma_t": self.sigma_t,
-            "sigma_mix": self.sigma_mix,
-            "equivalence_holds": self.equivalence_holds,
-        }
 
 
 def mix_sandwich_check(
@@ -403,17 +377,6 @@ class MixTransferCheck:
     t_invertible: bool
     mix_invertible: bool
     transfer_holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": [self.s.real, self.s.imag],
-            "sigma_t": self.sigma_t,
-            "sigma_mix": self.sigma_mix,
-            "t_invertible": self.t_invertible,
-            "mix_invertible": self.mix_invertible,
-            "transfer_holds": self.transfer_holds,
-        }
 
 
 def mix_transfer_check(

@@ -48,7 +48,7 @@ from .disc import (
 )
 from .errors import NumericalError
 from .symbols import DiscGrid, HarmonicSymbol
-from .toeplitz import TruncatedOperator, toeplitz_harmonic
+from .toeplitz import TruncatedOperator, _check_finite, toeplitz_harmonic
 
 __all__ = [
     "BerezinSample",
@@ -232,8 +232,13 @@ def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:
     return out
 
 
+def _check_grid(samples: list[BerezinSample]) -> None:
+    _check_finite([(s.z, s.value, s.error_estimate) for s in samples], "Berezin grid")
+
+
 def grid_to_csv(samples: list[BerezinSample], path) -> None:
     """Plotting interface: header re_z,im_z,re_val,im_val,route,err."""
+    _check_grid(samples)
     with open(path, "w") as fh:
         fh.write("re_z,im_z,re_val,im_val,route,err\n")
         for s in samples:
@@ -244,6 +249,7 @@ def grid_to_csv(samples: list[BerezinSample], path) -> None:
 
 
 def grid_to_json(samples: list[BerezinSample], path) -> None:
+    _check_grid(samples)
     rows = [
         {
             "re_z": s.z.real,

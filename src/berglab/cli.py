@@ -12,8 +12,8 @@ timings live only in the manifest, which also inventories every
 emitted file with its SHA-256.
 
 Exit codes: 0 success, 2 config or validation error, 3 numerical
-refusal or exhausted memory (the underlying error text is passed
-through verbatim).
+refusal, a non-finite result or exhausted memory (the underlying error
+text is passed through verbatim).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -267,7 +267,11 @@ def parse_scenario(config: dict) -> Scenario:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+    try:
+        text = json.dumps(payload, indent=1, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise NumericalError(f"{path.name} holds non-finite values, refusing to write it") from exc
+    path.write_text(text + "\n")
 
 
 def _run_toeplitz_build(sc: Scenario, outdir: Path):
@@ -390,14 +394,6 @@ class RunManifest:
     timings_s: dict
     outputs: tuple[dict, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "versions": self.versions,
-            "timings_s": self.timings_s,
-            "outputs": list(self.outputs),
-        }
-
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -445,7 +441,7 @@ def run_scenario(config_path, output_dir: str | None = None) -> RunManifest:
             for f in files
         ),
     )
-    _write_json(outdir / "manifest.json", manifest.to_dict())
+    _write_json(outdir / "manifest.json", asdict(manifest))
     return manifest
 
 

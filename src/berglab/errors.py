@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["DomainError", "ConfigError", "NumericalError", "ExtractionError"]
+__all__ = ["DomainError", "ConfigError", "NumericalError"]
 
 
 class DomainError(ValueError):
@@ -13,7 +13,3 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation could not meet its accuracy or conditioning budget."""
-
-
-class ExtractionError(NumericalError):
-    """Contour coefficient extraction exceeded its own error estimate."""

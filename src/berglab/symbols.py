@@ -9,9 +9,9 @@ The powers are bounded but oscillate wildly near the boundary; they are
 the interesting stress case, since |(1 + z)^{i a}| = e^{-a arg(1 + z)}
 stays within [e^{-|a| pi / 2}, e^{|a| pi / 2}] on the disc.
 
-The module also owns coefficient extraction (exact recurrences per
-family, plus a generic contour-integral route with an explicit error
-model) and grid minimization of |f| over the disc.  Grid minima are
+Each family supplies its Taylor coefficients exactly (the coefficients
+themselves, a long division, a binomial recurrence), and the module
+also owns grid minimization of |f| over the disc.  Grid minima are
 upper bounds for the true infimum, never certificates; every report
 downstream says so.
 """
@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .disc import PowerSeries, _eval_on_nodes
-from .errors import DomainError, ExtractionError
+from .errors import DomainError
 
 __all__ = [
     "AnalyticSymbol",
@@ -38,27 +38,19 @@ __all__ = [
     "rational_symbol",
     "principal_power_symbol",
     "power_symbol",
-    "taylor_coeffs",
     "inf_modulus",
     "default_modulus_grid",
 ]
-
-#: poles of a rational symbol closer to the circle than this margin make
-#: the entire-on-disc contour default unsafe
-_POLE_MARGIN = 1.25
 
 
 class AnalyticSymbol:
     """Bounded analytic function on the open unit disc.
 
-    Subclasses supply ``kind``, vectorized evaluation, an exact
-    truncated Taylor series, and an optional sup-norm bound used by the
-    contour route's error model.
+    Subclasses supply ``kind``, vectorized evaluation and an exact
+    truncated Taylor series.
     """
 
     kind: str = "abstract"
-    boundary_singular: bool = False
-    sup_norm_hint: float | None = None
 
     def __call__(self, z):
         raise NotImplementedError
@@ -76,7 +68,6 @@ class PolynomialSymbol(AnalyticSymbol):
 
     def __init__(self, coeffs):
         self._series = coeffs if isinstance(coeffs, PowerSeries) else PowerSeries(coeffs)
-        self.sup_norm_hint = float(np.sum(np.abs(self._series.coeffs)))
 
     def __call__(self, z):
         return self._series(z)
@@ -107,7 +98,6 @@ class RationalSymbol(AnalyticSymbol):
             raise DomainError(
                 f"denominator vanishes at |z| = {nearest:.6g}, inside the closed unit disc"
             )
-        self.boundary_singular = nearest < _POLE_MARGIN
 
     def _nearest_pole(self) -> float:
         """Smallest modulus of a zero of q; infinite for constant q."""
@@ -150,10 +140,6 @@ class PrincipalPowerSymbol(AnalyticSymbol):
     def __init__(self, plus_exponent: float, minus_exponent: float):
         self.plus_exponent = float(plus_exponent)
         self.minus_exponent = float(minus_exponent)
-        self.boundary_singular = bool(self.plus_exponent or self.minus_exponent)
-        self.sup_norm_hint = float(
-            np.exp((abs(self.plus_exponent) + abs(self.minus_exponent)) * np.pi / 2)
-        )
 
     def __call__(self, z):
         z = np.asarray(z, dtype=np.complex128)
@@ -316,65 +302,3 @@ def inf_modulus(f: Callable, grid: DiscGrid | None = None, refine: bool = True) 
             best = float(cvals[k])
             argmin = complex(cand[k])
     return ModulusScan(minimum=best, argmin=argmin, grid=grid, refined=refine)
-
-
-def taylor_coeffs(
-    g,
-    degree: int,
-    rho: float | None = None,
-    tol: float = 1e-8,
-) -> PowerSeries:
-    """Extract a_0 .. a_degree of analytic ``g`` by a contour integral.
-
-    Uses the trapezoid rule on |z| = rho with M = max(8 degree, 256)
-    points, evaluated through one FFT.  Polynomial symbols pass their
-    coefficients through exactly.  For everything else the error model
-
-        aliasing  <= S rho^M / (1 - rho^M)        (uniform in k)
-        rounding  <= eps log2(M) max|g| rho^-k    (amplified per k)
-
-    with S the sup-norm hint (or the contour maximum as a proxy) is
-    evaluated up front; if it exceeds ``tol`` the call raises
-    :class:`ExtractionError` instead of returning digits it cannot
-    back.  The rho^-k amplification is what makes large degrees
-    unreachable on small circles; the symbol families' exact
-    :meth:`AnalyticSymbol.series` routes exist for that regime.
-
-    Parameters
-    ----------
-    g : AnalyticSymbol or callable
-        Must be analytic on |z| <= rho.
-    degree : int
-        Highest coefficient index extracted.
-    rho : float, optional
-        Contour radius in (0, 1).  Defaults to 0.9, or 0.5 when the
-        symbol is flagged boundary-singular.
-    tol : float
-        Error budget for the worst extracted coefficient.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if isinstance(g, PolynomialSymbol):
-        return g.series(degree)
-    if rho is None:
-        rho = 0.5 if getattr(g, "boundary_singular", False) else 0.9
-    if not 0.0 < rho < 1.0:
-        raise DomainError("contour radius must lie in (0, 1)")
-    m = max(8 * degree, 256)
-    nodes = rho * np.exp(2j * np.pi * np.arange(m) / m)
-    vals = _eval_on_nodes(g, nodes)
-    peak = float(np.max(np.abs(vals)))
-    coeff_bound = getattr(g, "sup_norm_hint", None) or peak
-    alias = coeff_bound * rho**m / (1.0 - rho**m)
-    rounding = np.finfo(float).eps * np.log2(m) * peak * rho ** (-float(degree))
-    estimate = alias + rounding
-    if estimate > tol:
-        raise ExtractionError(
-            f"contour extraction error estimate {estimate:.3e} exceeds "
-            f"tol {tol:.1e} at degree {degree} on rho {rho}; "
-            "raise rho, lower the degree, or use an exact series route"
-        )
-    hat = np.fft.fft(vals) / m
-    k = np.arange(degree + 1)
-    coeffs = hat[: degree + 1] * rho ** (-k.astype(float))
-    return PowerSeries(coeffs)

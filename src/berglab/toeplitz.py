@@ -12,13 +12,8 @@ a weighted lower-triangular Toeplitz structure.  Harmonic symbols
 c g + d conj(g) compress to c A + d A^* with A the analytic truncation;
 both formulas are exact compressions, not approximations, and the
 quadrature builder below exists to prove that entry by entry rather
-than trust the algebra.
-
-What is *not* exact is spectral data: the N x N corner sees only part
-of the operator.  Truncation defects of the multiplicative identities
-T_phi T_g = T_{phi g} and T_conj(g) T_phi = T_{conj(g) phi} live in the
-last deg(g) rows/columns, which is why the defect report distinguishes
-the interior block from the full matrix.
+than trust the algebra.  What is *not* exact is spectral data: the
+N x N corner sees only part of the operator.
 """
 
 from __future__ import annotations
@@ -29,18 +24,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .disc import PowerSeries, QuadratureSpec, _coeff_vector, _eval_on_nodes
+from .disc import QuadratureSpec, _coeff_vector, _eval_on_nodes
 from .errors import NumericalError
 from .symbols import HarmonicSymbol
 
 __all__ = [
     "TruncatedOperator",
-    "ProductDefects",
     "check_size",
     "toeplitz_analytic",
     "toeplitz_harmonic",
     "toeplitz_quadrature",
-    "verify_product_identities",
     "matrix_to_csv",
     "matrix_to_json",
     "matrix_from_json",
@@ -206,86 +199,6 @@ def toeplitz_quadrature(
     )
 
 
-@dataclass(frozen=True)
-class ProductDefects:
-    """Truncation defects of the two multiplicative identities.
-
-    ``product`` refers to T_phi T_g vs T_{phi g}; ``conj_product`` to
-    T_conj(g) T_phi vs T_{conj(g) phi}.  Block norms live on the
-    leading (n - d) x (n - d) corner where the truncated composition
-    acts exactly; full norms include the edge rows/columns where
-    truncation genuinely loses terms.
-    """
-
-    n: int
-    poly_degree: int
-    block: int
-    product_defect_block: float
-    product_defect_full: float
-    conj_product_defect_block: float
-    conj_product_defect_full: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "poly_degree": self.poly_degree,
-            "block": self.block,
-            "product_defect_block": self.product_defect_block,
-            "product_defect_full": self.product_defect_full,
-            "conj_product_defect_block": self.conj_product_defect_block,
-            "conj_product_defect_full": self.conj_product_defect_full,
-        }
-
-
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def verify_product_identities(g, phi: HarmonicSymbol, n: int) -> ProductDefects:
-    """Measure how far truncation breaks T_phi T_g and T_conj(g) T_phi.
-
-    ``g`` must be a polynomial (degree d with n > 2 d).  The reference
-    truncations of the product symbols are computed exactly: analytic
-    parts by series products, mixed parts as corners of products of
-    enlarged truncations, which terminate because the polynomial factor
-    has finitely many diagonals.
-    """
-    gc = np.trim_zeros(_coeff_vector(g), "b")
-    if len(gc) == 0:
-        gc = np.zeros(1, dtype=np.complex128)
-    d = len(gc) - 1
-    if n <= 2 * d:
-        raise ValueError(f"need n > 2 deg(g) = {2 * d}, got {n}")
-
-    big = n + d
-    gs = phi.g.series(big - 1)
-    a_gs = _analytic_matrix(gs.coeffs, big)
-    a_g = _analytic_matrix(gc, big)
-    prod_series = gs.mul(PowerSeries(gc), big - 1)
-    a_prod = _analytic_matrix(prod_series.coeffs, big)
-
-    c, dd = phi.c, phi.d
-    # exact truncations of the product symbols (corners of infinite matrices)
-    right_truth = (c * a_prod + dd * (a_gs.conj().T @ a_g))[:n, :n]
-    left_truth = (c * (a_g.conj().T @ a_gs) + dd * a_prod.conj().T)[:n, :n]
-
-    t_phi = toeplitz_harmonic(phi, n).matrix
-    t_g = a_g[:n, :n]
-    right = t_phi @ t_g - right_truth
-    left = t_g.conj().T @ t_phi - left_truth
-
-    b = n - d
-    return ProductDefects(
-        n=n,
-        poly_degree=d,
-        block=b,
-        product_defect_block=_max_abs(right[:b, :b]),
-        product_defect_full=_max_abs(right),
-        conj_product_defect_block=_max_abs(left[:b, :b]),
-        conj_product_defect_full=_max_abs(left),
-    )
-
-
 def _row_reprs(row: np.ndarray):
     """re, im, re, im, ... of one matrix row as shortest round-trip strings.
 
@@ -296,16 +209,15 @@ def _row_reprs(row: np.ndarray):
     return map(float.__repr__, row.view(np.float64).tolist())
 
 
-def _check_finite(op: TruncatedOperator) -> None:
-    if not np.isfinite(op.matrix).all():
-        raise NumericalError(
-            f"{op.symbol_tag}: matrix holds non-finite entries, refusing to export"
-        )
+def _check_finite(values, what: str) -> None:
+    """Refuse to export ``what`` when ``values`` hold a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} holds non-finite entries, refusing to export")
 
 
 def matrix_to_csv(op: TruncatedOperator, path) -> None:
     """Write rows of alternating re,im entries, full double precision."""
-    _check_finite(op)
+    _check_finite(op.matrix, f"{op.symbol_tag}: matrix")
     with open(path, "w") as fh:
         for row in op.matrix:
             fh.write(",".join(_row_reprs(row)) + "\n")
@@ -326,7 +238,7 @@ def matrix_to_json(op: TruncatedOperator, path) -> None:
     file is byte-identical to ``json.dump(payload, fh, indent=1)`` plus a
     newline, but is written one row at a time.
     """
-    _check_finite(op)
+    _check_finite(op.matrix, f"{op.symbol_tag}: matrix")
     header = json.dumps(
         {"N": op.n, "symbol_tag": op.symbol_tag, "builder": op.builder}, indent=1
     )

@@ -194,6 +194,28 @@ class TestRunScenario:
             "matrix.csv": "e0e768592277a4022acec678b128b27949baa4a8ef2b836e5d364493b9b9200a",
         }
 
+    def test_berezin_grid_golden_hashes(self, tmp_path):
+        # closed-form grid values need neither LAPACK nor FFT, so every
+        # file is pinned, report.json included
+        config = {
+            "name": "golden_grid",
+            "kind": "berezin_grid",
+            "route": "harmonic_closed_form",
+            "symbol": {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0, 0.3]}},
+            "grid": {"radii": [0.3, 0.6, 0.9], "angles": 32},
+        }
+        outdir = tmp_path / "out"
+        run_scenario(write_config(tmp_path, config), str(outdir))
+        digests = {
+            name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in ("grid.csv", "grid.json", "report.json")
+        }
+        assert digests == {
+            "grid.csv": "5702abab58cd4941951af9941766a942fae479ae0ade159ab36bddb59b558a63",
+            "grid.json": "a8a5c629f1eb256d89c059ae53e3a7d5e67809001107d243028474fee76e0c82",
+            "report.json": "37b540ae53ff74e1fee03c7ebb513bee475df88a50286212717614340f1de623",
+        }
+
     def test_berezin_grid_outputs(self, tmp_path):
         config = {
             "name": "bz",
@@ -470,6 +492,22 @@ class TestSchemaRefusals:
                   "symbol": SYMBOL}
         assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(with_symbol(c=1e300, d=0.0, g={"type": "polynomial", "coeffs": [1e300]}),
+                         id="invertibility"),
+            pytest.param(grid_config("harmonic_closed_form", symbol={
+                "c": 1e300, "d": 1e300, "g": {"type": "polynomial", "coeffs": [1e300, 1.0]}}),
+                         id="berezin_grid"),
+        ],
+    )
+    def test_non_finite_result_exits_3(self, tmp_path, capsys, config):
+        # finite inputs whose results overflow: no file may carry NaN or Infinity
+        assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
+        assert "non-finite" in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
 
     def test_seed_parses_where_only_echoed(self):
         # bench/workloads.py sends it to invertibility and shift_demo

@@ -15,7 +15,7 @@ def test_demos_present():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path, monkeypatch):
-    # scenario_runs.py writes under tempfile.mkdtemp(); keep that in tmp_path too
+    # scenario_runs.py writes under a tempfile.TemporaryDirectory; keep that in tmp_path too
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(script), run_name="__main__")

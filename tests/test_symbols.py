@@ -1,9 +1,9 @@
-"""Symbol families, coefficient extraction, grid minimization."""
+"""Symbol families, exact Taylor series, grid minimization."""
 
 import numpy as np
 import pytest
 
-from berglab import DomainError, ExtractionError, PowerSeries
+from berglab import DomainError
 from berglab.symbols import (
     DiscGrid,
     HarmonicSymbol,
@@ -13,7 +13,6 @@ from berglab.symbols import (
     power_symbol,
     principal_power_symbol,
     rational_symbol,
-    taylor_coeffs,
 )
 
 MACHINE = 1e-13
@@ -24,17 +23,11 @@ class TestAnalyticFamilies:
         g = polynomial_symbol([2.0, 1.0])
         assert g(0.5 + 0.5j) == pytest.approx(2.5 + 0.5j)
         np.testing.assert_allclose(g.series(3).coeffs, [2, 1, 0, 0])
-        assert not g.boundary_singular
 
     def test_rational_geometric_series(self):
         g = rational_symbol([1.0], [1.0, -0.5])
         np.testing.assert_allclose(g.series(3).coeffs, [1.0, 0.5, 0.25, 0.125])
         assert g(0.5) == pytest.approx(4.0 / 3.0)
-        assert not g.boundary_singular  # pole at 2 is comfortably outside
-
-    def test_rational_near_circle_pole_is_flagged(self):
-        g = rational_symbol([1.0], [1.0, -1.0 / 1.05])
-        assert g.boundary_singular
 
     @pytest.mark.parametrize(
         "den", [[1.0, -2.0], [1.0, -1.0], [1.0, 0.0, 4.0], [2.0, 0.0, -2.0]]
@@ -66,8 +59,18 @@ class TestAnalyticFamilies:
         s = power_symbol(t).series(1).coeffs
         np.testing.assert_allclose(s, [1.0, 2j * t], atol=MACHINE)
 
-    def test_power_symbol_series_matches_eval(self):
-        g = power_symbol(1.0)
+    @pytest.mark.parametrize(
+        "g",
+        [
+            polynomial_symbol([2.0, 1.0 - 0.5j, 0.3j]),
+            # complex denominator with its pole at 2 + 2i
+            rational_symbol([1.0, 0.5j], [2.0, -0.5 + 0.5j]),
+            power_symbol(1.0),
+        ],
+        ids=["polynomial", "rational", "principal_power"],
+    )
+    def test_power_symbol_series_matches_eval(self, g):
+        # independent check of each family's exact series against g(z)
         ser = g.series(60)
         for z in (0.3, -0.2 + 0.1j, 0.45j):
             assert ser(z) == pytest.approx(g(z), abs=1e-10)
@@ -75,47 +78,6 @@ class TestAnalyticFamilies:
     def test_power_symbol_at_origin(self):
         assert power_symbol(2.3)(0.0) == pytest.approx(1.0)
         assert power_symbol(0.0)(0.4 + 0.2j) == pytest.approx(1.0)
-
-
-class TestTaylorCoeffs:
-    def test_polynomial_passthrough_exact(self):
-        g = polynomial_symbol([1.0, -2.0, 3.0])
-        out = taylor_coeffs(g, 5)
-        np.testing.assert_array_equal(out.coeffs, [1, -2, 3, 0, 0, 0])
-
-    def test_contour_matches_binomial_oracle(self):
-        out = taylor_coeffs(principal_power_symbol(1.0, 0.0), 2)
-        np.testing.assert_allclose(out.coeffs, [1.0, 1j, -0.5 - 0.5j], atol=1e-12)
-
-    def test_contour_matches_geometric_oracle(self):
-        out = taylor_coeffs(rational_symbol([1.0], [1.0, -0.5]), 3)
-        np.testing.assert_allclose(out.coeffs, [1.0, 0.5, 0.25, 0.125], atol=1e-12)
-
-    def test_roundtrip_random_polynomials_via_callable(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            deg = int(rng.integers(0, 13))
-            coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            p = PowerSeries(coeffs)
-            out = taylor_coeffs(lambda z: p(z), deg, rho=0.7)
-            np.testing.assert_allclose(out.coeffs, coeffs, atol=1e-12)
-
-    def test_refuses_unreachable_degree(self):
-        # rho^-k rounding amplification at the boundary-singular default
-        with pytest.raises(ExtractionError, match="estimate"):
-            taylor_coeffs(power_symbol(1.0), 255)
-
-    def test_exact_routes_cross_validate_contour(self):
-        g = power_symbol(0.6)
-        exact = g.series(16)
-        contour = taylor_coeffs(g, 16, rho=0.75, tol=1e-6)
-        np.testing.assert_allclose(contour.coeffs, exact.coeffs, atol=1e-8)
-
-    def test_bad_rho_rejected(self):
-        from berglab import DomainError
-
-        with pytest.raises(DomainError):
-            taylor_coeffs(power_symbol(1.0), 4, rho=1.0)
 
 
 class TestHarmonicSymbol:

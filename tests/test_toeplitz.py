@@ -21,7 +21,6 @@ from berglab.toeplitz import (
     toeplitz_analytic,
     toeplitz_harmonic,
     toeplitz_quadrature,
-    verify_product_identities,
 )
 
 QUAD_TOL = 1e-10
@@ -181,40 +180,6 @@ class TestHyponormalityWindow:
             lhs = np.linalg.norm(a @ f)
             rhs = np.linalg.norm(a.conj().T @ f)
             assert lhs >= rhs - 1e-12 * np.linalg.norm(f)
-
-
-class TestProductIdentities:
-    def test_conjugate_shift_times_shift(self):
-        phi = HarmonicSymbol(0.0, 1.0, polynomial_symbol([0.0, 1.0]))
-        rep = verify_product_identities([0.0, 1.0], phi, 8)
-        assert rep.block == 7
-        assert rep.product_defect_block < 1e-12
-        # truncation loses exactly the (N, N-1) coupling: defect N/(N+1)
-        assert rep.product_defect_full == pytest.approx(8 / 9, abs=1e-12)
-
-    def test_constant_symbol_no_defect(self):
-        phi = HarmonicSymbol(1.0, 0.0, polynomial_symbol([1.0]))
-        rep = verify_product_identities([0.5, 1.0, 2.0], phi, 10)
-        assert rep.product_defect_full < 1e-12
-        assert rep.conj_product_defect_full < 1e-12
-
-    def test_mixed_symbol_square_factor(self):
-        phi = HarmonicSymbol(1.0, 2.0, polynomial_symbol([0.0, 1.0]))
-        rep = verify_product_identities([0.0, 0.0, 1.0], phi, 12)
-        assert rep.product_defect_block < 1e-10
-        assert rep.conj_product_defect_block < 1e-10
-        assert rep.product_defect_full > 1e-2  # edge effects are real
-
-    def test_requires_room_for_the_block(self):
-        phi = HarmonicSymbol(1.0, 0.0, polynomial_symbol([1.0]))
-        with pytest.raises(ValueError, match="deg"):
-            verify_product_identities([0.0, 0.0, 1.0], phi, 4)
-
-    def test_power_symbol_block_defects(self):
-        phi = HarmonicSymbol(1.0, 0.5, power_symbol(0.7))
-        rep = verify_product_identities([1.0, 0.5], phi, 16)
-        assert rep.product_defect_block < 1e-12
-        assert rep.conj_product_defect_block < 1e-12
 
 
 class TestTruncatedOperator:
