@@ -274,14 +274,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _run_toeplitz_build(sc: Scenario, outdir: Path):
+def _run_toeplitz_build(sc: Scenario, json_path: Path, csv_path: Path) -> dict:
     if sc.builder == "quadrature":
         op = toeplitz_quadrature(sc.symbol, sc.n, sc.quadrature, sc.symbol.tag())
     else:
         op = toeplitz_harmonic(sc.symbol, sc.n)
-    matrix_to_json(op, outdir / "matrix.json")
-    matrix_to_csv(op, outdir / "matrix.csv")
-    report = {
+    matrix_to_json(op, json_path)
+    matrix_to_csv(op, csv_path)
+    return {
         "name": sc.name,
         "kind": sc.kind,
         "n": op.n,
@@ -290,20 +290,19 @@ def _run_toeplitz_build(sc: Scenario, outdir: Path):
         "sigma_min": smallest_singular_value(op),
         "normality_defect": normality_defect(op),
     }
-    return report, [outdir / "matrix.json", outdir / "matrix.csv"]
 
 
-def _run_berezin_grid(sc: Scenario, outdir: Path):
+def _run_berezin_grid(sc: Scenario, csv_path: Path, json_path: Path) -> dict:
     # the route's own fields: quadrature (integral), n and tail_tol (matrix)
     kwargs = {key: v for key, v in vars(sc).items() if key in ("n", "tail_tol")}
     if sc.route == "integral":
         kwargs["spec"] = sc.quadrature
     samples = berezin_grid(sc.symbol, sc.grid, sc.route, **kwargs)
-    grid_to_csv(samples, outdir / "grid.csv")
-    grid_to_json(samples, outdir / "grid.json")
+    grid_to_csv(samples, csv_path)
+    grid_to_json(samples, json_path)
     moduli = [abs(s.value) for s in samples]
     k = int(np.argmin(moduli))
-    report = {
+    return {
         "name": sc.name,
         "kind": sc.kind,
         "route": sc.route,
@@ -313,10 +312,9 @@ def _run_berezin_grid(sc: Scenario, outdir: Path):
         "argmin": [samples[k].z.real, samples[k].z.imag],
         "max_error_estimate": max(s.error_estimate for s in samples),
     }
-    return report, [outdir / "grid.csv", outdir / "grid.json"]
 
 
-def _run_invertibility(sc: Scenario, outdir: Path):
+def _run_invertibility(sc: Scenario) -> dict:
     config = VerdictConfig(
         sizes=sc.schedule,
         grid=sc.grid,
@@ -326,13 +324,13 @@ def _run_invertibility(sc: Scenario, outdir: Path):
         seed=sc.seed,
     )
     report = invertibility_verdict(sc.symbol, config).to_dict()
-    return {**report, "name": sc.name, "kind": sc.kind}, []
+    return {**report, "name": sc.name, "kind": sc.kind}
 
 
-def _run_theorem_check(sc: Scenario, outdir: Path):
+def _run_theorem_check(sc: Scenario) -> dict:
     report = {"name": sc.name, "kind": sc.kind, "check": sc.check, "seed": sc.seed}
     if sc.check == "shift_demo":
-        return {**report, **shift_window_demo(sc.n, sc.s).to_dict()}, []
+        return {**report, **shift_window_demo(sc.n, sc.s).to_dict()}
     rng = np.random.default_rng(sc.seed)
     passes = 0
     margins = []
@@ -359,30 +357,38 @@ def _run_theorem_check(sc: Scenario, outdir: Path):
         all_pass=passes == sc.count,
         min_margin=float(min(margins)),
     )
-    return report, []
+    return report
 
 
-def _run_example_3_5(sc: Scenario, outdir: Path):
+def _run_example_3_5(sc: Scenario) -> dict:
     report = power_symbol_study(sc.t, sizes=sc.schedule).to_dict()
-    return {**report, "name": sc.name, "kind": sc.kind}, []
+    return {**report, "name": sc.name, "kind": sc.kind}
 
 
-#: each kind's computation: (report, the other files it wrote)
+#: each kind's computation, (scenario, paths of the files it writes) -> report
 _PIPELINES = {
-    "toeplitz_build": _run_toeplitz_build,
-    "berezin_grid": _run_berezin_grid,
-    "invertibility": _run_invertibility,
-    "theorem_check": _run_theorem_check,
-    "example_3_5": _run_example_3_5,
+    "toeplitz_build": (_run_toeplitz_build, ("matrix.json", "matrix.csv")),
+    "berezin_grid": (_run_berezin_grid, ("grid.csv", "grid.json")),
+    "invertibility": (_run_invertibility, ()),
+    "theorem_check": (_run_theorem_check, ()),
+    "example_3_5": (_run_example_3_5, ()),
 }
 
 
 def _emit(sc: Scenario, outdir: Path) -> tuple[dict, list[Path]]:
-    """Run ``sc`` into ``outdir``; returns the report and every file written, report.json last."""
+    """Run ``sc`` into ``outdir``; returns the report and every file written, report.json last.
+    A failed run, also one whose report is refused, leaves none of its files."""
     outdir.mkdir(parents=True, exist_ok=True)
-    report, files = _PIPELINES[sc.kind](sc, outdir)
-    _write_json(outdir / "report.json", report)
-    return report, [*files, outdir / "report.json"]
+    pipeline, names = _PIPELINES[sc.kind]
+    files = [outdir / name for name in (*names, "report.json")]
+    try:
+        report = pipeline(sc, *files[:-1])
+        _write_json(files[-1], report)
+    except BaseException:
+        for f in files:
+            f.unlink(missing_ok=True)
+        raise
+    return report, files
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,15 @@ N x N corner sees only part of the operator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .disc import QuadratureSpec, _coeff_vector, _eval_on_nodes
 from .errors import NumericalError
-from .symbols import HarmonicSymbol
+from .symbols import AnalyticSymbol, HarmonicSymbol
 
 __all__ = [
     "TruncatedOperator",
@@ -53,11 +54,14 @@ class TruncatedOperator:
     symbol_tag: str
     builder: str
 
-    def __post_init__(self):
+    #: set only by the builders below, whose fresh array is adopted uncopied
+    _fresh: InitVar[bool] = False
+
+    def __post_init__(self, _fresh):
         arr = np.asarray(self.matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("matrix must be square and nonempty")
-        arr = arr.copy()
+        arr = arr if _fresh and arr is self.matrix else arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
         if self.builder not in ("closed_form", "quadrature"):
@@ -86,11 +90,27 @@ def _analytic_diagonal(a_k: complex, k: int, n: int) -> np.ndarray:
     return a_k * np.sqrt((idx + 1.0) / (idx + k + 1.0))
 
 
-def _analytic_matrix(coeffs: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=np.complex128)
-    for k in range(min(len(coeffs), n)):
-        idx = np.arange(n - k)
-        out[idx + k, idx] = _analytic_diagonal(coeffs[k], k, n)
+#: rows per block of :func:`_analytic_matrix`; temporaries 6 % of the output at N = 1024
+_BLOCK = 16
+
+
+def _analytic_matrix(g, n: int, mix: tuple[complex, complex] | None = None) -> np.ndarray:
+    """The N x N analytic truncation A of g, or ``c * A + d * A.conj().T`` bit for bit;
+    ``g`` (coefficients or a symbol) is expanded only once the output is allocated."""
+    out = np.empty((n, n), dtype=np.complex128)
+    coeffs = _coeff_vector(g.series(n - 1) if isinstance(g, AnalyticSymbol) else g)[:n]
+    pad = np.concatenate([np.zeros(n - len(coeffs)), coeffs[::-1], np.zeros(n - 1)])
+    lower = sliding_window_view(pad, n)[::-1]  # lower[m, j] = a_{m-j}, zero for m < j
+    idx = np.arange(1.0, n + 1.0)
+    for r in range(0, n, _BLOCK):
+        rows = slice(r, r + _BLOCK)
+        np.multiply(lower[rows], np.sqrt(idx / idx[rows, None]), out=out[rows])
+        if mix is not None:
+            t = lower.T[rows] * np.sqrt(idx[rows, None] / idx)  # columns r.. of A, transposed
+            # the scalar first, as in ``d * t``: with FMA, operand order can move the last bit
+            np.multiply(mix[1], np.conjugate(t, out=t), out=t)
+            np.multiply(mix[0], out[rows], out=out[rows])
+            out[rows] += t
     return out
 
 
@@ -147,9 +167,7 @@ def toeplitz_analytic(g, n: int, tag: str | None = None) -> TruncatedOperator:
     check_size(n)
     coeffs = _coeff_vector(g)
     return TruncatedOperator(
-        matrix=_analytic_matrix(coeffs, n),
-        symbol_tag=tag or f"analytic(deg={len(coeffs) - 1})",
-        builder="closed_form",
+        _analytic_matrix(coeffs, n), tag or f"analytic(deg={len(coeffs) - 1})", "closed_form", True
     )
 
 
@@ -162,16 +180,8 @@ def toeplitz_harmonic(phi: HarmonicSymbol, n: int) -> TruncatedOperator:
     exact coefficient route.
     """
     check_size(n)
-    a = _analytic_matrix(phi.g.series(n - 1).coeffs, n)
-    # c A + d A^* in place: one temporary besides A, dropped before the copy.
-    # The scalar goes first, as in ``c * a``: numpy's complex multiply may
-    # use FMA, so operand order can change the last bit.
-    t = a.conj().T
-    np.multiply(phi.d, t, out=t)
-    np.multiply(phi.c, a, out=a)
-    a += t
-    del t
-    return TruncatedOperator(matrix=a, symbol_tag=phi.tag(), builder="closed_form")
+    a = _analytic_matrix(phi.g, n, (phi.c, phi.d))
+    return TruncatedOperator(a, phi.tag(), "closed_form", True)
 
 
 def toeplitz_quadrature(
@@ -194,9 +204,7 @@ def toeplitz_quadrature(
     weighted = basis.conj()
     weighted *= w * vals
     mat = weighted @ basis.T
-    return TruncatedOperator(
-        matrix=mat, symbol_tag=tag or "quadrature_symbol", builder="quadrature"
-    )
+    return TruncatedOperator(mat, tag or "quadrature_symbol", "quadrature", True)
 
 
 def _row_reprs(row: np.ndarray):

@@ -23,8 +23,19 @@ from berglab.analysis import (
     smallest_singular_value,
 )
 from berglab.errors import NumericalError
-from berglab.symbols import HarmonicSymbol, polynomial_symbol, rational_symbol
-from berglab.toeplitz import _jordan_wielandt_band, toeplitz_analytic, toeplitz_harmonic
+from berglab.symbols import (
+    HarmonicSymbol,
+    PrincipalPowerSymbol,
+    polynomial_symbol,
+    power_symbol,
+    rational_symbol,
+)
+from berglab.toeplitz import (
+    _analytic_matrix,
+    _jordan_wielandt_band,
+    toeplitz_analytic,
+    toeplitz_harmonic,
+)
 
 EXACT = 1e-14
 
@@ -99,6 +110,66 @@ class TestNormalityDefect:
             lhs = m.conj().T @ m - m @ m.conj().T
             rhs = (abs(s) ** 2 - 1.0) * (a.conj().T @ a - a @ a.conj().T)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.linalg.norm(a) ** 2
+
+
+def complex_svd(m):
+    """Singular values by the complex LAPACK route, whatever the entries."""
+    return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
+
+
+#: real truncations: c, d and the Taylor coefficients of g real
+REAL_SYMBOLS = {
+    "rational": HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5])),
+    "polynomial": HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0, 0.3])),
+    "wide band": HarmonicSymbol(
+        1.0, 0.5, polynomial_symbol(np.random.default_rng(41).normal(size=41))
+    ),
+}
+
+
+class TestRealRoute:
+    """Real matrices go through real LAPACK, checked against the complex route."""
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    @pytest.mark.parametrize("case", sorted(REAL_SYMBOLS))
+    def test_matches_complex_route(self, case, n):
+        m = toeplitz_harmonic(REAL_SYMBOLS[case], n).matrix
+        assert not m.imag.any()
+        svals = complex_svd(m)
+        assert abs(smallest_singular_value(m) - svals[-1]) <= 1e-15 * svals[0]
+        commutator = m.conj().T @ m - m @ m.conj().T
+        assert abs(normality_defect(m) - np.linalg.norm(commutator)) <= 1e-14 * svals[0] ** 2
+
+    def test_wide_band_trend_matches_complex_route(self):
+        phi = REAL_SYMBOLS["wide band"]
+        sizes = (8, 64, 512)  # too wide for the banded route at every size
+        for n, s in zip(sizes, bounded_below_trend(phi, sizes).sigma_min):
+            svals = complex_svd(toeplitz_harmonic(phi, n).matrix)
+            assert abs(s - svals[-1]) <= 1e-15 * svals[0]
+
+    def test_shift_window_matches_complex_route(self):
+        n, s = 64, 2.0
+        demo = shift_window_demo(n, s)
+        a = toeplitz_analytic([0.0, 1.0], n).matrix
+        windows = (a.conj().T[:, : n - 1], (s * a + a.conj().T)[:, : n - 1])
+        for got, window in zip((demo.window_ratio_adjoint, demo.window_ratio_mix), windows):
+            svals = complex_svd(window)
+            assert abs(got - svals[-1]) <= 1e-15 * svals[0]
+
+    def test_route_follows_the_imaginary_part(self, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def recorded(m, **kwargs):
+            seen.append(m.dtype)
+            return svd(m, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        m = toeplitz_harmonic(REAL_SYMBOLS["rational"], 8).matrix.copy()
+        smallest_singular_value(m)
+        m[3, 1] += 1e-300j
+        smallest_singular_value(m)
+        assert seen == [np.float64, np.complex128]
 
 
 class TestBoundedBelowTrend:
@@ -412,6 +483,19 @@ class TestPowerSymbolStudy:
         assert max(study.residuals) <= 1e-12
         assert study.trend.stabilized
         assert study.trend.sigma_min[-1] > study.modulus_bound
+
+    @pytest.mark.parametrize("t", [1.0, -0.5, 3.0])
+    def test_triangular_product_matches_gemm(self, t):
+        # the residuals come from a BLAS triangular product; the oracle is
+        # the full product of the same sections
+        sizes = (8, 64, 256)
+        study = power_symbol_study(t, sizes=sizes)
+        for n, residual in zip(sizes, study.residuals):
+            product = _analytic_matrix(PrincipalPowerSymbol(0.0, t), n) @ _analytic_matrix(
+                power_symbol(t), n
+            )
+            expected = np.max(np.abs(product - _analytic_matrix(PrincipalPowerSymbol(t, 0.0), n)))
+            assert abs(residual - expected) <= 1e-16
 
     def test_grid_min_tracks_half_exponent_bound(self):
         # the quotient maps the disc into moduli [e^{-|t| pi / 2}, e^{|t| pi / 2}],

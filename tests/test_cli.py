@@ -501,6 +501,11 @@ class TestSchemaRefusals:
             pytest.param(grid_config("harmonic_closed_form", symbol={
                 "c": 1e300, "d": 1e300, "g": {"type": "polynomial", "coeffs": [1e300, 1.0]}}),
                          id="berezin_grid"),
+            # a finite matrix, written before normality_defect overflows to inf - inf
+            pytest.param({"name": "b", "kind": "toeplitz_build", "builder": "closed_form", "n": 4,
+                          "symbol": {"c": 1e200, "d": 0.0,
+                                     "g": {"type": "polynomial", "coeffs": [1.0, 1.0]}}},
+                         id="toeplitz_build"),
         ],
     )
     def test_non_finite_result_exits_3(self, tmp_path, capsys, config):

@@ -1,6 +1,8 @@
 """Truncated Toeplitz matrices: builders, identities, exports."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from berglab.toeplitz import (
     toeplitz_harmonic,
     toeplitz_quadrature,
 )
+from berglab.toeplitz import _analytic_matrix
 
 QUAD_TOL = 1e-10
 MACHINE = 1e-12
@@ -61,6 +64,45 @@ class TestAnalyticBuilder:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             toeplitz_analytic([1.0], 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 257])
+    @pytest.mark.parametrize("kind", ["real", "complex", "signed zeros"])
+    @pytest.mark.parametrize("length", ["short", "n", "long"])
+    def test_vectorized_fill_matches_diagonal_loop(self, n, kind, length):
+        rng = np.random.default_rng(n)
+        k = {"short": max(1, n // 3), "n": n, "long": n + 5}[length]
+        coeffs = rng.normal(size=k).astype(complex)
+        if kind == "complex":
+            coeffs += 1j * rng.normal(size=k)
+        if kind == "signed zeros":
+            zeros = [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
+            coeffs[::2] = [zeros[i % 3] for i in range(len(coeffs[::2]))]
+        expected = _diagonal_loop(coeffs, n)
+        assert np.array_equal(_analytic_matrix(coeffs, n).view(float), expected.view(float))
+        for c, d in [(1.0, 0.5), (-0.0, 0.0), (1.0 + 0.5j, 0.25 - 0.75j)]:
+            got = _analytic_matrix(coeffs, n, (c, d))
+            assert np.array_equal(got.view(float), (c * expected + d * expected.conj().T).view(float))
+
+    @pytest.mark.parametrize(
+        "g", [polynomial_symbol([2.0, 1.0]), rational_symbol([1.0, 0.5], [2.0, -0.5])],
+        ids=["polynomial", "rational"],
+    )
+    def test_huge_size_refused_before_the_series(self, g):
+        # the output is allocated first: no 10^7-term series, padded or looped
+        n = 10**7
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(MemoryError):
+                toeplitz_harmonic(HarmonicSymbol(1.0, 0.5, g), n)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy reports even the refused request to tracemalloc
+        refused = 16 * n * n
+        assert elapsed < 1.0
+        assert (peak - refused if peak >= refused else peak) < 2**20
 
 
 class TestHarmonicBuilder:
@@ -125,6 +167,15 @@ class TestHarmonicBuilder:
             expected = phi.c * a + phi.d * a.conj().T
             got = toeplitz_harmonic(phi, 48).matrix
             assert np.array_equal(got.view(float), expected.view(float))
+
+
+def _diagonal_loop(coeffs, n):
+    """The per-diagonal fancy-index fill the vectorized builder replaced."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    for k in range(min(len(coeffs), n)):
+        idx = np.arange(n - k)
+        out[idx + k, idx] = coeffs[k] * np.sqrt((idx + 1.0) / (idx + k + 1.0))
+    return out
 
 
 class TestQuadratureBuilder:
@@ -195,6 +246,37 @@ class TestTruncatedOperator:
     def test_rejects_unknown_builder(self):
         with pytest.raises(ValueError, match="builder"):
             TruncatedOperator(np.eye(2), "x", "magic")
+
+    def test_caller_array_is_copied_and_frozen(self):
+        m = np.eye(3, dtype=np.complex128)
+        op = TruncatedOperator(m, "x", "closed_form")
+        m[0, 0] = 5.0
+        assert op.matrix[0, 0] == 1.0
+        assert m.flags.writeable and not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: toeplitz_analytic(PowerSeries([2.0, 1.0, 0.3]), n),
+            lambda n: toeplitz_harmonic(
+                HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5j], [2.0, -0.5])), n
+            ),
+            lambda n: toeplitz_quadrature(
+                HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])), n, QuadratureSpec(4, 8)
+            ),
+        ],
+        ids=["analytic", "harmonic", "quadrature"],
+    )
+    def test_builders_peak_near_their_result(self, build):
+        # the builders hand their fresh array over; a copy would double the peak
+        build(16)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            op = build(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * op.matrix.nbytes
 
     def test_norm_proxy_computed_once(self):
         op = toeplitz_harmonic(HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])), 16)
