@@ -39,5 +39,5 @@ for n, r in zip(study.sizes, study.residuals):
 
 trend = study.trend
 print(f"\nsigma_min trend {tuple(round(s, 5) for s in trend.sigma_min)}")
-print(f"stabilized: {trend.stabilized} (drift {trend.relative_drift:.2%}), "
+print(f"stabilized: {trend.stabilized} (drift {trend.drift:.2%}), "
       f"floor sits above the product bound {study.modulus_bound:.4f}")

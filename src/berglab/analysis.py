@@ -23,11 +23,15 @@ Key facts the checks lean on, all verified rather than assumed:
   (|s|+1) ||Th||;
 * |s| = 1: s A + A^* is normal for every A, by the identity
   N^*N - NN^* = (|s|^2 - 1)(A^*A - AA^*).
+
+A report dataclass's fields, in declaration order, are the layout of
+the JSON report written from it (``dataclasses.asdict``); a field with
+``init=False`` is a constant the report states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .errors import NumericalError
 from .symbols import (
     DiscGrid,
     HarmonicSymbol,
-    ModulusScan,
     PolynomialSymbol,
     PrincipalPowerSymbol,
     default_modulus_grid,
@@ -84,6 +87,8 @@ SIGMA_POSITIVE_TOL = 1e-6
 INF_POSITIVE_TOL = 1e-3
 #: trend counts as stabilized when the last relative step is below this
 DRIFT_THRESHOLD = 0.05
+#: commutator defect above this refuses a matrix as not normal
+_NORMAL_TOL = 1e-10
 #: the trend takes the banded route while (2 deg + 1) * ratio <= N: band
 #: tridiagonalization costs O(N^2 deg), and these ratios keep it below the
 #: dense SVD (1 BLAS thread); complex bands go through LAPACK hbevx, about
@@ -169,11 +174,11 @@ def adjoint_mix(t, s: complex) -> np.ndarray:
     return s * m + m.conj().T
 
 
-def _require_normal(m: np.ndarray, tol: float) -> None:
+def _require_normal(m: np.ndarray) -> None:
     defect = normality_defect(m)
-    if defect > tol:
+    if defect > _NORMAL_TOL:
         raise ValueError(
-            f"matrix is not normal (commutator defect {defect:.3e} > {tol:.1e}); "
+            f"matrix is not normal (commutator defect {defect:.3e} > {_NORMAL_TOL:.1e}); "
             "the transfer results assume a hyponormal operator, and the exact "
             "finite model of that hypothesis is a normal matrix"
         )
@@ -186,18 +191,11 @@ class TrendReport:
     sizes: tuple[int, ...]
     sigma_min: tuple[float, ...]
     stabilized: bool
-    relative_drift: float
+    drift: float
     drift_threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "sigma_min": list(self.sigma_min),
-            "stabilized": self.stabilized,
-            "drift": self.relative_drift,
-            "drift_threshold": self.drift_threshold,
-            "stabilization_rule": "last relative step below drift_threshold",
-        }
+    stabilization_rule: str = field(
+        default="last relative step below drift_threshold", init=False
+    )
 
 
 def check_schedule(sizes) -> tuple[int, ...]:
@@ -259,7 +257,7 @@ def bounded_below_trend(
         sizes=sizes,
         sigma_min=sigmas,
         stabilized=bool(drift < drift_threshold),
-        relative_drift=float(drift),
+        drift=float(drift),
         drift_threshold=float(drift_threshold),
     )
 
@@ -277,25 +275,20 @@ class MixBoundCheck:
     bound_holds: bool | None
 
 
-def mix_bound_check(
-    t,
-    s: complex,
-    tol: float = SIGMA_POSITIVE_TOL,
-    normal_tol: float = 1e-10,
-) -> MixBoundCheck:
+def mix_bound_check(t, s: complex) -> MixBoundCheck:
     """For normal T and |s| < 1: s T + T^* inherits bounded-below from T.
 
     Records sigma_min on both sides, the equivalence verdict (both
-    positive or both vanishing relative to ``tol``), and the
+    positive or both vanishing relative to :data:`SIGMA_POSITIVE_TOL`), and the
     quantitative floor (1 - |s|) sigma_min(T) whenever T is invertible.
     """
     m = _as_matrix(t)
     s = check_mix_s(s, "<")
-    _require_normal(m, normal_tol)
+    _require_normal(m)
     sigma_t = smallest_singular_value(m)
     sigma_mix = smallest_singular_value(adjoint_mix(m, s))
-    both_pos = sigma_t > tol and sigma_mix > tol
-    both_zero = sigma_t <= tol and sigma_mix <= tol
+    both_pos = sigma_t > SIGMA_POSITIVE_TOL and sigma_mix > SIGMA_POSITIVE_TOL
+    both_zero = sigma_t <= SIGMA_POSITIVE_TOL and sigma_mix <= SIGMA_POSITIVE_TOL
     lower = (1.0 - abs(s)) * sigma_t
     return MixBoundCheck(
         n=m.shape[0],
@@ -304,7 +297,7 @@ def mix_bound_check(
         sigma_mix=sigma_mix,
         equivalence_holds=bool(both_pos or both_zero),
         lower_bound=lower,
-        bound_holds=bool(sigma_mix >= lower - 1e-12) if sigma_t > tol else None,
+        bound_holds=bool(sigma_mix >= lower - 1e-12) if sigma_t > SIGMA_POSITIVE_TOL else None,
     )
 
 
@@ -325,14 +318,7 @@ class MixSandwichCheck:
     equivalence_holds: bool
 
 
-def mix_sandwich_check(
-    t,
-    s: complex,
-    trials: int = 1000,
-    rng=None,
-    tol: float = SIGMA_POSITIVE_TOL,
-    normal_tol: float = 1e-10,
-) -> MixSandwichCheck:
+def mix_sandwich_check(t, s: complex, trials: int = 1000, rng=None) -> MixSandwichCheck:
     """For normal T, |s| > 1: (|s|-1)||Th|| <= ||(sT+T^*)h|| <= (|s|+1)||Th||.
 
     Samples ``trials`` random complex vectors h and reports the observed
@@ -341,7 +327,7 @@ def mix_sandwich_check(
     """
     m = _as_matrix(t)
     s = check_mix_s(s, ">")
-    _require_normal(m, normal_tol)
+    _require_normal(m)
     rng = np.random.default_rng(rng)
     n = m.shape[0]
     mix = adjoint_mix(m, s)
@@ -352,8 +338,8 @@ def mix_sandwich_check(
     ratios = mh[mask] / th[mask]
     sigma_t = smallest_singular_value(m)
     sigma_mix = smallest_singular_value(mix)
-    both_pos = sigma_t > tol and sigma_mix > tol
-    both_zero = sigma_t <= tol and sigma_mix <= tol
+    both_pos = sigma_t > SIGMA_POSITIVE_TOL and sigma_mix > SIGMA_POSITIVE_TOL
+    both_zero = sigma_t <= SIGMA_POSITIVE_TOL and sigma_mix <= SIGMA_POSITIVE_TOL
     lower, upper = abs(s) - 1.0, abs(s) + 1.0
     return MixSandwichCheck(
         n=n,
@@ -385,12 +371,7 @@ class MixTransferCheck:
     transfer_holds: bool
 
 
-def mix_transfer_check(
-    t,
-    s: complex,
-    tol: float = SIGMA_POSITIVE_TOL,
-    normal_tol: float = 1e-10,
-) -> MixTransferCheck:
+def mix_transfer_check(t, s: complex) -> MixTransferCheck:
     """For normal T and |s| != 1: T invertible iff s T + T^* invertible.
 
     |s| = 1 is rejected: there the equivalence genuinely fails in
@@ -399,11 +380,11 @@ def mix_transfer_check(
     """
     m = _as_matrix(t)
     s = check_mix_s(s, "!=")
-    _require_normal(m, normal_tol)
+    _require_normal(m)
     sigma_t = smallest_singular_value(m)
     sigma_mix = smallest_singular_value(adjoint_mix(m, s))
-    t_inv = sigma_t > tol
-    mix_inv = sigma_mix > tol
+    t_inv = sigma_t > SIGMA_POSITIVE_TOL
+    mix_inv = sigma_mix > SIGMA_POSITIVE_TOL
     return MixTransferCheck(
         n=m.shape[0],
         s=s,
@@ -431,16 +412,6 @@ class ShiftWindowDemo:
     witness_mix_norm: float
     window_ratio_adjoint: float
     window_ratio_mix: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": [self.s.real, self.s.imag],
-            "witness_adjoint_norm": self.witness_adjoint_norm,
-            "witness_mix_norm": self.witness_mix_norm,
-            "window_ratio_adjoint": self.window_ratio_adjoint,
-            "window_ratio_mix": self.window_ratio_mix,
-        }
 
 
 def shift_window_demo(n: int, s: complex) -> ShiftWindowDemo:
@@ -473,15 +444,14 @@ def shift_window_demo(n: int, s: complex) -> ShiftWindowDemo:
     )
 
 
-def random_normal_matrix(rng, n: int, modulus_range=(0.5, 2.0)) -> np.ndarray:
+def random_normal_matrix(rng, n: int) -> np.ndarray:
     """U diag(lambda) U^* with U from QR of a complex Gaussian matrix.
 
-    Eigenvalue moduli are uniform in ``modulus_range`` with uniform
-    phases, which keeps sigma_min = min |lambda| under direct control.
+    Eigenvalue moduli are uniform in [0.5, 2) with uniform phases,
+    which keeps sigma_min = min |lambda| under direct control.
     """
     rng = np.random.default_rng(rng)
-    lo, hi = modulus_range
-    lam = rng.uniform(lo, hi, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    lam = rng.uniform(0.5, 2.0, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(z)
     return q @ np.diag(lam) @ q.conj().T
@@ -501,39 +471,27 @@ class VerdictConfig:
 
 @dataclass(frozen=True)
 class InvertibilityReport:
-    """Three-valued invertibility assessment for a harmonic symbol."""
+    """Three-valued invertibility assessment for a harmonic symbol.
 
-    symbol_tag: str
-    case_tag: str
-    coanalytic_ratio: complex | None
-    scan: ModulusScan
-    trend: TrendReport
-    sandwich: dict | None
+    ``inf_estimate`` and ``argmin`` come from the grid scan of |phi|,
+    ``sizes`` to ``stabilized`` from the sigma_min trend, and ``s`` is
+    the coanalytic ratio c/d (None if d = 0).
+    """
+
     verdict: str
-    config: VerdictConfig
-
-    def to_dict(self) -> dict:
-        s = self.coanalytic_ratio
-        return {
-            "verdict": self.verdict,
-            "inf_estimate": self.scan.minimum,
-            "argmin": [self.scan.argmin.real, self.scan.argmin.imag],
-            "sizes": list(self.trend.sizes),
-            "sigma_min": list(self.trend.sigma_min),
-            "drift": self.trend.relative_drift,
-            "stabilized": self.trend.stabilized,
-            "case_tag": self.case_tag,
-            "seed": self.config.seed,
-            "symbol_tag": self.symbol_tag,
-            "s": None if s is None else [s.real, s.imag],
-            "sandwich": self.sandwich,
-            "thresholds": {
-                "inf_positive": self.config.inf_threshold,
-                "sigma_positive": self.config.sigma_threshold,
-                "drift": self.config.drift_threshold,
-            },
-            "notes": list(_NOTES),
-        }
+    inf_estimate: float
+    argmin: complex
+    sizes: tuple[int, ...]
+    sigma_min: tuple[float, ...]
+    drift: float
+    stabilized: bool
+    case_tag: str
+    seed: int
+    symbol_tag: str
+    s: complex | None
+    sandwich: dict | None
+    thresholds: dict
+    notes: tuple[str, ...] = field(default=_NOTES, init=False)
 
 
 def _sandwich_on_grid(phi: HarmonicSymbol, grid: DiscGrid) -> dict | None:
@@ -543,9 +501,9 @@ def _sandwich_on_grid(phi: HarmonicSymbol, grid: DiscGrid) -> dict | None:
     ||s| - 1| inf|g| <= inf|s g + conj(g)| <= (|s| + 1) inf|g| holds
     pointwise by the triangle inequality; evaluated on the shared grid.
     """
-    s = phi.coanalytic_ratio
-    if s is None or phi.c == 0 or abs(abs(s) - 1.0) <= 1e-12:
+    if phi.case_tag != "general_s":
         return None
+    s = phi.coanalytic_ratio
     nodes = phi.g(grid.nodes().ravel())
     gabs = np.abs(nodes)
     combo = np.abs(s * nodes + np.conj(nodes))
@@ -589,14 +547,23 @@ def invertibility_verdict(
     else:
         verdict = "inconclusive"
     return InvertibilityReport(
-        symbol_tag=phi.tag(),
-        case_tag=phi.case_tag,
-        coanalytic_ratio=phi.coanalytic_ratio,
-        scan=scan,
-        trend=trend,
-        sandwich=sandwich,
         verdict=verdict,
-        config=config,
+        inf_estimate=scan.minimum,
+        argmin=scan.argmin,
+        sizes=trend.sizes,
+        sigma_min=trend.sigma_min,
+        drift=trend.drift,
+        stabilized=trend.stabilized,
+        case_tag=phi.case_tag,
+        seed=config.seed,
+        symbol_tag=phi.tag(),
+        s=phi.coanalytic_ratio,
+        sandwich=sandwich,
+        thresholds={
+            "inf_positive": config.inf_threshold,
+            "sigma_positive": config.sigma_threshold,
+            "drift": config.drift_threshold,
+        },
     )
 
 
@@ -624,28 +591,12 @@ class PowerStudyReport:
     residuals: tuple[float, ...]
     trend: TrendReport
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "modulus_bound": self.modulus_bound,
-            "factor_bound": self.factor_bound,
-            "grid_min": self.grid_min,
-            "grid_min_plus": self.grid_min_plus,
-            "grid_min_minus": self.grid_min_minus,
-            "bounds_hold": self.bounds_hold,
-            "sizes": list(self.sizes),
-            "residuals": list(self.residuals),
-            "trend": self.trend.to_dict(),
-        }
 
-
-def power_symbol_study(
-    t: float,
-    sizes=(32, 64, 128, 256),
-    grid: DiscGrid | None = None,
-    drift_threshold: float = DRIFT_THRESHOLD,
-) -> PowerStudyReport:
+def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
     """Bounds, factorization residuals, and sigma trend for the quotient symbol.
+
+    The bounds are read on :func:`default_modulus_grid` and the trend
+    against :data:`DRIFT_THRESHOLD`.
 
     Refuses |t| > 20: the coefficient recurrences stay stable but the
     modulus spread e^{|t| pi} makes every floor meaningless at double
@@ -658,7 +609,7 @@ def power_symbol_study(
             "double-precision dynamic range for trustworthy floors"
         )
     sizes = check_schedule(sizes)
-    grid = grid or default_modulus_grid()
+    grid = default_modulus_grid()
     ratio = power_symbol(t)
     plus = PrincipalPowerSymbol(t, 0.0)
     minus = PrincipalPowerSymbol(0.0, t)
@@ -688,9 +639,7 @@ def power_symbol_study(
         residuals.append(float(np.max(np.abs(defect))))
         del defect
 
-    trend = bounded_below_trend(
-        HarmonicSymbol(1.0, 0.0, ratio), sizes, drift_threshold
-    )
+    trend = bounded_below_trend(HarmonicSymbol(1.0, 0.0, ratio), sizes)
     return PowerStudyReport(
         t=t,
         modulus_bound=bound,

@@ -6,10 +6,11 @@ no defaults), and is parsed strictly against :data:`SCHEMA`: a
 misspelled, extraneous or out-of-domain field is an error naming the
 field, not a silent ignore, and a field's domain is checked by the same
 function the computation calls.  Reports are plain JSON with
-deterministic key order and shortest-round-trip floats, so a rerun with
-the same config and seed reproduces them byte for byte; wall-clock
-timings live only in the manifest, which also inventories every
-emitted file with its SHA-256.
+deterministic key order (a report dataclass's field order),
+shortest-round-trip floats and complex numbers as ``[re, im]``, so a
+rerun with the same config and seed reproduces them byte for byte;
+wall-clock timings live only in the manifest, which also inventories
+every emitted file with its SHA-256.
 
 Exit codes: 0 success, 2 config or validation error, 3 numerical
 refusal, a non-finite result or exhausted memory (the underlying error
@@ -266,9 +267,16 @@ def parse_scenario(config: dict) -> Scenario:
     return Scenario(**tags, output_dir=out, **parsed)
 
 
+def _pair(z) -> list:
+    """``json.dumps`` fallback: a complex number as ``[re, im]``, nothing else."""
+    if isinstance(z, complex):
+        return [z.real, z.imag]
+    raise TypeError(f"{type(z).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     try:
-        text = json.dumps(payload, indent=1, allow_nan=False)
+        text = json.dumps(payload, indent=1, allow_nan=False, default=_pair)
     except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
         raise NumericalError(f"{path.name} holds non-finite values, refusing to write it") from exc
     path.write_text(text + "\n")
@@ -309,7 +317,7 @@ def _run_berezin_grid(sc: Scenario, csv_path: Path, json_path: Path) -> dict:
         "symbol_tag": sc.symbol.tag(),
         "num_points": len(samples),
         "min_abs_value": moduli[k],
-        "argmin": [samples[k].z.real, samples[k].z.imag],
+        "argmin": samples[k].z,
         "max_error_estimate": max(s.error_estimate for s in samples),
     }
 
@@ -323,14 +331,14 @@ def _run_invertibility(sc: Scenario) -> dict:
         drift_threshold=sc.thresholds["drift"],
         seed=sc.seed,
     )
-    report = invertibility_verdict(sc.symbol, config).to_dict()
+    report = asdict(invertibility_verdict(sc.symbol, config))
     return {**report, "name": sc.name, "kind": sc.kind}
 
 
 def _run_theorem_check(sc: Scenario) -> dict:
     report = {"name": sc.name, "kind": sc.kind, "check": sc.check, "seed": sc.seed}
     if sc.check == "shift_demo":
-        return {**report, **shift_window_demo(sc.n, sc.s).to_dict()}
+        return {**report, **asdict(shift_window_demo(sc.n, sc.s))}
     rng = np.random.default_rng(sc.seed)
     passes = 0
     margins = []
@@ -352,7 +360,7 @@ def _run_theorem_check(sc: Scenario) -> dict:
     report.update(
         count=sc.count,
         matrix_size=sc.matrix_size,
-        s=[sc.s.real, sc.s.imag],
+        s=sc.s,
         passes=passes,
         all_pass=passes == sc.count,
         min_margin=float(min(margins)),
@@ -361,7 +369,7 @@ def _run_theorem_check(sc: Scenario) -> dict:
 
 
 def _run_example_3_5(sc: Scenario) -> dict:
-    report = power_symbol_study(sc.t, sizes=sc.schedule).to_dict()
+    report = asdict(power_symbol_study(sc.t, sizes=sc.schedule))
     return {**report, "name": sc.name, "kind": sc.kind}
 
 
@@ -377,7 +385,8 @@ _PIPELINES = {
 
 def _emit(sc: Scenario, outdir: Path) -> tuple[dict, list[Path]]:
     """Run ``sc`` into ``outdir``; returns the report and every file written, report.json last.
-    A failed run, also one whose report is refused, leaves none of its files."""
+    A failed run, also one whose report is refused, leaves none of its files and
+    no manifest of an earlier run."""
     outdir.mkdir(parents=True, exist_ok=True)
     pipeline, names = _PIPELINES[sc.kind]
     files = [outdir / name for name in (*names, "report.json")]
@@ -385,7 +394,7 @@ def _emit(sc: Scenario, outdir: Path) -> tuple[dict, list[Path]]:
         report = pipeline(sc, *files[:-1])
         _write_json(files[-1], report)
     except BaseException:
-        for f in files:
+        for f in (*files, outdir / "manifest.json"):
             f.unlink(missing_ok=True)
         raise
     return report, files

@@ -257,10 +257,10 @@ class DiscGrid:
         return DiscGrid(merged, 2 * self.angles_per_radius)
 
 
-def default_modulus_grid(angles_per_radius: int = 256) -> DiscGrid:
-    """Dyadic radii 1 - 2^-j for j = 0..10 (so 0 up to about 0.9990)."""
+def default_modulus_grid() -> DiscGrid:
+    """Dyadic radii 1 - 2^-j for j = 0..10 (so 0 up to about 0.9990), 256 angles."""
     radii = tuple(1.0 - 2.0 ** (-j) for j in range(11))
-    return DiscGrid(radii, angles_per_radius)
+    return DiscGrid(radii, 256)
 
 
 @dataclass(frozen=True)
@@ -273,11 +273,9 @@ class ModulusScan:
 
     minimum: float
     argmin: complex
-    grid: DiscGrid
-    refined: bool
 
 
-def inf_modulus(f: Callable, grid: DiscGrid | None = None, refine: bool = True) -> ModulusScan:
+def inf_modulus(f: Callable, grid: DiscGrid | None = None) -> ModulusScan:
     """Minimize |f| over a polar grid with one local angular refinement.
 
     After the coarse pass the angular neighborhood of the argmin (one
@@ -290,15 +288,14 @@ def inf_modulus(f: Callable, grid: DiscGrid | None = None, refine: bool = True) 
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     best = float(vals[i, j])
     argmin = complex(nodes[i, j])
-    if refine:
-        r = grid.radii[i]
-        theta = 2.0 * np.pi * j / grid.angles_per_radius
-        spread = 2.0 * np.pi / grid.angles_per_radius
-        window = theta + np.linspace(-spread, spread, 65)
-        cand = r * np.exp(1j * window)
-        cvals = np.abs(_eval_on_nodes(f, cand))
-        k = int(np.argmin(cvals))
-        if cvals[k] < best:
-            best = float(cvals[k])
-            argmin = complex(cand[k])
-    return ModulusScan(minimum=best, argmin=argmin, grid=grid, refined=refine)
+    r = grid.radii[i]
+    theta = 2.0 * np.pi * j / grid.angles_per_radius
+    spread = 2.0 * np.pi / grid.angles_per_radius
+    window = theta + np.linspace(-spread, spread, 65)
+    cand = r * np.exp(1j * window)
+    cvals = np.abs(_eval_on_nodes(f, cand))
+    k = int(np.argmin(cvals))
+    if cvals[k] < best:
+        best = float(cvals[k])
+        argmin = complex(cand[k])
+    return ModulusScan(minimum=best, argmin=argmin)

@@ -127,7 +127,7 @@ def test_criterion_04_sigma_trend_separation():
     stab_a = bounded_below_trend(HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])), sizes)
     stab_b = bounded_below_trend(HarmonicSymbol(1.0, 1.0, polynomial_symbol([2.0, 1.0])), sizes)
     ok_stab = all(
-        t.stabilized and t.relative_drift < 0.05 and t.sigma_min[-1] > 1e-2
+        t.stabilized and t.drift < 0.05 and t.sigma_min[-1] > 1e-2
         for t in (stab_a, stab_b)
     )
 

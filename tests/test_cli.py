@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from berglab.cli import SCHEMA, main, parse_scenario, run_scenario
+from berglab.cli import SCHEMA, _write_json, main, parse_scenario, run_scenario
 from berglab.errors import ConfigError
 from berglab.symbols import HarmonicSymbol, polynomial_symbol
 from berglab.toeplitz import matrix_from_json, toeplitz_harmonic
@@ -308,6 +308,76 @@ class TestDeterminism:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+INVERTIBILITY_KEYS = [
+    "verdict", "inf_estimate", "argmin", "sizes", "sigma_min", "drift", "stabilized",
+    "case_tag", "seed", "symbol_tag", "s", "sandwich", "thresholds", "notes", "name", "kind",
+]
+TREND_KEYS = ["sizes", "sigma_min", "stabilized", "drift", "drift_threshold", "stabilization_rule"]
+
+
+class TestReportLayout:
+    """report.json key order, which the report dataclasses' field order sets."""
+
+    def report(self, tmp_path, config):
+        outdir = tmp_path / "out"
+        run_scenario(write_config(tmp_path, config), str(outdir))
+        return json.loads((outdir / "report.json").read_text())
+
+    def test_invertibility_analytic(self, tmp_path):
+        report = self.report(tmp_path, invertibility_config())
+        assert list(report) == INVERTIBILITY_KEYS
+        assert list(report["thresholds"]) == ["inf_positive", "sigma_positive", "drift"]
+        assert report["s"] is None and report["sandwich"] is None
+        assert len(report["argmin"]) == 2
+
+    def test_invertibility_general_s(self, tmp_path):
+        config = invertibility_config()
+        config["symbol"] = {**config["symbol"], "c": [2.0, 1.0], "d": 0.5}
+        report = self.report(tmp_path, config)
+        assert list(report) == INVERTIBILITY_KEYS
+        assert report["case_tag"] == "general_s"
+        assert report["s"] == [4.0, 2.0]
+        assert list(report["sandwich"]) == [
+            "s_modulus", "inf_g", "inf_combo", "lower", "upper", "holds"]
+
+    def test_example_3_5(self, tmp_path):
+        report = self.report(
+            tmp_path, {"name": "e", "kind": "example_3_5", "t": 0.5, "schedule": [8, 16, 32]})
+        assert list(report) == [
+            "t", "modulus_bound", "factor_bound", "grid_min", "grid_min_plus", "grid_min_minus",
+            "bounds_hold", "sizes", "residuals", "trend", "name", "kind",
+        ]
+        assert list(report["trend"]) == TREND_KEYS
+        assert report["trend"]["stabilization_rule"] == "last relative step below drift_threshold"
+
+    def test_shift_demo(self, tmp_path):
+        config = {"name": "s", "kind": "theorem_check", "check": "shift_demo", "n": 8,
+                  "s": [2.0, -1.0], "seed": 0}
+        report = self.report(tmp_path, config)
+        assert list(report) == [
+            "name", "kind", "check", "seed", "n", "s", "witness_adjoint_norm",
+            "witness_mix_norm", "window_ratio_adjoint", "window_ratio_mix",
+        ]
+        assert report["s"] == [2.0, -1.0]
+
+    def test_mix_check(self, tmp_path):
+        report = self.report(tmp_path, mix_config("3.1", s=[0.25, 0.5]))
+        assert list(report) == [
+            "name", "kind", "check", "seed", "count", "matrix_size", "s", "passes", "all_pass",
+            "min_margin",
+        ]
+        assert report["s"] == [0.25, 0.5]
+
+
+def test_write_json_renders_complex_as_pairs(tmp_path):
+    path = tmp_path / "x.json"
+    _write_json(path, {"z": 1.5 - 2j, "w": np.complex128(3 + 4j), "zs": (1j, None)})
+    assert json.loads(path.read_text()) == {"z": [1.5, -2.0], "w": [3.0, 4.0],
+                                            "zs": [[0.0, 1.0], None]}
+    with pytest.raises(TypeError, match="set"):
+        _write_json(path, {"bad": {1, 2}})
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         path = write_config(tmp_path, invertibility_config())
@@ -513,6 +583,22 @@ class TestSchemaRefusals:
         assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
         assert "non-finite" in capsys.readouterr().err
         assert not any((tmp_path / "o").iterdir())
+
+    def test_failed_run_removes_earlier_manifest(self, tmp_path):
+        # a refused rerun into the same directory must not leave the first
+        # run's manifest listing files that are gone
+        config = {"name": "b", "kind": "toeplitz_build", "builder": "closed_form", "n": 4,
+                  "symbol": {"c": 1.0, "d": 0.0,
+                             "g": {"type": "polynomial", "coeffs": [1.0, 1.0]}}}
+        outdir = tmp_path / "o"
+        args = ["run", str(tmp_path / "scenario.json"), "--output-dir", str(outdir)]
+        write_config(tmp_path, config)
+        assert main(args) == 0
+        assert (outdir / "manifest.json").exists()
+        config["symbol"]["c"] = 1e200
+        write_config(tmp_path, config)
+        assert main(args) == 3
+        assert not any(outdir.iterdir())
 
     def test_seed_parses_where_only_echoed(self):
         # bench/workloads.py sends it to invertibility and shift_demo
