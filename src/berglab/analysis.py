@@ -41,6 +41,7 @@ from .symbols import (
     HarmonicSymbol,
     PolynomialSymbol,
     PrincipalPowerSymbol,
+    _MINUS_I_POWERS,
     default_modulus_grid,
     inf_modulus,
     power_symbol,
@@ -148,10 +149,13 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
 
     Polynomial g of degree 0 gives T = (c a_0 + d conj(a_0)) I; narrow
     polynomial bands take :func:`_banded_sigma_min`; everything else,
-    and bands too wide to pay, the dense SVD.
+    and bands too wide to pay, the dense SVD.  Real c, d and coefficients
+    exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD of
+    D^* T D = c R + d R^T with D = diag(i^m), read off the coefficients.
     """
+    coeffs = phi.g.series(n - 1).coeffs
     if isinstance(phi.g, PolynomialSymbol):
-        coeffs = np.trim_zeros(phi.g.series(n - 1).coeffs, "b")
+        coeffs = np.trim_zeros(coeffs, "b")
         if len(coeffs) <= 1:
             a0 = coeffs[0] if len(coeffs) else 0.0
             return float(abs(phi.c * a0 + phi.d * np.conj(a0)))
@@ -159,6 +163,9 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
         ratio = _BAND_RATIO_REAL if real else _BAND_RATIO_COMPLEX
         if (2 * len(coeffs) - 1) * ratio <= n:
             return _banded_sigma_min(_jordan_wielandt_band(phi.c, phi.d, coeffs, n))
+    rot = coeffs * _MINUS_I_POWERS[np.arange(len(coeffs)) % 4]
+    if coeffs.imag.any() and not (rot.imag.any() or np.imag([phi.c, phi.d]).any()):
+        return smallest_singular_value(_analytic_matrix(rot.real, n, (phi.c, phi.d)))
     return smallest_singular_value(toeplitz_harmonic(phi, n))
 
 
@@ -596,7 +603,8 @@ def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
     """Bounds, factorization residuals, and sigma trend for the quotient symbol.
 
     The bounds are read on :func:`default_modulus_grid` and the trend
-    against :data:`DRIFT_THRESHOLD`.
+    against :data:`DRIFT_THRESHOLD`; the coefficients are exactly i^k r_k,
+    so the trend takes real SVDs of the truncations rotated by diag(i^m).
 
     Refuses |t| > 20: the coefficient recurrences stay stable but the
     modulus spread e^{|t| pi} makes every floor meaningless at double

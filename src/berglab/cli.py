@@ -385,16 +385,18 @@ _PIPELINES = {
 
 def _emit(sc: Scenario, outdir: Path) -> tuple[dict, list[Path]]:
     """Run ``sc`` into ``outdir``; returns the report and every file written, report.json last.
-    A failed run, also one whose report is refused, leaves none of its files and
-    no manifest of an earlier run."""
+    The files of an earlier run of any kind are removed first, other files are left alone;
+    a failed run, also one whose report is refused, leaves none of its files."""
     outdir.mkdir(parents=True, exist_ok=True)
+    for name in ("report.json", "manifest.json", *(n for _, ns in _PIPELINES.values() for n in ns)):
+        (outdir / name).unlink(missing_ok=True)
     pipeline, names = _PIPELINES[sc.kind]
     files = [outdir / name for name in (*names, "report.json")]
     try:
         report = pipeline(sc, *files[:-1])
         _write_json(files[-1], report)
     except BaseException:
-        for f in (*files, outdir / "manifest.json"):
+        for f in files:
             f.unlink(missing_ok=True)
         raise
     return report, files

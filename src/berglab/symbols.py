@@ -26,6 +26,9 @@ import numpy as np
 from .disc import PowerSeries, _eval_on_nodes
 from .errors import DomainError
 
+#: (-i)^k at index k % 4, exact; numpy's ``(-1j) ** k`` is off by up to 1.7e-13 at k < 1024
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
+
 __all__ = [
     "AnalyticSymbol",
     "PolynomialSymbol",
@@ -148,6 +151,12 @@ class PrincipalPowerSymbol(AnalyticSymbol):
 
     def series(self, degree: int) -> PowerSeries:
         u = _binomial_power_coeffs(self.plus_exponent, degree, sign=+1)
+        if self.plus_exponent == -self.minus_exponent:
+            # ((1+z)/(1-z))^{it}: a_k = i^k r_k, r = p * conj(p) real for p_k = (-i)^k binom(it, k)
+            rot = _MINUS_I_POWERS[np.arange(degree + 1) % 4]
+            p = u * rot
+            r = np.convolve(p.real, p.real) + np.convolve(p.imag, p.imag)
+            return PowerSeries(r[: degree + 1] * rot.conj())
         v = _binomial_power_coeffs(self.minus_exponent, degree, sign=-1)
         return PowerSeries(u).mul(PowerSeries(v), degree)
 

@@ -29,6 +29,7 @@ from berglab.symbols import (
     PrincipalPowerSymbol,
     polynomial_symbol,
     power_symbol,
+    principal_power_symbol,
     rational_symbol,
 )
 from berglab.toeplitz import (
@@ -171,6 +172,59 @@ class TestRealRoute:
         m[3, 1] += 1e-300j
         smallest_singular_value(m)
         assert seen == [np.float64, np.complex128]
+
+
+class TestRotatedRoute:
+    """Power symbols' truncations D^* T D, D = diag(i^m), are real; the trend's SVD
+    of them is checked against the complex SVD of T itself."""
+
+    @pytest.mark.parametrize("cd", [(1.0, 0.0), (1.0, 0.4)])
+    @pytest.mark.parametrize("t", [1.0, -0.5, 3.0])
+    def test_matches_complex_svd(self, t, cd):
+        phi = HarmonicSymbol(*cd, power_symbol(t))
+        sizes = (8, 64, 512)
+        for n, s in zip(sizes, bounded_below_trend(phi, sizes).sigma_min):
+            svals = complex_svd(toeplitz_harmonic(phi, n).matrix)
+            assert abs(s - svals[-1]) <= 1e-15 * svals[0]
+
+    @staticmethod
+    def _svd_inputs(monkeypatch, phi, sizes):
+        """The matrices the trend hands to the dense SVD."""
+        seen = []
+        dense = analysis.smallest_singular_value
+
+        def recorded(t):
+            seen.append(getattr(t, "matrix", t))
+            return dense(t)
+
+        monkeypatch.setattr(analysis, "smallest_singular_value", recorded)
+        bounded_below_trend(phi, sizes)
+        return seen
+
+    @pytest.mark.parametrize("cd", [(1.0, 0.0), (1.0, 0.4), (-2.0, 0.5)])
+    def test_power_symbol_takes_the_real_svd(self, monkeypatch, cd):
+        # numpy's (-1j) ** k first misses the exact phase at k = 100
+        sizes = (8, 64, 256)
+        seen = self._svd_inputs(monkeypatch, HarmonicSymbol(*cd, power_symbol(1.0)), sizes)
+        assert [m.shape[0] for m in seen] == list(sizes)
+        assert not any(m.imag.any() for m in seen)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            HarmonicSymbol(1.0 + 0.5j, 0.4, power_symbol(1.0)),
+            HarmonicSymbol(1.0, 0.0, principal_power_symbol(0.7, -0.3)),
+            # real Taylor coefficients: real already, and not rotated
+            HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5])),
+        ],
+        ids=["complex c", "other exponents", "real rational"],
+    )
+    def test_other_symbols_keep_their_matrix(self, monkeypatch, phi):
+        sizes = (8, 16, 32)
+        seen = self._svd_inputs(monkeypatch, phi, sizes)
+        assert len(seen) == len(sizes)
+        for n, m in zip(sizes, seen):
+            np.testing.assert_array_equal(m, toeplitz_harmonic(phi, n).matrix)
 
 
 class TestBoundedBelowTrend:

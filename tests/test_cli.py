@@ -600,6 +600,24 @@ class TestSchemaRefusals:
         assert main(args) == 3
         assert not any(outdir.iterdir())
 
+    def test_run_of_another_kind_removes_earlier_files(self, tmp_path):
+        # a reused output directory holds only the files its manifest lists,
+        # plus files no run writes
+        build = {"name": "b", "kind": "toeplitz_build", "builder": "closed_form", "n": 4,
+                 "symbol": {"c": 1.0, "d": 0.0,
+                            "g": {"type": "polynomial", "coeffs": [1.0, 1.0]}}}
+        example = {"name": "e", "kind": "example_3_5", "t": 1.0, "schedule": [8, 16, 32]}
+        outdir = tmp_path / "o"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("kept")
+        for config in (build, example):
+            write_config(tmp_path, config)
+            assert main(["run", str(tmp_path / "scenario.json"), "--output-dir", str(outdir)]) == 0
+        listed = [o["path"] for o in json.loads((outdir / "manifest.json").read_text())["outputs"]]
+        assert listed == ["report.json"]
+        assert sorted(f.name for f in outdir.iterdir()) == ["manifest.json", "notes.txt", "report.json"]
+        assert (outdir / "notes.txt").read_text() == "kept"
+
     def test_seed_parses_where_only_echoed(self):
         # bench/workloads.py sends it to invertibility and shift_demo
         assert parse_scenario(invertibility_config(seed=0)).seed == 0

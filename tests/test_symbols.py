@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from berglab import DomainError
+from berglab.disc import PowerSeries
 from berglab.symbols import (
     DiscGrid,
     HarmonicSymbol,
+    _binomial_power_coeffs,
     default_modulus_grid,
     inf_modulus,
     polynomial_symbol,
@@ -78,6 +80,37 @@ class TestAnalyticFamilies:
     def test_power_symbol_at_origin(self):
         assert power_symbol(2.3)(0.0) == pytest.approx(1.0)
         assert power_symbol(0.0)(0.4 + 0.2j) == pytest.approx(1.0)
+
+
+def minus_i_powers(n):
+    """(-i)^k for k < n, exact: numpy's complex power is not."""
+    return np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
+
+
+def product_route(a, b, degree):
+    """The complex Cauchy product of the binomial series of (1+z)^{ia} and (1-z)^{ib}."""
+    plus = _binomial_power_coeffs(a, degree, sign=+1)
+    minus = _binomial_power_coeffs(b, degree, sign=-1)
+    return PowerSeries(plus).mul(PowerSeries(minus), degree).coeffs
+
+
+class TestPowerSymbolSeries:
+    """((1+z)/(1-z))^{it} has coefficients i^k r_k with r_k real, built exactly so."""
+
+    @pytest.mark.parametrize("t", [1.0, -0.5, 3.0, 0.0])
+    def test_rotated_coefficients_are_exactly_real(self, t):
+        coeffs = power_symbol(t).series(1023).coeffs
+        assert not (coeffs * minus_i_powers(1024)).imag.any()
+
+    @pytest.mark.parametrize("t", [1.0, -0.5])
+    def test_matches_complex_product_route(self, t):
+        coeffs = power_symbol(t).series(1023).coeffs
+        assert np.max(np.abs(coeffs - product_route(t, -t, 1023))) <= 1e-15
+
+    def test_other_exponent_pairs_keep_the_product(self):
+        coeffs = principal_power_symbol(0.7, -0.3).series(255).coeffs
+        assert (coeffs * minus_i_powers(256)).imag.any()
+        np.testing.assert_array_equal(coeffs, product_route(0.7, -0.3, 255))
 
 
 class TestHarmonicSymbol:
