@@ -39,7 +39,6 @@ from .errors import NumericalError
 from .symbols import (
     DiscGrid,
     HarmonicSymbol,
-    PolynomialSymbol,
     PrincipalPowerSymbol,
     _MINUS_I_POWERS,
     default_modulus_grid,
@@ -51,7 +50,6 @@ from .toeplitz import (
     _analytic_matrix,
     _jordan_wielandt_band,
     toeplitz_analytic,
-    toeplitz_harmonic,
 )
 
 __all__ = [
@@ -115,7 +113,7 @@ def _as_matrix(t) -> np.ndarray:
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
     """``m`` as a contiguous real array, for real LAPACK at about half the cost,
     when its imaginary part is exactly zero; a strided ``.real`` would slow matmul."""
-    return m if m.imag.any() else np.ascontiguousarray(m.real)
+    return m if np.isrealobj(m) or m.imag.any() else np.ascontiguousarray(m.real)
 
 
 def smallest_singular_value(t) -> float:
@@ -145,28 +143,41 @@ def _banded_sigma_min(ab: np.ndarray) -> float:
 
 
 def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
-    """sigma_min of ``toeplitz_harmonic(phi, n)`` by the cheaper exact route.
+    """sigma_min of ``toeplitz_harmonic(phi, n)`` within u ||T||, u the unit roundoff.
 
-    Polynomial g of degree 0 gives T = (c a_0 + d conj(a_0)) I; narrow
-    polynomial bands take :func:`_banded_sigma_min`; everything else,
-    and bands too wide to pay, the dense SVD.  Real c, d and coefficients
-    exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD of
-    D^* T D = c R + d R^T with D = diag(i^m), read off the coefficients.
+    The diagonals k > b of T, each of 2-norm at most (|c|+|d|) |a_k|, are
+    dropped for the least b with (|c|+|d|) sum_{b<k<N} |a_k| <= u L, where
+    L <= ||T|| is the larger norm of T's first column and first row; by
+    Weyl's inequality sigma_min moves by at most u ||T||.  Polynomial tails
+    are zero and cut exactly; bounds that overflow cut only zeros.  b = 0
+    gives T = (c a_0 + d conj(a_0)) I; narrow bands take
+    :func:`_banded_sigma_min`; wider ones the dense SVD of the uncut T.
+    Real c, d with real coefficients, or coefficients exactly i^k r_k, r_k
+    real (:func:`power_symbol`), give the real SVD of T or of
+    D^* T D = c R + d R^T with D = diag(i^m), built as float64.
     """
+    c, d = phi.c, phi.d
     coeffs = phi.g.series(n - 1).coeffs
-    if isinstance(phi.g, PolynomialSymbol):
-        coeffs = np.trim_zeros(coeffs, "b")
-        if len(coeffs) <= 1:
-            a0 = coeffs[0] if len(coeffs) else 0.0
-            return float(abs(phi.c * a0 + phi.d * np.conj(a0)))
-        real = not (np.imag([phi.c, phi.d]).any() or coeffs.imag.any())
-        ratio = _BAND_RATIO_REAL if real else _BAND_RATIO_COMPLEX
-        if (2 * len(coeffs) - 1) * ratio <= n:
-            return _banded_sigma_min(_jordan_wielandt_band(phi.c, phi.d, coeffs, n))
-    rot = coeffs * _MINUS_I_POWERS[np.arange(len(coeffs)) % 4]
-    if coeffs.imag.any() and not (rot.imag.any() or np.imag([phi.c, phi.d]).any()):
-        return smallest_singular_value(_analytic_matrix(rot.real, n, (phi.c, phi.d)))
-    return smallest_singular_value(toeplitz_harmonic(phi, n))
+    mags = np.abs(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cd = np.abs([c, d])
+        col = cd.max() * np.sqrt(np.sum(mags[1:] ** 2 / np.arange(2.0, n + 1)))
+        norm_lb = np.hypot(np.abs(c * coeffs[0] + d * np.conj(coeffs[0])), col)
+        tail = cd.sum() * np.cumsum(mags[::-1])[::-1]
+    cut = np.finfo(float).eps / 2 * norm_lb if np.isfinite(norm_lb) else 0.0
+    band = coeffs[: np.count_nonzero(~(tail[1:] <= cut)) + 1]
+    if len(band) == 1:
+        return float(abs(c * band[0] + d * np.conj(band[0])))
+    real_cd = not np.imag([c, d]).any()
+    ratio = _BAND_RATIO_REAL if real_cd and not band.imag.any() else _BAND_RATIO_COMPLEX
+    if (2 * len(band) - 1) * ratio <= n:
+        return _banded_sigma_min(_jordan_wielandt_band(c, d, band, n))
+    rot = coeffs * _MINUS_I_POWERS[np.arange(n) % 4]
+    real = [a.real for a in (coeffs, rot) if real_cd and not a.imag.any()]
+    if real:
+        coeffs, c, d = real[0], c.real, d.real
+    m = _analytic_matrix(coeffs, n, (c, d))
+    return smallest_singular_value(TruncatedOperator(m, phi.tag(), "closed_form", True))
 
 
 def normality_defect(t) -> float:
@@ -636,7 +647,9 @@ def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
     # scipy.linalg adds ~0.07 s and ~6 MB to a launch; only this study needs it
     from scipy.linalg.blas import ztrmm
     residuals = []
-    for n in sizes:
+    # largest size first: its two complex operands set the study's peak memory,
+    # best on a heap that smaller sizes and the trend have not yet fragmented
+    for n in sizes[::-1]:
         # bare matrices, at most two at a time: three N x N operators plus
         # their copies set the peak memory of the whole study otherwise
         # L @ D for lower-triangular L, D at half the flops of GEMM: the Fortran-order
@@ -657,6 +670,6 @@ def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
         grid_min_minus=grid_min_minus,
         bounds_hold=bounds_hold,
         sizes=sizes,
-        residuals=tuple(residuals),
+        residuals=tuple(residuals[::-1]),
         trend=trend,
     )

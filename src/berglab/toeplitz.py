@@ -54,14 +54,14 @@ class TruncatedOperator:
     symbol_tag: str
     builder: str
 
-    #: set only by the builders below, whose fresh array is adopted uncopied
+    #: set only by the builders below and the trend's dense routes, whose fresh array
+    #: is adopted uncopied; the trend's real routes hand over float64, never exported
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
-        arr = np.asarray(self.matrix, dtype=np.complex128)
+        arr = self.matrix if _fresh else np.array(self.matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("matrix must be square and nonempty")
-        arr = arr if _fresh and arr is self.matrix else arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
         if self.builder not in ("closed_form", "quadrature"):
@@ -96,9 +96,10 @@ _BLOCK = 16
 
 def _analytic_matrix(g, n: int, mix: tuple[complex, complex] | None = None) -> np.ndarray:
     """The N x N analytic truncation A of g, or ``c * A + d * A.conj().T`` bit for bit;
-    ``g`` (coefficients or a symbol) is expanded only once the output is allocated."""
-    out = np.empty((n, n), dtype=np.complex128)
-    coeffs = _coeff_vector(g.series(n - 1) if isinstance(g, AnalyticSymbol) else g)[:n]
+    ``g`` (a coefficient array, real ones giving a real matrix, or a symbol) is expanded
+    only once the output is allocated."""
+    out = np.empty((n, n), dtype=np.complex128 if isinstance(g, AnalyticSymbol) else g.dtype)
+    coeffs = (g.series(n - 1).coeffs if isinstance(g, AnalyticSymbol) else g)[:n]
     pad = np.concatenate([np.zeros(n - len(coeffs)), coeffs[::-1], np.zeros(n - 1)])
     lower = sliding_window_view(pad, n)[::-1]  # lower[m, j] = a_{m-j}, zero for m < j
     idx = np.arange(1.0, n + 1.0)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -672,7 +673,122 @@ class TestBandedSigmaMin:
             "import sys, berglab.cli; "
             "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"
         )
+        # pytest's pythonpath setting does not reach a subprocess
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert proc.stdout.strip() == "False False"
+
+
+#: unit roundoff of float64
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+#: (c, d, g, N): rational g whose diagonals past a narrow band weigh below u ||T||
+CUT_CASES = {
+    "real": (1.0, 0.5, rational_symbol([1.0, 0.5], [1.0, -0.05]), 512),
+    "real d=0": (2.0, 0.0, rational_symbol([1.0, 0.5], [1.0, -0.05]), 512),
+    "real c=0": (0.0, 1.5, rational_symbol([1.0, 0.5], [1.0, -0.05]), 512),
+    "complex": (1.0 - 0.5j, 0.3j, rational_symbol([1.0, 0.5j], [1.0, -1e-6j]), 512),
+}
+WORKLOAD_RATIONAL = HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5]))
+
+
+class TestTailCut:
+    """The trend drops the diagonals whose coefficient tail weighs below u ||T||."""
+
+    @staticmethod
+    def _routes(monkeypatch, phi, sizes):
+        """The trend, the bands it hands to the banded route, the sizes of its dense SVDs."""
+        bands, dense_sizes = [], []
+        band, dense = analysis._jordan_wielandt_band, analysis.smallest_singular_value
+
+        def banded(c, d, coeffs, n):
+            bands.append(coeffs)
+            return band(c, d, coeffs, n)
+
+        def counted(t):
+            dense_sizes.append(t.n)
+            return dense(t)
+
+        monkeypatch.setattr(analysis, "_jordan_wielandt_band", banded)
+        monkeypatch.setattr(analysis, "smallest_singular_value", counted)
+        return bounded_below_trend(phi, sizes), bands, dense_sizes
+
+    @staticmethod
+    def _check_cut(phi, band, sigma, n):
+        """The band is the shortest whose dropped tail weighs at most u L, L the larger
+        norm of T's first column and row; sigma is within that weight of the dense SVD."""
+        coeffs = phi.g.series(n - 1).coeffs
+        np.testing.assert_array_equal(band, coeffs[: len(band)])
+        cd = abs(phi.c) + abs(phi.d)
+        weight = cd * np.abs(coeffs[len(band) :]).sum()
+        m = toeplitz_harmonic(phi, n).matrix
+        lower = max(np.linalg.norm(m[:, 0]), np.linalg.norm(m[0]))
+        assert 0.0 < weight <= UNIT_ROUNDOFF * lower < weight + cd * abs(band[-1])
+        svals = np.linalg.svd(analysis._real_if_exact(m), compute_uv=False)
+        assert abs(sigma - svals[-1]) <= weight + 1e-12
+
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    def test_cut_band_matches_dense_svd(self, monkeypatch, case):
+        c, d, g, n = CUT_CASES[case]
+        phi = HarmonicSymbol(c, d, g)
+        sizes = (n // 4, n // 2, n)
+        trend, bands, dense_sizes = self._routes(monkeypatch, phi, sizes)
+        assert len(bands) == 1 and dense_sizes == [n // 4, n // 2]
+        monkeypatch.undo()
+        self._check_cut(phi, bands[0], trend.sigma_min[-1], n)
+        # bands too wide to pay take the dense SVD of the uncut matrix, bit for bit
+        for m, s in zip(sizes[:2], trend.sigma_min):
+            assert s == smallest_singular_value(toeplitz_harmonic(phi, m))
+
+    def test_workload_rational_goes_banded_at_1024(self, monkeypatch):
+        trend, bands, dense_sizes = self._routes(monkeypatch, WORKLOAD_RATIONAL, (256, 512, 1024))
+        assert dense_sizes == [256, 512]
+        assert len(bands) == 1 and (2 * len(bands[0]) - 1) * 16 <= 1024
+        monkeypatch.undo()
+        self._check_cut(WORKLOAD_RATIONAL, bands[0], trend.sigma_min[-1], 1024)
+
+    def test_pole_near_the_circle_stays_dense(self, monkeypatch):
+        # a_k = 0.99^k: no tail within N = 256 weighs below u ||T||
+        phi = HarmonicSymbol(1.0, 0.5, rational_symbol([1.0], [1.0, -0.99]))
+        sizes = (64, 128, 256)
+        trend, bands, dense_sizes = self._routes(monkeypatch, phi, sizes)
+        assert bands == [] and dense_sizes == list(sizes)
+        monkeypatch.undo()
+        # the dense route takes the uncut coefficients: the bits of the full matrix
+        for n, s in zip(sizes, trend.sigma_min):
+            assert s == smallest_singular_value(toeplitz_harmonic(phi, n))
+
+    @pytest.mark.parametrize(
+        "scaled, unit",
+        [
+            # |a_k|^2 overflows, so the norm bound is infinite: only zeros may be cut
+            (
+                HarmonicSymbol(1.0, 0.25, rational_symbol([1e200, 5e199], [2.0, -0.5])),
+                WORKLOAD_RATIONAL,
+            ),
+            (
+                HarmonicSymbol(1.0, 0.5, polynomial_symbol([1e200, 1e200])),
+                HarmonicSymbol(1.0, 0.5, polynomial_symbol([1.0, 1.0])),
+            ),
+            # huge c and d with finite bounds: the cut is scale invariant
+            (
+                HarmonicSymbol(1e200, 0.5e200, CUT_CASES["real"][2]),
+                HarmonicSymbol(1.0, 0.5, CUT_CASES["real"][2]),
+            ),
+        ],
+        ids=["rational coefficients", "polynomial coefficients", "c and d"],
+    )
+    def test_huge_scales_keep_the_scaled_trend(self, scaled, unit):
+        sizes = (64, 128, 512)
+        got = bounded_below_trend(scaled, sizes).sigma_min
+        expected = 1e200 * np.asarray(bounded_below_trend(unit, sizes).sigma_min)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_non_finite_coefficients_are_never_cut(self):
+        # inf - inf in the long division: a non-finite tail from a_1 on, so the dense SVD refuses
+        phi = HarmonicSymbol(1.0, 0.0, rational_symbol([1.7e308, 1.7e308], [1.0, -0.5, 0.3]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            bounded_below_trend(phi, (4, 8, 16))

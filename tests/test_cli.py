@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -753,10 +754,15 @@ class TestExample35Command:
 
 def test_console_entry_point(tmp_path):
     path = write_config(tmp_path, invertibility_config())
+    # pytest's pythonpath setting does not reach a subprocess
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
     proc = subprocess.run(
         [sys.executable, "-m", "berglab.cli", "validate", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
