@@ -132,7 +132,7 @@ def _banded_sigma_min(ab: np.ndarray) -> float:
     is +sigma_min; bisection on the band finds it at absolute accuracy
     eps ||T||, without squaring the condition number as T^*T would.
     """
-    # scipy.linalg adds ~0.07 s and ~6 MB to a launch; only this route needs it
+    # scipy.linalg adds ~0.2 s and ~21 MB resident to a launch; only this route needs it
     from scipy.linalg import eigvals_banded
 
     n = ab.shape[1] // 2
@@ -644,7 +644,7 @@ def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
         and grid_min_minus >= factor_bound - 1e-12
     )
 
-    # scipy.linalg adds ~0.07 s and ~6 MB to a launch; only this study needs it
+    # scipy.linalg adds ~0.2 s and ~21 MB resident to a launch; only this study needs it
     from scipy.linalg.blas import ztrmm
     residuals = []
     # largest size first: its two complex operands set the study's peak memory,

@@ -282,32 +282,33 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _run_toeplitz_build(sc: Scenario, json_path: Path, csv_path: Path) -> dict:
+def _run_toeplitz_build(sc: Scenario, write, json_path: Path, csv_path: Path) -> dict:
     if sc.builder == "quadrature":
         op = toeplitz_quadrature(sc.symbol, sc.n, sc.quadrature, sc.symbol.tag())
     else:
         op = toeplitz_harmonic(sc.symbol, sc.n)
-    matrix_to_json(op, json_path)
-    matrix_to_csv(op, csv_path)
+    write(matrix_to_json, op, json_path)
+    write(matrix_to_csv, op, csv_path)
     return {
         "name": sc.name,
         "kind": sc.kind,
         "n": op.n,
         "builder": op.builder,
         "symbol_tag": op.symbol_tag,
+        # the dense SVD: the trend's banded route would import scipy.linalg (DECISIONS.md 4)
         "sigma_min": smallest_singular_value(op),
         "normality_defect": normality_defect(op),
     }
 
 
-def _run_berezin_grid(sc: Scenario, csv_path: Path, json_path: Path) -> dict:
+def _run_berezin_grid(sc: Scenario, write, csv_path: Path, json_path: Path) -> dict:
     # the route's own fields: quadrature (integral), n and tail_tol (matrix)
     kwargs = {key: v for key, v in vars(sc).items() if key in ("n", "tail_tol")}
     if sc.route == "integral":
         kwargs["spec"] = sc.quadrature
     samples = berezin_grid(sc.symbol, sc.grid, sc.route, **kwargs)
-    grid_to_csv(samples, csv_path)
-    grid_to_json(samples, json_path)
+    write(grid_to_csv, samples, csv_path)
+    write(grid_to_json, samples, json_path)
     moduli = [abs(s.value) for s in samples]
     k = int(np.argmin(moduli))
     return {
@@ -322,7 +323,7 @@ def _run_berezin_grid(sc: Scenario, csv_path: Path, json_path: Path) -> dict:
     }
 
 
-def _run_invertibility(sc: Scenario) -> dict:
+def _run_invertibility(sc: Scenario, write) -> dict:
     config = VerdictConfig(
         sizes=sc.schedule,
         grid=sc.grid,
@@ -335,7 +336,7 @@ def _run_invertibility(sc: Scenario) -> dict:
     return {**report, "name": sc.name, "kind": sc.kind}
 
 
-def _run_theorem_check(sc: Scenario) -> dict:
+def _run_theorem_check(sc: Scenario, write) -> dict:
     report = {"name": sc.name, "kind": sc.kind, "check": sc.check, "seed": sc.seed}
     if sc.check == "shift_demo":
         return {**report, **asdict(shift_window_demo(sc.n, sc.s))}
@@ -368,12 +369,13 @@ def _run_theorem_check(sc: Scenario) -> dict:
     return report
 
 
-def _run_example_3_5(sc: Scenario) -> dict:
+def _run_example_3_5(sc: Scenario, write) -> dict:
     report = asdict(power_symbol_study(sc.t, sizes=sc.schedule))
     return {**report, "name": sc.name, "kind": sc.kind}
 
 
-#: each kind's computation, (scenario, paths of the files it writes) -> report
+#: each kind's computation, (scenario, write, paths of the files it writes) -> report,
+#: every file written as ``write(writer, *args)``
 _PIPELINES = {
     "toeplitz_build": (_run_toeplitz_build, ("matrix.json", "matrix.csv")),
     "berezin_grid": (_run_berezin_grid, ("grid.csv", "grid.json")),
@@ -383,23 +385,36 @@ _PIPELINES = {
 }
 
 
-def _emit(sc: Scenario, outdir: Path) -> tuple[dict, list[Path]]:
-    """Run ``sc`` into ``outdir``; returns the report and every file written, report.json last.
+def _emit(sc: Scenario, outdir: Path) -> tuple[dict, list[Path], float]:
+    """Run ``sc`` into ``outdir``; returns the report, every file written, report.json last,
+    and the seconds spent removing and writing files.  The pipeline passes each of its
+    writers through ``write``, which times it.
     The files of an earlier run of any kind are removed first, other files are left alone;
     a failed run, also one whose report is refused, leaves none of its files."""
+    start = time.perf_counter()
     outdir.mkdir(parents=True, exist_ok=True)
     for name in ("report.json", "manifest.json", *(n for _, ns in _PIPELINES.values() for n in ns)):
         (outdir / name).unlink(missing_ok=True)
     pipeline, names = _PIPELINES[sc.kind]
     files = [outdir / name for name in (*names, "report.json")]
+    write_s = time.perf_counter() - start
+
+    def write(writer, *args) -> None:
+        nonlocal write_s
+        t = time.perf_counter()
+        try:
+            writer(*args)
+        finally:
+            write_s += time.perf_counter() - t
+
     try:
-        report = pipeline(sc, *files[:-1])
-        _write_json(files[-1], report)
+        report = pipeline(sc, write, *files[:-1])
+        write(_write_json, files[-1], report)
     except BaseException:
         for f in files:
             f.unlink(missing_ok=True)
         raise
-    return report, files
+    return report, files, write_s
 
 
 @dataclass(frozen=True)
@@ -438,8 +453,9 @@ def run_scenario(config_path, output_dir: str | None = None) -> RunManifest:
         raise ConfigError("missing required field 'output_dir' (config or --output-dir)")
     outdir = Path(outdir)
     t1 = time.perf_counter()
-    _, files = _emit(sc, outdir)
+    _, files, write_s = _emit(sc, outdir)
     t2 = time.perf_counter()
+    outputs = tuple({"path": f.name, "sha256": _sha256(f), "bytes": f.stat().st_size} for f in files)
     manifest = RunManifest(
         scenario=config,
         versions={
@@ -448,15 +464,13 @@ def run_scenario(config_path, output_dir: str | None = None) -> RunManifest:
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
+        # compute: the numerics alone; write: the files, report.json and their hashes
         timings_s={
             "parse": t1 - t0,
-            "compute": t2 - t1,
-            "write": time.perf_counter() - t2,
+            "compute": t2 - t1 - write_s,
+            "write": write_s + time.perf_counter() - t2,
         },
-        outputs=tuple(
-            {"path": f.name, "sha256": _sha256(f), "bytes": f.stat().st_size}
-            for f in files
-        ),
+        outputs=outputs,
     )
     _write_json(outdir / "manifest.json", asdict(manifest))
     return manifest
@@ -481,7 +495,7 @@ def _cmd_example35(args) -> int:
     sc = parse_scenario(
         {"name": f"example35-t{args.t:g}", "kind": "example_3_5", "t": args.t, "schedule": schedule}
     )
-    report, _ = _emit(sc, Path(args.output_dir))
+    report, *_ = _emit(sc, Path(args.output_dir))
     print(
         f"t={args.t:g}  grid_min={report['grid_min']:.6g}  "
         f"bound={report['modulus_bound']:.6g}  bounds_hold={report['bounds_hold']}  "

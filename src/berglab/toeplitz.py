@@ -213,9 +213,19 @@ def _row_reprs(row: np.ndarray):
 
     ``float.__repr__`` is what ``json`` emits for a finite float, so
     both writers produce the bytes of the element-wise encoders they
-    replace.
+    replace.  A banded build is mostly +0.0, whose bit pattern is all
+    zeros; those places get the constant "0.0" and ``repr`` runs on the
+    rest (-0.0 has its sign bit set and keeps its own repr).
     """
-    return map(float.__repr__, row.view(np.float64).tolist())
+    flat = row.view(np.float64)
+    nonzero = flat.view(np.uint64) != 0
+    if nonzero.all():
+        return map(float.__repr__, flat.tolist())
+    idx = np.flatnonzero(nonzero).tolist()
+    out = ["0.0"] * flat.size
+    for i, s in zip(idx, map(float.__repr__, flat[idx].tolist())):
+        out[i] = s
+    return iter(out)
 
 
 def _check_finite(values, what: str) -> None:

@@ -6,11 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from berglab import cli
 from berglab.cli import SCHEMA, _write_json, main, parse_scenario, run_scenario
 from berglab.errors import ConfigError
 from berglab.symbols import HarmonicSymbol, polynomial_symbol
@@ -279,6 +281,86 @@ class TestRunScenario:
             run_scenario(path)
 
 
+SYMBOL = {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0]}}
+GRID = {"radii": [0.0, 0.5], "angles": 8}
+QUADRATURE = {"radial": 8, "angular": 16}
+
+
+def build_config(symbol, n, builder="closed_form", **extra):
+    return {"name": "b", "kind": "toeplitz_build", "builder": builder, "n": n,
+            "symbol": symbol, **extra}
+
+
+class TestToeplitzBuildSigmaMin:
+    @pytest.mark.parametrize("builder", ["closed_form", "quadrature"])
+    def test_dense_svd_of_the_exported_matrix(self, tmp_path, monkeypatch, builder):
+        seen = []
+        original = cli.smallest_singular_value
+        monkeypatch.setattr(cli, "smallest_singular_value", lambda op: seen.append(op) or original(op))
+        extra = {"quadrature": QUADRATURE} if builder == "quadrature" else {}
+        outdir = tmp_path / "out"
+        run_scenario(write_config(tmp_path, build_config(SYMBOL, 8, builder, **extra)), str(outdir))
+        exported = matrix_from_json(outdir / "matrix.json")
+        assert len(seen) == 1 and seen[0].builder == builder
+        np.testing.assert_array_equal(seen[0].matrix, exported.matrix)
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["sigma_min"] == original(exported)
+
+    def test_closed_form_build_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # the trend's banded route imports scipy.linalg, 21.5 MB resident, more than the
+        # N = 512 build it would speed up allocates
+        path = write_config(tmp_path, build_config(SYMBOL, 64))
+        code = (
+            "import sys; from berglab.cli import main; "
+            f"main(['run', {str(path)!r}, '--output-dir', {str(tmp_path / 'out')!r}]); "
+            "print('scipy.linalg' in sys.modules)"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+        assert proc.stdout.strip() == "False"
+
+
+class TestManifestTimings:
+    @pytest.mark.parametrize(
+        "writer, config",
+        [
+            ("matrix_to_csv", build_config(SYMBOL, 8)),
+            ("grid_to_json", {"name": "g", "kind": "berezin_grid", "route": "harmonic_closed_form",
+                              "symbol": SYMBOL, "grid": GRID}),
+            ("_write_json", build_config(SYMBOL, 8)),
+        ],
+    )
+    def test_file_writing_is_counted_under_write(self, tmp_path, monkeypatch, writer, config):
+        original = getattr(cli, writer)
+
+        def slow(*args):
+            time.sleep(0.25)
+            return original(*args)
+
+        monkeypatch.setattr(cli, writer, slow)
+        manifest = run_scenario(write_config(tmp_path, config), str(tmp_path / "out"))
+        timings = manifest.timings_s
+        assert list(timings) == ["parse", "compute", "write"]
+        assert timings["write"] >= 0.25
+        assert 0.0 <= timings["compute"] < 0.25
+
+    def test_hashing_is_counted_under_write(self, tmp_path, monkeypatch):
+        original = cli._sha256
+
+        def slow(path):
+            time.sleep(0.1)
+            return original(path)
+
+        monkeypatch.setattr(cli, "_sha256", slow)
+        manifest = run_scenario(write_config(tmp_path, build_config(SYMBOL, 8)),
+                                str(tmp_path / "out"))
+        # matrix.json, matrix.csv and report.json
+        assert manifest.timings_s["write"] >= 0.3
+        assert manifest.timings_s["compute"] < 0.1
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, tmp_path):
         path = write_config(tmp_path, invertibility_config())
@@ -460,11 +542,6 @@ class TestExitCodes:
         path = write_config(tmp_path, invertibility_config())
         assert main(["validate", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
-
-
-SYMBOL = {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0]}}
-GRID = {"radii": [0.0, 0.5], "angles": 8}
-QUADRATURE = {"radial": 8, "angular": 16}
 
 
 def mix_config(check, **overrides):

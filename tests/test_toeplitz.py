@@ -325,6 +325,18 @@ def _export_cases():
             k = min(len(specials), n * n)
             m.flat[:k] = specials[:k]
             yield pytest.param(m, id=f"n{n}-{kind}")
+    # zero-rich inputs of the writers' fast path for +0.0, whose bit pattern is all zeros
+    for c, kind in ((1.0, "real"), (1.0 - 0.5j, "complex")):
+        band = toeplitz_harmonic(HarmonicSymbol(c, 0.5, polynomial_symbol([2.0, 1.0, 0.3])), 12)
+        yield pytest.param(band.matrix, id=f"banded-{kind}")
+    sparse = np.zeros((6, 6), dtype=np.complex128)
+    sparse[1] = rng.normal(size=6) + 1j * rng.normal(size=6)  # a row with no zero
+    sparse[2, 1:4] = [-0.0, 5e-324, complex(0.0, -0.0)]  # row 0 stays all zero
+    sparse[3, 0] = sparse[3, 5] = complex(5e-324, -5e-324)
+    sparse[4, 2] = complex(-0.0, 1e300)
+    yield pytest.param(sparse, id="zero-rich")
+    for z, kind in ((0.0, "zero"), (complex(-0.0, 0.0), "negzero"), (5e-324j, "subnormal")):
+        yield pytest.param(np.full((1, 1), z), id=f"n1-{kind}")
 
 
 class TestExports:
