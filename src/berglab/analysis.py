@@ -31,6 +31,10 @@ the JSON report written from it (``dataclasses.asdict``); a field with
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +44,7 @@ from .symbols import (
     DiscGrid,
     HarmonicSymbol,
     PrincipalPowerSymbol,
+    RationalSymbol,
     _MINUS_I_POWERS,
     default_modulus_grid,
     inf_modulus,
@@ -48,7 +53,7 @@ from .symbols import (
 from .toeplitz import (
     TruncatedOperator,
     _analytic_matrix,
-    _jordan_wielandt_band,
+    _pencil_bands,
     toeplitz_analytic,
 )
 
@@ -88,12 +93,13 @@ INF_POSITIVE_TOL = 1e-3
 DRIFT_THRESHOLD = 0.05
 #: commutator defect above this refuses a matrix as not normal
 _NORMAL_TOL = 1e-10
-#: the trend takes the banded route while (2 deg + 1) * ratio <= N: band
-#: tridiagonalization costs O(N^2 deg), and these ratios keep it below the
-#: dense SVD (1 BLAS thread); complex bands go through LAPACK hbevx, about
-#: 4x slower than sbevx on real ones
+#: the trend takes the banded pencil while (2m + 1) * ratio <= N: its reduction
+#: costs O(N^2 m), and these ratios keep it below the dense SVD (1 BLAS thread);
+#: complex bands go through LAPACK zhbgvx, slower than dsbgvx on real ones
 _BAND_RATIO_REAL = 16
 _BAND_RATIO_COMPLEX = 64
+#: the denominator of a polynomial
+_ONE = np.ones(1)
 
 _NOTES = (
     "grid minimum of |phi| is an upper bound for the true infimum",
@@ -125,53 +131,132 @@ def smallest_singular_value(t) -> float:
         raise NumericalError(f"SVD failed on {m.shape[0]} x {m.shape[1]} matrix") from exc
 
 
-def _banded_sigma_min(ab: np.ndarray) -> float:
-    """sigma_min of T from the upper band storage of [[0, T], [T^*, 0]].
+#: C prototypes of the LAPACK routines the pencil route calls through ctypes, as
+#: scipy.linalg.cython_lapack names their capsules once Cython's type prefixes are
+#: stripped: ``d`` is a double, ``double_complex`` two, and every integer a C int
+_LAPACK_PROTOTYPES = {
+    "dsbgvx": "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, "
+    "d *, int *, d *, d *, int *, int *, d *, int *, d *, d *, int *, d *, int *, int *, int *)",
+    "zhbgvx": "void (char *, char *, char *, int *, int *, int *, double_complex *, int *, "
+    "double_complex *, int *, double_complex *, int *, d *, d *, int *, int *, d *, int *, "
+    "d *, double_complex *, int *, double_complex *, d *, int *, int *, int *)",
+}
+_CYTHON_TYPE_PREFIX = re.compile(r"__pyx_t_(?:\w*?cython_lapack_)?")
 
-    The 2N eigenvalues are +-sigma_i(T), so the one at ascending index N
-    is +sigma_min; bisection on the band finds it at absolute accuracy
-    eps ||T||, without squaring the condition number as T^*T would.
+
+def _check_prototype(name: str, signature: str) -> str:
+    """``signature`` without Cython's type prefixes, refused unless it is ``name``'s
+    pinned prototype: ctypes passes whatever it is given, so a changed ABI would
+    corrupt memory instead of failing."""
+    found = _CYTHON_TYPE_PREFIX.sub("", signature)
+    if found != _LAPACK_PROTOTYPES[name]:
+        raise NumericalError(
+            f"scipy.linalg.cython_lapack.{name} has the C prototype {found!r}, not the "
+            f"pinned {_LAPACK_PROTOTYPES[name]!r}; refusing to call it through ctypes"
+        )
+    return found
+
+
+@functools.cache
+def _lapack_routine(name: str):
+    """LAPACK's ``name`` from SciPy's public Cython LAPACK API, callable through ctypes
+    with one address (or bytes, for ``char *``) per argument."""
+    # scipy.linalg adds ~0.2 s and ~21 MB resident to a launch; only the pencil route needs it
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    params = _check_prototype(name, signature.decode())[len("void (") : -1].split(", ")
+    argtypes = [ctypes.c_char_p if t == "char *" else ctypes.c_void_p for t in params]
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
+    address = get_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+def _capsule_name(capsule) -> bytes:
+    """The name of a PyCapsule, which Cython sets to the C prototype of what it holds."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)
+    return get_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+
+
+def _pencil_sigma_min(c: complex, d: complex, p: np.ndarray, q: np.ndarray, n: int) -> float:
+    """sigma_min of T = c A + d A^*, A the N x N truncation of g = p/q (float64 or
+    complex128 coefficients), as eigenvalue N + 1 in ascending order of the pencil (K, B) of
+    :func:`_pencil_bands`, by LAPACK's ``dsbgvx`` (real) or ``zhbgvx``.
+
+    The eigenvalues of the pencil are exactly +-sigma_i(T); the bisection finds
+    the one asked for without squaring the condition number as T^*T would.
+    ``?sbgvx`` does not scale its input, so p, q and (c, d) are first brought to
+    a largest modulus in [1/2, 1) by exact powers of two and sigma is scaled back;
+    a sigma beyond the float range is refused.
     """
-    # scipy.linalg adds ~0.2 s and ~21 MB resident to a launch; only this route needs it
-    from scipy.linalg import eigvals_banded
-
-    n = ab.shape[1] // 2
-    if not ab.imag.any():
-        ab = ab.real  # sbevx, about 4x faster than hbevx
-    # bisection can return a rounding-level value just below zero
-    return float(abs(eigvals_banded(ab, select="i", select_range=(n, n))[0]))
+    cd = np.array([c, d], dtype=np.complex128)
+    e_p, e_q, e_cd = (int(np.frexp(np.abs(x).max())[1]) for x in (p, q, cd))
+    # x * 2**-e on the float64 view: exact unless an entry underflows
+    p, q, cd = (
+        np.ldexp(x.view(np.float64), -e).view(x.dtype)
+        for x, e in zip((p, q, cd), (e_p, e_q, e_cd))
+    )
+    real = not (cd.imag.any() or p.imag.any() or q.imag.any())
+    if real:
+        p, q, cd = p.real, q.real, cd.real
+    dtype = cd.dtype
+    ab, bb = (np.asfortranarray(x, dtype) for x in _pencil_bands(cd[0], cd[1], p, q, n))
+    two_n, ka, kb = 2 * n, ab.shape[0] - 1, bb.shape[0] - 1
+    ints = functools.partial(np.array, dtype=np.intc)
+    w, found, info = np.zeros(two_n), ints(0), ints(0)
+    unused = np.zeros(1, dtype)  # Q and Z: not referenced for jobz = 'N'
+    work = [np.zeros(7 * two_n)] if real else [np.zeros(two_n, dtype), np.zeros(7 * two_n)]
+    args = [
+        b"N", b"I", b"U", ints(two_n), ints(ka), ints(kb), ab, ints(ka + 1), bb, ints(kb + 1),
+        unused, ints(1), np.zeros(1), np.zeros(1), ints(n + 1), ints(n + 1),
+        # twice the safe minimum: the tightest tolerance, which LAPACK advises for accuracy
+        np.array(2 * np.finfo(float).tiny), found, w, unused, ints(1),
+        *work, np.zeros(5 * two_n, np.intc), np.zeros(two_n, np.intc), info,
+    ]
+    _lapack_routine("dsbgvx" if real else "zhbgvx")(
+        *(a if isinstance(a, bytes) else a.ctypes.data for a in args)
+    )
+    try:
+        # bisection can return a rounding-level value just below zero
+        sigma = math.ldexp(abs(float(w[0])), e_p - e_q + e_cd)
+    except OverflowError:
+        sigma = math.inf
+    if info or found != 1 or not math.isfinite(sigma):
+        raise NumericalError(
+            f"banded pencil of size {two_n}: LAPACK info {int(info)}, sigma_min {sigma}; "
+            "refusing a non-finite or failed result"
+        )
+    return sigma
 
 
 def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
-    """sigma_min of ``toeplitz_harmonic(phi, n)`` within u ||T||, u the unit roundoff.
+    """sigma_min of ``toeplitz_harmonic(phi, n)``.
 
-    The diagonals k > b of T, each of 2-norm at most (|c|+|d|) |a_k|, are
-    dropped for the least b with (|c|+|d|) sum_{b<k<N} |a_k| <= u L, where
-    L <= ||T|| is the larger norm of T's first column and first row; by
-    Weyl's inequality sigma_min moves by at most u ||T||.  Polynomial tails
-    are zero and cut exactly; bounds that overflow cut only zeros.  b = 0
-    gives T = (c a_0 + d conj(a_0)) I; narrow bands take
-    :func:`_banded_sigma_min`; wider ones the dense SVD of the uncut T.
-    Real c, d with real coefficients, or coefficients exactly i^k r_k, r_k
-    real (:func:`power_symbol`), give the real SVD of T or of
-    D^* T D = c R + d R^T with D = diag(i^m), built as float64.
+    T is the section of g = p/q, where p and q are the numerator and
+    denominator of a rational g, and for any other g the Taylor polynomial
+    of degree N - 1 with q = 1: T reads a_0 .. a_{N-1} alone.  Exact
+    trailing zeros are trimmed.  Degree 0 gives T = (c a_0 + d conj(a_0)) I.
+    A pencil of bandwidth 2m + 1, m = max(deg p, deg q), takes
+    :func:`_pencil_sigma_min` while (2m + 1) * ratio <= N; wider ones take
+    the dense SVD of T.  Real c, d with real coefficients, or coefficients
+    exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD of T
+    or of D^* T D = c R + d R^T with D = diag(i^m), built as float64.
     """
-    c, d = phi.c, phi.d
-    coeffs = phi.g.series(n - 1).coeffs
-    mags = np.abs(coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cd = np.abs([c, d])
-        col = cd.max() * np.sqrt(np.sum(mags[1:] ** 2 / np.arange(2.0, n + 1)))
-        norm_lb = np.hypot(np.abs(c * coeffs[0] + d * np.conj(coeffs[0])), col)
-        tail = cd.sum() * np.cumsum(mags[::-1])[::-1]
-    cut = np.finfo(float).eps / 2 * norm_lb if np.isfinite(norm_lb) else 0.0
-    band = coeffs[: np.count_nonzero(~(tail[1:] <= cut)) + 1]
-    if len(band) == 1:
-        return float(abs(c * band[0] + d * np.conj(band[0])))
+    c, d, g = phi.c, phi.d, phi.g
+    coeffs = None if isinstance(g, RationalSymbol) else g.series(n - 1).coeffs
+    p, q = (g.p.coeffs, g.q.coeffs) if coeffs is None else (coeffs, _ONE)
+    p, q = (x[: max(1, len(np.trim_zeros(x[:n], "b")))] for x in (p, q))
+    if len(p) == len(q) == 1:
+        a0 = p[0] / q[0]
+        return float(abs(c * a0 + d * np.conj(a0)))
     real_cd = not np.imag([c, d]).any()
-    ratio = _BAND_RATIO_REAL if real_cd and not band.imag.any() else _BAND_RATIO_COMPLEX
-    if (2 * len(band) - 1) * ratio <= n:
-        return _banded_sigma_min(_jordan_wielandt_band(c, d, band, n))
+    real_band = real_cd and not (p.imag.any() or q.imag.any())
+    ratio = _BAND_RATIO_REAL if real_band else _BAND_RATIO_COMPLEX
+    if (2 * max(len(p), len(q)) - 1) * ratio <= n:
+        return _pencil_sigma_min(c, d, p, q, n)
+    if coeffs is None:
+        coeffs = g.series(n - 1).coeffs
     rot = coeffs * _MINUS_I_POWERS[np.arange(n) % 4]
     real = [a.real for a in (coeffs, rot) if real_cd and not a.imag.any()]
     if real:
@@ -264,8 +349,8 @@ def bounded_below_trend(
 ) -> TrendReport:
     """sigma_min of the truncated operator at each size of the schedule.
 
-    The schedule must pass :func:`check_schedule`.  Polynomial symbols
-    with narrow bands never build the dense matrix (see
+    The schedule must pass :func:`check_schedule`.  Polynomial and
+    rational g with narrow pencils never build the dense matrix (see
     :func:`_trend_sigma_min`).
     """
     sizes = check_schedule(sizes)
@@ -472,7 +557,7 @@ def random_normal_matrix(rng, n: int) -> np.ndarray:
     lam = rng.uniform(0.5, 2.0, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(z)
-    return q @ np.diag(lam) @ q.conj().T
+    return (q * lam) @ q.conj().T  # q @ diag(lam), without the N^3 product
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,6 @@ class TruncatedOperator:
         return self.matrix.conj().T
 
 
-def _analytic_diagonal(a_k: complex, k: int, n: int) -> np.ndarray:
-    """Entries a_k sqrt((m+1)/(m+k+1)) at (m + k, m), m < n - k, of the analytic truncation."""
-    idx = np.arange(n - k)
-    return a_k * np.sqrt((idx + 1.0) / (idx + k + 1.0))
-
-
 #: rows per block of :func:`_analytic_matrix`; temporaries 6 % of the output at N = 1024
 _BLOCK = 16
 
@@ -115,28 +109,55 @@ def _analytic_matrix(g, n: int, mix: tuple[complex, complex] | None = None) -> n
     return out
 
 
-def _jordan_wielandt_band(c: complex, d: complex, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Upper band storage of H = [[0, T], [T^*, 0]] for T = c A + d A^*.
+def _gram_band(a: np.ndarray, b: np.ndarray, n: int, w: int) -> np.ndarray:
+    """Diagonals of G = L_a^* L_b, L_a and L_b the N x N analytic truncations of the
+    polynomials a and b: ``out[w + s, i] = G[i, i + s]``, zero outside G, for |s| <= w.
 
-    A is the N x N analytic truncation of the polynomial with
-    coefficients a_0 .. a_deg.  Unknowns are interleaved, H[2i, 2j+1] =
-    T[i, j], so H has bandwidth u = 2 deg + 1, and H[r, s] (r <= s) sits
-    at ``ab[u + r - s, s]`` of the (u + 1) x 2N array LAPACK's
-    ``?sbevx``/``?hbevx`` read.  H has eigenvalues +-sigma_i(T).
+    Row r = i + k of L_a^* meets column j = i + k - l of L_b in one term,
+    ``conj(a_k) b_l sqrt((i+1)(j+1)) / (r+1)``, for r < N: O(N deg a deg b), no N x N array.
     """
-    deg = min(len(coeffs), n) - 1
-    u = 2 * deg + 1
-    ab = np.zeros((u + 1, 2 * n), dtype=np.complex128)
-    for k in range(deg + 1):
-        diag = _analytic_diagonal(coeffs[k], k, n)
-        if k == 0:
-            ab[u - 1, 1::2] = c * diag + d * diag.conj()
-            continue
-        # T[i, i+k] = d conj(A[i+k, i]) at H[2i, 2i+2k+1]
-        ab[u - 2 * k - 1, 2 * k + 1 :: 2] = d * diag.conj()
-        # conj(T[j+k, j]) = conj(c A[j+k, j]) at H[2j+1, 2j+2k]
-        ab[u - 2 * k + 1, 2 * k :: 2] = (c * diag).conj()
-    return ab
+    out = np.zeros((2 * w + 1, n), dtype=np.result_type(a, b))
+    idx = np.arange(1.0, n + 1.0)  # i + 1
+    for k, ak in enumerate(a):
+        for l, bl in enumerate(b):
+            s = k - l
+            rows = slice(max(0, -s), n - k)
+            i1 = idx[rows]
+            out[w + s, rows] += np.conj(ak) * bl * np.sqrt(i1 * (i1 + s)) / (i1 + k)
+    return out
+
+
+def _pencil_bands(
+    c: complex, d: complex, p: np.ndarray, q: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upper band storage of the pencil (K, B) whose eigenvalues are +-sigma_i(T).
+
+    T = c A + d A^* is the N x N truncation for g = p/q, so A = P Q^{-1}
+    with P, Q the analytic truncations of p and q (sections of lower
+    triangular operators multiply exactly).  With W = diag(Q, Q), W^*
+    [[0, T], [T^*, 0]] W = K = [[0, M], [M^*, 0]], M = c Q^*P + d P^*Q, and
+    W^* W = B = diag(Q^*Q, Q^*Q).  Unknowns are interleaved, K[2i, 2j+1] =
+    M[i, j], so K has bandwidth ka = 2m + 1 for m = max(deg p, deg q) and B
+    bandwidth kb = 2 deg q.  Entry (r, s), r <= s, of a matrix of bandwidth
+    k sits at ``[k + r - s, s]`` of the (k + 1) x 2N Fortran-ordered array
+    LAPACK's ``?sbgvx``/``?hbgvx`` read.  A polynomial is q = [1], where B = I.
+    """
+    p, q = p[:n], q[:n]
+    m = max(len(p), len(q)) - 1
+    ka, kb = 2 * m + 1, 2 * (len(q) - 1)
+    dtype = np.result_type(c, d, p, q)
+    g = _gram_band(q, p, n, m)  # Q^* P
+    ab = np.zeros((ka + 1, 2 * n), dtype=dtype, order="F")
+    for s in range(m + 1):
+        upper, lower = g[m + s, : n - s], g[m - s, s:]  # G[i, i+s], G[i+s, i]
+        ab[ka - 2 * s - 1, 2 * s + 1 :: 2] = c * upper + d * np.conj(lower)  # M[i, i+s]
+        if s:  # conj(M[i+s, i]) at K[2i+1, 2i+2s]
+            ab[ka - 2 * s + 1, 2 * s :: 2] = np.conj(c * lower + d * np.conj(upper))
+    gq = _gram_band(q, q, n, len(q) - 1)  # Q^* Q
+    bb = np.zeros((kb + 1, 2 * n), dtype=dtype, order="F")
+    for s in range(len(q)):
+        bb[kb - 2 * s, 2 * s :: 2] = bb[kb - 2 * s, 2 * s + 1 :: 2] = gq[len(q) - 1 + s, : n - s]
+    return ab, bb
 
 
 def check_size(n: int) -> int:

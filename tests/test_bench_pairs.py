@@ -57,8 +57,10 @@ def test_two_records_make_one_pair(tmp_path):
     assert first["pass_s"] == 0.55 and first["passes"] == 3
     assert first["pass_s_quartiles"] == [0.5, 0.55, 0.6]
     s = w["summary"]
+    # one pair is too few for the gain rule, however clear the win
     assert s["pass_s"] == {"parent_quartiles": [0.55] * 3, "change_quartiles": [0.45] * 3,
-                           "change_wins": 1, "change_losses": 0, "pairs": 1}
+                           "change_wins": 1, "change_losses": 0, "pairs": 1,
+                           "meets_gain_rule": False}
     # equal setup times: a tie counts for neither side
     assert (s["setup_s"]["change_wins"], s["setup_s"]["change_losses"]) == (0, 0)
     assert (s["peak_rss_mb"]["change_wins"], s["wall_pass_s"]["change_wins"]) == (1, 1)
@@ -77,9 +79,44 @@ def test_traced_runs_and_the_command_line(tmp_path):
     assert w["traced"] == {"change": [{"pair": 1, "analysis.smallest_singular_value.calls": 120.0}]}
     # no complete pair: nothing is won or lost, and the change side has no quartiles
     assert w["summary"]["pass_s"] == {"parent_quartiles": [1.0] * 3, "change_quartiles": None,
-                                      "change_wins": 0, "change_losses": 0, "pairs": 0}
+                                      "change_wins": 0, "change_losses": 0, "pairs": 0,
+                                      "meets_gain_rule": False}
 
 
 def test_unknown_side_refused():
     with pytest.raises(ValueError, match="side"):
         bench_pairs.parse_run("baseline:1:x/record.json")
+
+
+def pass_s_summary(parent, change):
+    """The pass_s summary of paired untraced runs with these scaled medians, pair by pair."""
+    runs = [bench_pairs.run_entry(record([t], 1.0, 0.3, 70.0, side), side, pair, True)
+            for pair, (p, c) in enumerate(zip(parent, change), 1)
+            for side, t in (("parent", p), ("change", c))]
+    return bench_pairs.summarize(runs)["pass_s"]
+
+
+PARENT = [1.20, 1.22, 1.18, 1.21, 1.19, 1.23, 1.20, 1.22, 1.19, 1.21]  # IQR 1.19-1.22
+
+
+def test_gain_rule_accepts_a_clear_win():
+    s = pass_s_summary(PARENT, [t - 0.3 for t in PARENT])
+    assert (s["change_wins"], s["pairs"], s["meets_gain_rule"]) == (10, 10, True)
+
+
+def test_gain_rule_needs_nine_wins_in_ten():
+    change = [t - 0.3 for t in PARENT[:8]] + [t + 0.01 for t in PARENT[8:]]
+    s = pass_s_summary(PARENT, change)
+    assert (s["change_wins"], s["change_losses"], s["meets_gain_rule"]) == (8, 2, False)
+    # nine wins and one tie are enough
+    change[8] = PARENT[8] - 0.3
+    change[9] = PARENT[9]
+    assert pass_s_summary(PARENT, change)["meets_gain_rule"]
+
+
+def test_gain_rule_refuses_a_win_inside_the_parent_spread():
+    # every pair won, by 0.02 s: less than the parent's 0.03 s interquartile range
+    s = pass_s_summary(PARENT, [t - 0.02 for t in PARENT])
+    q1, _, q3 = s["parent_quartiles"]
+    assert s["change_wins"] == 10 and q3 - q1 > 0.02
+    assert not s["meets_gain_rule"]

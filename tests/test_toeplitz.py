@@ -24,7 +24,7 @@ from berglab.toeplitz import (
     toeplitz_harmonic,
     toeplitz_quadrature,
 )
-from berglab.toeplitz import _analytic_matrix
+from berglab.toeplitz import _analytic_matrix, _gram_band
 
 QUAD_TOL = 1e-10
 MACHINE = 1e-12
@@ -167,6 +167,33 @@ class TestHarmonicBuilder:
             expected = phi.c * a + phi.d * a.conj().T
             got = toeplitz_harmonic(phi, 48).matrix
             assert np.array_equal(got.view(float), expected.view(float))
+
+
+class TestGramBand:
+    """The closed-form Gram diagonals against the dense product L_a^* L_b."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1.0], [2.0, 1.0, 0.3]),
+            ([2.0, -0.5], [1.0, 0.5]),
+            ([1.0, 0.3 - 0.4j, 0.2j], [1.0, 0.5j]),
+            (np.arange(1.0, 10.0), [0.5, -1.0]),  # deg a >= N for the small sizes
+        ],
+        ids=["polynomial", "workload", "complex", "long"],
+    )
+    def test_matches_dense_product(self, a, b, n):
+        a, b = np.asarray(a, complex)[:n], np.asarray(b, complex)[:n]
+        w = max(len(a), len(b)) - 1
+        dense = _analytic_matrix(a, n).conj().T @ _analytic_matrix(b, n)
+        band = _gram_band(a, b, n, w)
+        for s in range(-w, w + 1):
+            diag = np.diagonal(dense, s) if abs(s) < n else np.zeros(0)
+            got = band[w + s, max(0, -s) : max(0, -s) + len(diag)]
+            np.testing.assert_allclose(got, diag, rtol=0, atol=1e-14)
+            # the rest of the row lies outside G and stays zero
+            assert np.count_nonzero(band[w + s]) <= len(diag)
 
 
 def _diagonal_loop(coeffs, n):

@@ -18,8 +18,14 @@ The output holds ``description``, ``command``, ``environment`` (the
 first record's, without the commit and source digest) and, per
 workload, ``runs`` (untraced runs), ``traced`` (per-layer metrics of
 traced runs, by side) and ``summary``: for each end-to-end metric,
-both sides' quartiles and how many pairs the change won or lost.  All
-these metrics are better lower; a tie counts for neither side.
+both sides' quartiles, how many pairs the change won or lost, and
+``meets_gain_rule``.  All these metrics are better lower; a tie counts
+for neither side.
+
+A gain counts only when the change wins at least nine tenths of at
+least ten pairs, and its median beats the parent's by more than the
+parent's own interquartile range: the run-to-run spread of a shared
+host is the floor a difference must clear.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 #: per-run values summarized across pairs
 SUMMARY_METRICS = ("pass_s", "wall_pass_s", "setup_s", "peak_rss_mb")
+#: the gain rule: pairs needed, and the share of them the change must win
+GAIN_PAIRS = 10
+GAIN_SHARE = 0.9
 
 
 def quartiles(values: list[float]) -> list[float] | None:
@@ -42,6 +51,17 @@ def quartiles(values: list[float]) -> list[float] | None:
         return [values[0]] * 3
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return [q1, statistics.median(values), q3]
+
+
+def meets_gain_rule(entry: dict) -> bool:
+    """Whether a ``summary`` entry shows a gain: at least ``GAIN_PAIRS`` pairs, the
+    change winning ``GAIN_SHARE`` of them, and the change's median below the
+    parent's by more than the parent's interquartile range."""
+    parent, change = entry["parent_quartiles"], entry["change_quartiles"]
+    if parent is None or change is None or entry["pairs"] < GAIN_PAIRS:
+        return False
+    q1, median, q3 = parent
+    return entry["change_wins"] >= GAIN_SHARE * entry["pairs"] and median - change[1] > q3 - q1
 
 
 def parse_run(arg: str) -> tuple[str, int, Path]:
@@ -85,6 +105,7 @@ def summarize(runs: list[dict]) -> dict:
             change_losses=sum(d > 0 for d in diffs),
             pairs=len(pairs),
         )
+        entry["meets_gain_rule"] = meets_gain_rule(entry)
         out[metric] = entry
     return out
 
