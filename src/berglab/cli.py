@@ -295,7 +295,8 @@ def _run_toeplitz_build(sc: Scenario, write, json_path: Path, csv_path: Path) ->
         "n": op.n,
         "builder": op.builder,
         "symbol_tag": op.symbol_tag,
-        # the dense SVD: the trend's banded route would import scipy.linalg (DECISIONS.md 4)
+        # the dense SVD: loading SciPy's LAPACK for the banded route adds more peak memory
+        # than an N = 512 build allocates itself (DECISIONS.md 4)
         "sigma_min": smallest_singular_value(op),
         "normality_defect": normality_defect(op),
     }

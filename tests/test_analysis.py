@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -551,6 +552,42 @@ class TestPowerSymbolStudy:
             expected = np.max(np.abs(product - _analytic_matrix(PrincipalPowerSymbol(t, 0.0), n)))
             assert abs(residual - expected) <= 1e-16
 
+    @pytest.mark.parametrize("t", [1.0, 3.0])
+    def test_row_block_residual_matches_gemm(self, t):
+        # each block reproduces the bits of the full-product oracle restricted to its
+        # rows; the full zgemm sums each entry in a BLAS-dependent order, so the whole
+        # residual agrees with it to the rounding bound 4 N u (|M| |A|), and exactly
+        # at every size here but N = 129, t = 3 (its single last row goes to zgemv)
+        sizes = (1, 127, 128, 129, 300, 1024)
+        study = power_symbol_study(t, sizes=sizes)
+        for n, residual in zip(sizes, study.residuals):
+            m, a, p = (
+                _analytic_matrix(g, n)
+                for g in (PrincipalPowerSymbol(0.0, t), power_symbol(t), PrincipalPowerSymbol(t, 0.0))
+            )
+            blocks = max(
+                np.max(np.abs(m[r0:r1, :r1] @ a[:r1, :r1] - p[r0:r1, :r1]))
+                for r0 in range(0, n, 128)
+                for r1 in [min(r0 + 128, n)]
+            )
+            assert residual == blocks
+            expected = np.max(np.abs(m @ a - p))
+            bound = 4 * n * np.finfo(float).eps / 2 * np.max(np.abs(m) @ np.abs(a))
+            assert abs(residual - expected) <= bound
+            if (t, n) != (3.0, 129):
+                assert residual == expected
+
+    def test_study_peak_memory_stays_below_two_complex_sections(self):
+        # the residual keeps one N x N section and blocks of 128 rows of the other two
+        power_symbol_study(1.0, sizes=(8, 16, 32))  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            power_symbol_study(1.0, sizes=(64, 128, 256, 512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 512 * 512 * 16  # 8 MiB
+
     def test_grid_min_tracks_half_exponent_bound(self):
         # the quotient maps the disc into moduli [e^{-|t| pi / 2}, e^{|t| pi / 2}],
         # so the grid minimum sits just above the per-factor bound
@@ -579,6 +616,13 @@ class TestPowerSymbolStudy:
 
 #: unit roundoff of float64
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def subprocess_env():
+    """The environment with this checkout's ``src`` on PYTHONPATH: pytest's pythonpath
+    setting does not reach a subprocess."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def pencil_sigma_min(c, d, p, q, n):
@@ -724,12 +768,9 @@ class TestBandedSigmaMin:
             "import sys, berglab.cli; "
             "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"
         )
-        # pytest's pythonpath setting does not reach a subprocess
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=pythonpath)
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=subprocess_env(),
         )
         assert proc.stdout.strip() == "False False"
 
@@ -745,6 +786,49 @@ class TestLapackCapsules:
         assert "__pyx_t_" in signature  # the prefixes the guard strips are there to strip
         assert analysis._check_prototype(name, signature) == analysis._LAPACK_PROTOTYPES[name]
         assert callable(analysis._lapack_routine(name))
+
+    def test_capsules_load_without_scipy_linalg(self):
+        # the extension file is loaded by itself; a later import of scipy.linalg must
+        # find the same module, the same function pointers and the same trend
+        code = """
+import ctypes, sys
+from berglab import analysis
+from berglab.symbols import HarmonicSymbol, rational_symbol
+
+get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+def pointers(module):
+    capsules = [module.__pyx_capi__[name] for name in ("dsbgvx", "zhbgvx")]
+    return [get(c, analysis._capsule_name(c)) for c in capsules]
+
+phi = HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5]))
+trend = analysis.bounded_below_trend(phi, (128, 256, 512)).sigma_min
+analysis.power_symbol_study(1.0, sizes=(16, 32, 64))
+print("scipy.linalg" in sys.modules)
+module = sys.modules["scipy.linalg.cython_lapack"]
+loaded = pointers(module)
+from scipy.linalg import cython_lapack
+analysis._lapack_routine.cache_clear()
+print(cython_lapack is module, pointers(cython_lapack) == loaded)
+print(analysis.bounded_below_trend(phi, (128, 256, 512)).sigma_min == trend)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=subprocess_env(),
+        )
+        assert proc.stdout.split() == ["False", "True", "True", "True"]
+
+    def test_missing_extension_is_refused(self, monkeypatch, tmp_path):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        analysis._lapack_routine.cache_clear()
+        try:
+            with pytest.raises(NumericalError, match="no cython_lapack extension"):
+                analysis._lapack_routine("dsbgvx")
+        finally:
+            analysis._lapack_routine.cache_clear()
 
     @pytest.mark.parametrize(
         "old, new",

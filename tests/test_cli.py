@@ -219,6 +219,27 @@ class TestRunScenario:
             "report.json": "37b540ae53ff74e1fee03c7ebb513bee475df88a50286212717614340f1de623",
         }
 
+    def test_spectral_report_golden_hashes(self, tmp_path):
+        # the trend's SVDs and banded pencil and the study's residual come from LAPACK
+        # and BLAS, so these pin the bundled OpenBLAS build (1 or 2 threads alike)
+        main(["example35", "--t", "1", "--schedule", "16,32,64,128",
+              "--output-dir", str(tmp_path / "example35")])
+        # a rational g of degree 1 takes the banded pencil at every size from N = 48
+        config = invertibility_config(
+            symbol={"c": 1.0, "d": 0.25,
+                    "g": {"type": "rational", "num": [1.0, 0.5], "den": [2.0, -0.5]}},
+            schedule=[64, 128, 256],
+        )
+        run_scenario(write_config(tmp_path, config), str(tmp_path / "pencil"))
+        digests = {
+            name: hashlib.sha256((tmp_path / name / "report.json").read_bytes()).hexdigest()
+            for name in ("example35", "pencil")
+        }
+        assert digests == {
+            "example35": "1cd04a31f82732549df01d197ce20fb7b7044fc77e09e4749768df4c76f0f127",
+            "pencil": "625282360b3b52a356470c60fa0aa0c673071d2d1d02bbb10dfb0c3b4d1fa78a",
+        }
+
     def test_berezin_grid_outputs(self, tmp_path):
         config = {
             "name": "bz",
@@ -307,19 +328,20 @@ class TestToeplitzBuildSigmaMin:
         assert report["sigma_min"] == original(exported)
 
     def test_closed_form_build_leaves_scipy_linalg_unloaded(self, tmp_path):
-        # the trend's banded route imports scipy.linalg, 21.5 MB resident, more than the
-        # N = 512 build it would speed up allocates
+        # the report takes the dense SVD (DECISIONS.md entry 4), so a build loads no
+        # LAPACK capsule: even without scipy.linalg, the banded route raised the peak
+        # memory of an N = 512 build by 11 %
         path = write_config(tmp_path, build_config(SYMBOL, 64))
         code = (
             "import sys; from berglab.cli import main; "
             f"main(['run', {str(path)!r}, '--output-dir', {str(tmp_path / 'out')!r}]); "
-            "print('scipy.linalg' in sys.modules)"
+            "print('scipy.linalg' in sys.modules, 'scipy.linalg.cython_lapack' in sys.modules)"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=dict(os.environ, PYTHONPATH=pythonpath))
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
 
 class TestManifestTimings:
