@@ -81,7 +81,7 @@ class BerezinSample:
     def __post_init__(self):
         if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
-        if self.error_estimate < 0:
+        if not self.error_estimate >= 0:
             raise ValueError("error_estimate must be nonnegative")
 
 

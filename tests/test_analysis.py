@@ -763,7 +763,7 @@ class TestBandedSigmaMin:
         assert calls == [2, 4] and trend.sigma_min[0] == 1.0 * 0.5 + 0.25 * 0.5
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
-        # scipy.special (Gauss-Legendre rules) is deferred the same way
+        # no module imports scipy.special: the Gauss-Legendre rule is numpy's
         code = (
             "import sys, berglab.cli; "
             "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"

@@ -8,6 +8,7 @@ import pytest
 
 from berglab import DomainError, NumericalError, QuadratureSpec
 from berglab.berezin import (
+    BerezinSample,
     berezin_grid,
     berezin_harmonic,
     berezin_integral,
@@ -61,6 +62,12 @@ class TestIntegralRoute:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             berezin_integral(lambda w: w, 1.0)
+        with pytest.raises(DomainError):
+            berezin_integral(lambda w: w, complex(np.nan, 0.0))
+
+    def test_nan_error_estimate_is_refused(self):
+        with pytest.raises(ValueError, match="error_estimate"):
+            BerezinSample(z=0j, value=1 + 0j, route="integral", error_estimate=np.nan)
 
 
 class TestMatrixRoute:

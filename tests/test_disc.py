@@ -1,5 +1,9 @@
 """Core primitives: series arithmetic, inner product, kernel, quadrature."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -14,6 +18,8 @@ from berglab import (
     kernel_eval,
     normalized_kernel_coeffs,
 )
+from berglab.disc import _radial_rule
+from test_analysis import subprocess_env
 
 EXACT = 1e-14
 QUAD_TOL = 1e-10
@@ -125,6 +131,15 @@ class TestKernel:
         with pytest.raises(DomainError):
             kernel_eval(0.5, np.array([0.1, 1.2j]))
 
+    @pytest.mark.parametrize("z, w", [(np.nan, 0.5), (0.5, complex(0.1, np.nan)),
+                                      (0.5, np.array([0.1, np.nan]))])
+    def test_nan_is_outside_the_disc(self, z, w):
+        with pytest.raises(DomainError):
+            kernel_eval(z, w)
+
+    def test_empty_argument_gives_empty_values(self):
+        assert kernel_eval([], 0.5).shape == (0,)
+
     def test_norm_squared_three_ways(self):
         # closed form vs coefficient series vs quadrature, |z| <= 0.7
         for z in (0.0, 0.35 - 0.2j, 0.7):
@@ -169,6 +184,8 @@ class TestNormalizedKernelCoeffs:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             normalized_kernel_coeffs(1.0 + 0j, 4)
+        with pytest.raises(DomainError):
+            normalized_kernel_coeffs(complex(np.nan, 0.0), 4)
 
 
 class TestQuadrature:
@@ -211,3 +228,62 @@ class TestQuadrature:
     def test_deterministic(self):
         f = lambda w: np.exp(w) / (1.3 - w)
         assert disc_quadrature(f) == disc_quadrature(f)
+
+
+#: end nodes and their masses of the [0, 1] rule, from 40-digit mpmath (Newton on
+#: P_m, w = 2 / ((1 - x^2) P_m'(x)^2)), as (index, r, mass)
+MPMATH_ENDS = {
+    96: [(0, 1.552480583846165861549471e-4, 1.237004211132180717900977e-7),
+         (95, 0.9998447519416153834138451, 7.966683651308992113663534e-4)],
+    192: [(0, 3.901567040257783870537726e-5, 7.812927589155650675799843e-9),
+          (191, 0.9999609843295974221612946, 2.002432018195375747205554e-4)],
+}
+
+
+class TestRadialRule:
+    """numpy's ``leggauss`` against SciPy's ``roots_legendre``, the rule it replaced."""
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 64, 96, 128, 192, 256, 512, 1024])
+    def test_matches_scipy_and_integrates_monomials(self, m):
+        from scipy.special import roots_legendre
+
+        r, mass = _radial_rule(m)
+        x, w = roots_legendre(m)
+        np.testing.assert_allclose(r, 0.5 * (x + 1.0), rtol=0, atol=4e-16)
+        np.testing.assert_allclose(mass, 0.5 * w * (x + 1.0), rtol=5e-9, atol=0)
+        # Gauss exactness: int_D |w|^k dA = sum mass r^k = 2 / (k + 2), k <= 2m - 2
+        k = np.arange(2 * m - 1)
+        moments = np.power.outer(r, k).T @ mass
+        np.testing.assert_allclose(moments, 2.0 / (k + 2.0), rtol=1e-11, atol=0)
+        assert not r.flags.writeable and not mass.flags.writeable
+
+    @pytest.mark.parametrize("m", sorted(MPMATH_ENDS))
+    def test_end_nodes_match_mpmath(self, m):
+        r, mass = _radial_rule(m)
+        for i, node, weight in MPMATH_ENDS[m]:
+            assert abs(r[i] - node) <= 2.5e-16
+            assert abs(mass[i] - weight) <= 1e-10 * weight
+
+
+def test_quadrature_routes_leave_scipy_special_and_linalg_unloaded(tmp_path):
+    symbol = {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0]}}
+    configs = [
+        {"name": "grid", "kind": "berezin_grid", "route": "integral", "symbol": symbol,
+         "grid": {"radii": [0.0, 0.5], "angles": 8}, "quadrature": {"radial": 8, "angular": 16}},
+        {"name": "build", "kind": "toeplitz_build", "builder": "quadrature", "n": 8,
+         "quadrature": {"radial": 16, "angular": 32}, "symbol": symbol},
+    ]
+    for config in configs:
+        (tmp_path / f"{config['name']}.json").write_text(json.dumps(config))
+    code = """
+import sys
+from berglab.cli import run_scenario
+for name in ("grid", "build"):
+    run_scenario(f"{sys.argv[1]}/{name}.json", f"{sys.argv[1]}/out_{name}")
+print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+        check=True, env=subprocess_env(),
+    )
+    assert proc.stdout.strip() == "False False"
