@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .disc import PowerSeries
 from .errors import NumericalError
 from .symbols import (
     DiscGrid,
@@ -50,6 +51,7 @@ from .symbols import (
     PrincipalPowerSymbol,
     RationalSymbol,
     _MINUS_I_POWERS,
+    _quotient_series,
     default_modulus_grid,
     inf_modulus,
     power_symbol,
@@ -57,6 +59,7 @@ from .symbols import (
 from .toeplitz import (
     TruncatedOperator,
     _analytic_matrix,
+    _harmonic_band,
     _lower_toeplitz,
     _pencil_bands,
     _section_rows,
@@ -99,9 +102,10 @@ INF_POSITIVE_TOL = 1e-3
 DRIFT_THRESHOLD = 0.05
 #: commutator defect above this refuses a matrix as not normal
 _NORMAL_TOL = 1e-10
-#: the trend takes the banded pencil while (2m + 1) * ratio <= N: its reduction
-#: costs O(N^2 m), and these ratios keep it below the dense SVD (1 BLAS thread);
-#: complex bands go through LAPACK zhbgvx, slower than dsbgvx on real ones
+#: the trend takes a banded route while (2m + 1) * ratio <= N: both reductions cost
+#: O(N^2 m).  The ratios keep the pencil (rational g) below the dense SVD (1 BLAS
+#: thread), complex bands through zhbgvx being slower than dsbgvx on real ones; the
+#: bidiagonal route of polynomials is faster than the pencil and keeps them
 _BAND_RATIO_REAL = 16
 _BAND_RATIO_COMPLEX = 64
 #: the denominator of a polynomial
@@ -137,17 +141,28 @@ def smallest_singular_value(t) -> float:
         raise NumericalError(f"SVD failed on {m.shape[0]} x {m.shape[1]} matrix") from exc
 
 
-#: C prototypes of the LAPACK routines the pencil route calls through ctypes, as
+#: C prototypes of the LAPACK routines the banded routes call through ctypes, as
 #: scipy.linalg.cython_lapack names their capsules once Cython's type prefixes are
 #: stripped: ``d`` is a double, ``double_complex`` two, and every integer a C int
 _LAPACK_PROTOTYPES = {
+    "dgbbrd": "void (char *, int *, int *, int *, int *, int *, d *, int *, d *, d *, d *, "
+    "int *, d *, int *, d *, int *, d *, int *)",
     "dsbgvx": "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, "
     "d *, int *, d *, d *, int *, int *, d *, int *, d *, d *, int *, d *, int *, int *, int *)",
+    "dstebz": "void (char *, char *, int *, d *, d *, int *, int *, d *, d *, d *, int *, "
+    "int *, d *, int *, int *, d *, int *, int *)",
+    "zgbbrd": "void (char *, int *, int *, int *, int *, int *, double_complex *, int *, d *, "
+    "d *, double_complex *, int *, double_complex *, int *, double_complex *, int *, "
+    "double_complex *, d *, int *)",
     "zhbgvx": "void (char *, char *, char *, int *, int *, int *, double_complex *, int *, "
     "double_complex *, int *, double_complex *, int *, d *, d *, int *, int *, d *, int *, "
     "d *, double_complex *, int *, double_complex *, d *, int *, int *, int *)",
 }
+#: the numpy dtype each pointer of a pinned prototype is called with
+_POINTER_DTYPES = {"int *": np.intc, "d *": np.float64, "double_complex *": np.complex128}
 _CYTHON_TYPE_PREFIX = re.compile(r"__pyx_t_(?:\w*?cython_lapack_)?")
+#: twice the safe minimum: the tightest bisection tolerance, which LAPACK advises
+_ABSTOL = 2 * np.finfo(float).tiny
 
 
 def _check_prototype(name: str, signature: str) -> str:
@@ -187,11 +202,17 @@ def _cython_lapack():
 @functools.cache
 def _lapack_routine(name: str):
     """LAPACK's ``name`` from SciPy's public Cython LAPACK API, callable through ctypes
-    with one address (or bytes, for ``char *``) per argument."""
+    with bytes for each ``char *`` and, for the rest, a writeable Fortran-contiguous
+    array of the pointer's dtype: ctypes refuses any other argument."""
     capsule = _cython_lapack().__pyx_capi__[name]
     signature = _capsule_name(capsule)
     params = _check_prototype(name, signature.decode())[len("void (") : -1].split(", ")
-    argtypes = [ctypes.c_char_p if t == "char *" else ctypes.c_void_p for t in params]
+    argtypes = [
+        ctypes.c_char_p
+        if t == "char *"
+        else np.ctypeslib.ndpointer(_POINTER_DTYPES[t], flags=("F_CONTIGUOUS", "WRITEABLE"))
+        for t in params
+    ]
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
     address = get_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
     return ctypes.CFUNCTYPE(None, *argtypes)(address)
@@ -203,55 +224,137 @@ def _capsule_name(capsule) -> bytes:
     return get_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
 
 
+def _call_lapack(name: str, *args) -> None:
+    """LAPACK's ``name`` on ``args`` and an INFO appended as its last argument; a Python
+    int becomes a C int and a float a double, and a nonzero INFO is refused.  A wrong
+    number of arguments, or one that :func:`_lapack_routine` does not accept, raises
+    before the call."""
+    routine = _lapack_routine(name)
+    info = np.zeros((), np.intc)
+    routine(*(
+        np.array(a, np.intc if isinstance(a, int) else np.float64)
+        if isinstance(a, (int, float))
+        else a
+        for a, _ in zip((*args, info), routine.argtypes, strict=True)
+    ))
+    if info:
+        raise NumericalError(f"LAPACK {name} returned info {int(info)}; refusing its result")
+
+
+def _scaled_sigma_min(route, c, d, *polys, **kw) -> float:
+    """``route(c, d, *polys, **kw)``: sigma_min of T = c A + d A^*, A the truncation of
+    g = p (``polys = (p,)``) or g = p/q (``(p, q)``), run on (c, d), p and q each
+    brought to a largest modulus in [1/2, 1) by an exact power of two, and as float64
+    when all of them are real.
+
+    LAPACK's banded routines do not scale their input, and the long division of p/q
+    can overflow where T does not.  A power of two commutes with every float operation
+    that neither overflows nor underflows, so sigma is scaled back exactly; a sigma that
+    is NaN or beyond the float range is refused.
+    """
+    parts = [np.array([c, d], dtype=np.complex128), *polys]
+    exps = [int(np.frexp(np.abs(x).max())[1]) for x in parts]
+    # x * 2**-e on the float64 view: exact unless an entry underflows
+    parts = [np.ldexp(x.view(np.float64), -e).view(x.dtype) for x, e in zip(parts, exps)]
+    if not any(x.imag.any() for x in parts):
+        parts = [x.real for x in parts]
+    (c, d), *polys = parts
+    sigma = route(c, d, *polys, **kw)
+    try:
+        # bisection can return a rounding-level value just below zero
+        sigma = math.ldexp(abs(float(sigma)), exps[0] + exps[1] - sum(exps[2:]))
+    except OverflowError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise NumericalError(
+            f"sigma_min {sigma} at N = {kw['n']}; refusing a non-finite or failed result"
+        )
+    return sigma
+
+
 def _pencil_sigma_min(c: complex, d: complex, p: np.ndarray, q: np.ndarray, n: int) -> float:
     """sigma_min of T = c A + d A^*, A the N x N truncation of g = p/q (float64 or
-    complex128 coefficients), as eigenvalue N + 1 in ascending order of the pencil (K, B) of
-    :func:`_pencil_bands`, by LAPACK's ``dsbgvx`` (real) or ``zhbgvx``.
+    complex128 coefficients), as eigenvalue N + 1 in ascending order of the pencil (K, B)
+    of :func:`_pencil_bands`, by LAPACK's ``dsbgvx`` (real) or ``zhbgvx``, on the
+    scaling of :func:`_scaled_sigma_min`.
 
     The eigenvalues of the pencil are exactly +-sigma_i(T); the bisection finds
     the one asked for without squaring the condition number as T^*T would.
-    ``?sbgvx`` does not scale its input, so p, q and (c, d) are first brought to
-    a largest modulus in [1/2, 1) by exact powers of two and sigma is scaled back;
-    a sigma beyond the float range is refused.
     """
-    cd = np.array([c, d], dtype=np.complex128)
-    e_p, e_q, e_cd = (int(np.frexp(np.abs(x).max())[1]) for x in (p, q, cd))
-    # x * 2**-e on the float64 view: exact unless an entry underflows
-    p, q, cd = (
-        np.ldexp(x.view(np.float64), -e).view(x.dtype)
-        for x, e in zip((p, q, cd), (e_p, e_q, e_cd))
-    )
-    real = not (cd.imag.any() or p.imag.any() or q.imag.any())
-    if real:
-        p, q, cd = p.real, q.real, cd.real
-    dtype = cd.dtype
-    ab, bb = (np.asfortranarray(x, dtype) for x in _pencil_bands(cd[0], cd[1], p, q, n))
+    return _scaled_sigma_min(_pencil_eigenvalue, c, d, p, q, n=n)
+
+
+def _pencil_eigenvalue(c, d, p: np.ndarray, q: np.ndarray, n: int) -> float:
+    """Eigenvalue N + 1 of the pencil of :func:`_pencil_sigma_min`, NaN if none is found."""
+    real = np.isrealobj(p)
+    dtype = p.dtype
+    ab, bb = (np.asfortranarray(x, dtype) for x in _pencil_bands(c, d, p, q, n))
     two_n, ka, kb = 2 * n, ab.shape[0] - 1, bb.shape[0] - 1
-    ints = functools.partial(np.array, dtype=np.intc)
-    w, found, info = np.zeros(two_n), ints(0), ints(0)
+    w, found = np.zeros(two_n), np.zeros((), np.intc)
     unused = np.zeros(1, dtype)  # Q and Z: not referenced for jobz = 'N'
     work = [np.zeros(7 * two_n)] if real else [np.zeros(two_n, dtype), np.zeros(7 * two_n)]
-    args = [
-        b"N", b"I", b"U", ints(two_n), ints(ka), ints(kb), ab, ints(ka + 1), bb, ints(kb + 1),
-        unused, ints(1), np.zeros(1), np.zeros(1), ints(n + 1), ints(n + 1),
-        # twice the safe minimum: the tightest tolerance, which LAPACK advises for accuracy
-        np.array(2 * np.finfo(float).tiny), found, w, unused, ints(1),
-        *work, np.zeros(5 * two_n, np.intc), np.zeros(two_n, np.intc), info,
-    ]
-    _lapack_routine("dsbgvx" if real else "zhbgvx")(
-        *(a if isinstance(a, bytes) else a.ctypes.data for a in args)
+    _call_lapack(
+        "dsbgvx" if real else "zhbgvx",
+        b"N", b"I", b"U", two_n, ka, kb, ab, ka + 1, bb, kb + 1, unused, 1, 0.0, 0.0,
+        n + 1, n + 1, _ABSTOL, found, w, unused, 1,
+        *work, np.zeros(5 * two_n, np.intc), np.zeros(two_n, np.intc),
     )
-    try:
-        # bisection can return a rounding-level value just below zero
-        sigma = math.ldexp(abs(float(w[0])), e_p - e_q + e_cd)
-    except OverflowError:
-        sigma = math.inf
-    if info or found != 1 or not math.isfinite(sigma):
-        raise NumericalError(
-            f"banded pencil of size {two_n}: LAPACK info {int(info)}, sigma_min {sigma}; "
-            "refusing a non-finite or failed result"
-        )
-    return sigma
+    return w[0] if found == 1 else math.nan
+
+
+def _bidiagonal_sigma_min(c: complex, d: complex, p: np.ndarray, n: int) -> float:
+    """sigma_min of T = c A + d A^*, A the N x N truncation of the polynomial p (float64
+    or complex128 coefficients), on the scaling of :func:`_scaled_sigma_min`.
+
+    LAPACK's ``dgbbrd`` (real) or ``zgbbrd`` reduces T's band (:func:`_harmonic_band`)
+    to an upper bidiagonal B = Q^* T P with real diagonal d_i and superdiagonal e_i by
+    orthogonal transforms of T itself, O(N^2 m) for half-bandwidth m.  The Golub-Kahan
+    tridiagonal of B, zero diagonal and off-diagonal d_1, e_1, d_2, ..., d_N, has the
+    eigenvalues +-sigma_i(T); ``dstebz`` bisects for the one at ascending index N + 1,
+    which it resolves to high relative accuracy.
+    """
+    return _scaled_sigma_min(_golub_kahan_sigma, c, d, p[:n], n=n)
+
+
+def _golub_kahan_sigma(c, d, p: np.ndarray, n: int) -> float:
+    """Eigenvalue N + 1 of the tridiagonal of :func:`_bidiagonal_sigma_min`, NaN if none
+    is found."""
+    ab = _harmonic_band(c, d, p, n)
+    m = len(p) - 1
+    diag, off = np.zeros(n), np.zeros(max(n - 1, 1))
+    real = np.isrealobj(ab)
+    unused = np.zeros(1, ab.dtype)  # Q, P^T and C: not referenced for vect = 'N', ncc = 0
+    work = [np.zeros(2 * n)] if real else [np.zeros(n, ab.dtype), np.zeros(n)]
+    _call_lapack(
+        "dgbbrd" if real else "zgbbrd",
+        b"N", n, n, 0, m, m, ab, 2 * m + 1, diag, off, unused, 1, unused, 1, unused, 1, *work,
+    )
+    two_n = 2 * n
+    tridiagonal = np.zeros(two_n - 1)
+    tridiagonal[::2], tridiagonal[1::2] = diag, off[: n - 1]
+    w, found = np.zeros(two_n), np.zeros((), np.intc)
+    _call_lapack(
+        "dstebz",
+        b"I", b"E", two_n, 0.0, 0.0, n + 1, n + 1, _ABSTOL, np.zeros(two_n), tridiagonal,
+        found, np.zeros((), np.intc), w, np.zeros(two_n, np.intc), np.zeros(two_n, np.intc),
+        np.zeros(4 * two_n), np.zeros(3 * two_n, np.intc),
+    )
+    return w[0] if found == 1 else math.nan
+
+
+def _dense_sigma_min(c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int, tag: str):
+    """sigma_min of the dense section T of g = p, or of g = p/q through its Taylor
+    coefficients, by :func:`smallest_singular_value`.  Real c, d with real coefficients,
+    or coefficients exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD
+    of T or of D^* T D = c R + d R^T with D = diag(i^m), built as float64."""
+    coeffs = p if q is None else _quotient_series(PowerSeries(p), PowerSeries(q), n - 1).coeffs
+    real_cd = not np.imag([c, d]).any()
+    rot = coeffs * _MINUS_I_POWERS[np.arange(n) % 4]
+    real = [a.real for a in (coeffs, rot) if real_cd and not a.imag.any()]
+    if real:
+        coeffs, c, d = real[0], c.real, d.real
+    m = _analytic_matrix(coeffs, n, (c, d))
+    return smallest_singular_value(TruncatedOperator(m, tag, "closed_form", True))
 
 
 def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
@@ -259,34 +362,28 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
 
     T is the section of g = p/q, where p and q are the numerator and
     denominator of a rational g, and for any other g the Taylor polynomial
-    of degree N - 1 with q = 1: T reads a_0 .. a_{N-1} alone.  Exact
-    trailing zeros are trimmed.  Degree 0 gives T = (c a_0 + d conj(a_0)) I.
-    A pencil of bandwidth 2m + 1, m = max(deg p, deg q), takes
-    :func:`_pencil_sigma_min` while (2m + 1) * ratio <= N; wider ones take
-    the dense SVD of T.  Real c, d with real coefficients, or coefficients
-    exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD of T
-    or of D^* T D = c R + d R^T with D = diag(i^m), built as float64.
+    p of degree N - 1: T reads a_0 .. a_{N-1} alone.  Exact trailing zeros
+    are trimmed.  Degree 0 gives T = (c a_0 + d conj(a_0)) I.  A band of
+    half-bandwidth m = max(deg p, deg q) is narrow while (2m + 1) * ratio
+    <= N: then a polynomial takes :func:`_bidiagonal_sigma_min`, O(N^2 m)
+    on T itself, and a rational g :func:`_pencil_sigma_min`, its only
+    banded route.  Wider bands take the dense SVD (:func:`_dense_sigma_min`)
+    on the same power-of-two scaling, so one symbol is answered or refused
+    alike on every route.
     """
     c, d, g = phi.c, phi.d, phi.g
-    coeffs = None if isinstance(g, RationalSymbol) else g.series(n - 1).coeffs
-    p, q = (g.p.coeffs, g.q.coeffs) if coeffs is None else (coeffs, _ONE)
-    p, q = (x[: max(1, len(np.trim_zeros(x[:n], "b")))] for x in (p, q))
+    rational = isinstance(g, RationalSymbol)
+    num, den = (g.p.coeffs[:n], g.q.coeffs[:n]) if rational else (g.series(n - 1).coeffs, _ONE)
+    p, q = (x[: max(1, len(np.trim_zeros(x, "b")))] for x in (num, den))
     if len(p) == len(q) == 1:
         a0 = p[0] / q[0]
         return float(abs(c * a0 + d * np.conj(a0)))
-    real_cd = not np.imag([c, d]).any()
-    real_band = real_cd and not (p.imag.any() or q.imag.any())
+    real_band = not (np.imag([c, d]).any() or p.imag.any() or q.imag.any())
     ratio = _BAND_RATIO_REAL if real_band else _BAND_RATIO_COMPLEX
     if (2 * max(len(p), len(q)) - 1) * ratio <= n:
-        return _pencil_sigma_min(c, d, p, q, n)
-    if coeffs is None:
-        coeffs = g.series(n - 1).coeffs
-    rot = coeffs * _MINUS_I_POWERS[np.arange(n) % 4]
-    real = [a.real for a in (coeffs, rot) if real_cd and not a.imag.any()]
-    if real:
-        coeffs, c, d = real[0], c.real, d.real
-    m = _analytic_matrix(coeffs, n, (c, d))
-    return smallest_singular_value(TruncatedOperator(m, phi.tag(), "closed_form", True))
+        return _pencil_sigma_min(c, d, p, q, n) if rational else _bidiagonal_sigma_min(c, d, p, n)
+    polys = (num, den) if rational else (num,)
+    return _scaled_sigma_min(_dense_sigma_min, c, d, *polys, n=n, tag=phi.tag())
 
 
 def normality_defect(t) -> float:

@@ -19,6 +19,7 @@ closed forms against honest integrals.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Number
@@ -192,6 +193,9 @@ class QuadratureSpec:
     angular_nodes: int = 128
 
     def __post_init__(self):
+        # a float size would build angles that are not equispaced, or fail inside numpy
+        for name in ("radial_nodes", "angular_nodes"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.radial_nodes < 2:
             raise ValueError("radial_nodes must be at least 2")
         if self.angular_nodes < 4:

@@ -114,20 +114,25 @@ class RationalSymbol(AnalyticSymbol):
         return self.p(z) / self.q(z)
 
     def series(self, degree: int) -> PowerSeries:
-        # long division: c_k = (p_k - sum_{j>=1} q_j c_{k-j}) / q_0
-        pc = self.p.padded(degree + 1).coeffs
-        qc = self.q.padded(degree + 1).coeffs
-        out = np.zeros(degree + 1, dtype=np.complex128)
-        for k in range(degree + 1):
-            acc = pc[k]
-            jmax = min(k, self.q.degree)
-            if jmax >= 1:
-                acc = acc - np.dot(qc[1 : jmax + 1], out[k - 1 :: -1][:jmax])
-            out[k] = acc / qc[0]
-        return PowerSeries(out)
+        return _quotient_series(self.p, self.q, degree)
 
     def tag(self) -> str:
         return f"rational(deg_p={self.p.degree},deg_q={self.q.degree})"
+
+
+def _quotient_series(p: PowerSeries, q: PowerSeries, degree: int) -> PowerSeries:
+    """Taylor coefficients c_0 .. c_degree of p/q by long division:
+    c_k = (p_k - sum_{j>=1} q_j c_{k-j}) / q_0."""
+    pc = p.padded(degree + 1).coeffs
+    qc = q.padded(degree + 1).coeffs
+    out = np.zeros(degree + 1, dtype=np.complex128)
+    for k in range(degree + 1):
+        acc = pc[k]
+        jmax = min(k, q.degree)
+        if jmax >= 1:
+            acc = acc - np.dot(qc[1 : jmax + 1], out[k - 1 :: -1][:jmax])
+        out[k] = acc / qc[0]
+    return PowerSeries(out)
 
 
 class PrincipalPowerSymbol(AnalyticSymbol):

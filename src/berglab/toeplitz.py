@@ -152,7 +152,8 @@ def _pencil_bands(
     M[i, j], so K has bandwidth ka = 2m + 1 for m = max(deg p, deg q) and B
     bandwidth kb = 2 deg q.  Entry (r, s), r <= s, of a matrix of bandwidth
     k sits at ``[k + r - s, s]`` of the (k + 1) x 2N Fortran-ordered array
-    LAPACK's ``?sbgvx``/``?hbgvx`` read.  A polynomial is q = [1], where B = I.
+    LAPACK's ``?sbgvx``/``?hbgvx`` read.  The trend takes this pencil for a rational g;
+    for q = [1], B = I, but a polynomial takes :func:`_harmonic_band` instead.
     """
     p, q = p[:n], q[:n]
     m = max(len(p), len(q)) - 1
@@ -170,6 +171,23 @@ def _pencil_bands(
     for s in range(len(q)):
         bb[kb - 2 * s, 2 * s :: 2] = bb[kb - 2 * s, 2 * s + 1 :: 2] = gq[len(q) - 1 + s, : n - s]
     return ab, bb
+
+
+def _harmonic_band(c: complex, d: complex, p: np.ndarray, n: int) -> np.ndarray:
+    """General band storage of T = c A + d A^*, A the N x N analytic truncation of the
+    polynomial p of degree m < N: entry (i, j), |i - j| <= m, sits at ``[m + i - j, j]``
+    of the (2m + 1) x N Fortran-ordered array LAPACK's ``?gbbrd`` reads.  Built from
+    A[i + k, i] = p_k sqrt((i + 1) / (i + k + 1)) in O(N m), with no N x N array.
+    """
+    m = len(p) - 1
+    ab = np.zeros((2 * m + 1, n), dtype=np.result_type(c, d, p), order="F")
+    idx = np.arange(1.0, n + 1.0)  # i + 1
+    ab[m] = c * p[0] + d * np.conj(p[0])
+    for k in range(1, m + 1):
+        a = p[k] * np.sqrt(idx[: n - k] / idx[k:])  # A[i + k, i]
+        ab[m + k, : n - k] = c * a  # T[i + k, i]
+        ab[m - k, k:] = d * np.conj(a)  # T[i, i + k]
+    return ab
 
 
 def check_size(n: int) -> int:

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from berglab import analysis
+from berglab import analysis, toeplitz
 from berglab.analysis import (
     DRIFT_THRESHOLD,
     InvertibilityReport,
@@ -223,8 +224,15 @@ class TestRotatedRoute:
         sizes = (8, 16, 32)
         seen = self._svd_inputs(monkeypatch, phi, sizes)
         assert len(seen) == len(sizes)
+        monkeypatch.undo()
         for n, m in zip(sizes, seen):
-            np.testing.assert_array_equal(m, toeplitz_harmonic(phi, n).matrix)
+            # T itself up to the exact power of two of the trend's scaling, which
+            # leaves the SVD's bits unchanged
+            t = toeplitz_harmonic(phi, n).matrix
+            scale = t[0, 0].real / m[0, 0].real
+            assert scale == 2.0 ** round(np.log2(scale))
+            np.testing.assert_array_equal(m * scale, t)
+            assert analysis._trend_sigma_min(phi, n) == smallest_singular_value(t)
 
 
 class TestBoundedBelowTrend:
@@ -653,6 +661,7 @@ BAND_CASES = {
     "trailing zeros": (1.0, 0.5, [2.0, 1.0, 0.0, 0.0]),
 }
 WORKLOAD_P, WORKLOAD_Q = [1.0, 0.5], [2.0, -0.5]
+WORKLOAD_RATIONAL = HarmonicSymbol(1.0, 0.25, rational_symbol(WORKLOAD_P, WORKLOAD_Q))
 #: (c, d, p, q): polynomials are q = [1]
 PENCIL_CASES = {
     **{case: (c, d, coeffs, [1.0]) for case, (c, d, coeffs) in BAND_CASES.items()},
@@ -681,17 +690,23 @@ def assert_matches_dense(sigma, phi, n, allowance=16):
     assert err <= 1e-12 and err <= allowance * UNIT_ROUNDOFF * svals[0], (sigma, svals[-1])
 
 
+def lapack_calls(monkeypatch):
+    """The names of the LAPACK routines called from now on, in call order."""
+    routines = []
+    load = analysis._lapack_routine
+    monkeypatch.setattr(
+        analysis, "_lapack_routine", lambda name: routines.append(name) or load(name)
+    )
+    return routines
+
+
 class TestBandedSigmaMin:
     """The banded pencil route against the dense SVD it replaces."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64, 256, 512])
     @pytest.mark.parametrize("case", sorted(PENCIL_CASES))
     def test_matches_dense_svd(self, monkeypatch, case, n):
-        routines = []
-        load = analysis._lapack_routine
-        monkeypatch.setattr(
-            analysis, "_lapack_routine", lambda name: routines.append(name) or load(name)
-        )
+        routines = lapack_calls(monkeypatch)
         sigma = pencil_sigma_min(*PENCIL_CASES[case], n)
         # real pencils reach LAPACK dsbgvx, complex ones zhbgvx
         assert routines == ["zhbgvx" if case in COMPLEX_CASES else "dsbgvx"]
@@ -775,10 +790,76 @@ class TestBandedSigmaMin:
         assert proc.stdout.strip() == "False False"
 
 
-class TestLapackCapsules:
-    """The pencil route calls LAPACK through ctypes only behind the pinned C prototypes."""
+class TestBidiagonalSigmaMin:
+    """The Golub-Kahan route of polynomial bands against the dense SVD."""
 
-    @pytest.mark.parametrize("name", ["dsbgvx", "zhbgvx"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256, 512])
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_matches_dense_svd(self, monkeypatch, case, n):
+        c, d, coeffs = BAND_CASES[case]
+        routines = lapack_calls(monkeypatch)
+        sigma = analysis._bidiagonal_sigma_min(c, d, np.asarray(coeffs, complex), n)
+        # real bands reach LAPACK dgbbrd, complex ones zgbbrd, then the bisection; T reads
+        # a_0 .. a_{N-1} alone
+        real = not (np.imag([c, d]).any() or np.imag(coeffs[:n]).any())
+        assert routines == ["dgbbrd" if real else "zgbbrd", "dstebz"]
+        assert_matches_dense(sigma, HarmonicSymbol(c, d, polynomial_symbol(coeffs)), n)
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_collapsing_symbol_is_nonnegative_noise(self, n):
+        # dstebz splits the tridiagonal at an off-diagonal below sqrt(safe minimum)
+        assert 0.0 <= analysis._bidiagonal_sigma_min(1.0, 0.5, np.array([0.0, 1.0]), n) <= 1e-12
+
+    @pytest.mark.parametrize("coeffs", [[np.inf, 1.0], [1.0, np.nan]], ids=["inf", "nan"])
+    def test_non_finite_band_is_refused(self, coeffs):
+        with pytest.raises(NumericalError, match="LAPACK dstebz returned info"):
+            analysis._bidiagonal_sigma_min(1.0, 0.5, np.array(coeffs), 128)
+
+    def test_band_holds_the_section(self):
+        c, d, coeffs = BAND_CASES["degree 8 complex"]
+        n, m = 12, len(coeffs) - 1
+        ab = toeplitz._harmonic_band(c, d, np.asarray(coeffs), n)
+        t = toeplitz_harmonic(HarmonicSymbol(c, d, polynomial_symbol(coeffs)), n).matrix
+        assert ab.shape == (2 * m + 1, n) and ab.flags.f_contiguous
+        for i in range(n):
+            for j in range(n):
+                if abs(i - j) <= m:
+                    assert abs(ab[m + i - j, j] - t[i, j]) <= 2 * UNIT_ROUNDOFF * abs(t[i, j])
+                else:
+                    assert t[i, j] == 0
+
+    @pytest.mark.parametrize(
+        "phi, route",
+        [
+            (pencil_symbol(*PENCIL_CASES["real"]), "_bidiagonal_sigma_min"),
+            (pencil_symbol(*PENCIL_CASES["complex"]), "_bidiagonal_sigma_min"),
+            (WORKLOAD_RATIONAL, "_pencil_sigma_min"),
+            (pencil_symbol(*PENCIL_CASES["complex p, q"]), "_pencil_sigma_min"),
+        ],
+        ids=["real polynomial", "complex polynomial", "real rational", "complex rational"],
+    )
+    def test_polynomials_leave_the_pencil(self, monkeypatch, phi, route):
+        sizes = (448, 512, 1024)  # above the crossover of every band here
+        calls = {name: [] for name in ("_bidiagonal_sigma_min", "_pencil_sigma_min")}
+        for name, sizes_seen in calls.items():
+            original = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name, lambda *a, f=original, s=sizes_seen: s.append(a[-1]) or f(*a)
+            )
+        bounded_below_trend(phi, sizes)
+        assert calls == {name: list(sizes) if name == route else [] for name in calls}
+
+    def test_pinned_prototypes_are_the_routines_the_routes_call(self, monkeypatch):
+        routines = lapack_calls(monkeypatch)
+        for case in ("real", "complex", "workload", "complex p, q"):
+            bounded_below_trend(pencil_symbol(*PENCIL_CASES[case]), (448, 512, 1024))
+        assert set(routines) == set(analysis._LAPACK_PROTOTYPES)
+
+
+class TestLapackCapsules:
+    """The banded routes call LAPACK through ctypes only behind the pinned C prototypes."""
+
+    @pytest.mark.parametrize("name", sorted(analysis._LAPACK_PROTOTYPES))
     def test_installed_scipy_matches_the_pinned_prototype(self, name):
         from scipy.linalg import cython_lapack
 
@@ -792,17 +873,21 @@ class TestLapackCapsules:
         # find the same module, the same function pointers and the same trend
         code = """
 import ctypes, sys
-from berglab import analysis
-from berglab.symbols import HarmonicSymbol, rational_symbol
+from berglab import analysis, toeplitz
+from berglab.symbols import HarmonicSymbol, polynomial_symbol, rational_symbol
 
 get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 def pointers(module):
-    capsules = [module.__pyx_capi__[name] for name in ("dsbgvx", "zhbgvx")]
+    capsules = [module.__pyx_capi__[name] for name in sorted(analysis._LAPACK_PROTOTYPES)]
     return [get(c, analysis._capsule_name(c)) for c in capsules]
 
-phi = HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5]))
-trend = analysis.bounded_below_trend(phi, (128, 256, 512)).sigma_min
+symbols = [
+    HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5])),
+    HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0, 0.3])),
+    HarmonicSymbol(1.0, 0.0, polynomial_symbol([0.5, 1.0, 0.3j])),
+]
+trends = [analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in symbols]
 analysis.power_symbol_study(1.0, sizes=(16, 32, 64))
 print("scipy.linalg" in sys.modules)
 module = sys.modules["scipy.linalg.cython_lapack"]
@@ -810,7 +895,7 @@ loaded = pointers(module)
 from scipy.linalg import cython_lapack
 analysis._lapack_routine.cache_clear()
 print(cython_lapack is module, pointers(cython_lapack) == loaded)
-print(analysis.bounded_below_trend(phi, (128, 256, 512)).sigma_min == trend)
+print([analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in symbols] == trends)
 """
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -849,6 +934,33 @@ print(analysis.bounded_below_trend(phi, (128, 256, 512)).sigma_min == trend)
             analysis._lapack_routine.cache_clear()
 
 
+    def test_wrong_arguments_are_refused_before_the_call(self):
+        # the prototype's int * M gets a double: ctypes refuses it before LAPACK runs
+        with pytest.raises(ctypes.ArgumentError, match="int32"):
+            analysis._call_lapack("dgbbrd", b"N", np.array(4.0), *[0] * 15)
+        # and so a C-ordered band, and a read-only one
+        band = np.zeros((3, 4))
+        read_only = np.zeros(4)
+        read_only.flags.writeable = False
+        for ab in (band, read_only):
+            with pytest.raises(ctypes.ArgumentError, match="F_CONTIGUOUS|WRITEABLE"):
+                analysis._call_lapack("dgbbrd", b"N", 4, 4, 0, 1, 1, ab, *[0] * 10)
+        # and one argument short is refused before ctypes sees any
+        with pytest.raises(ValueError, match="zip"):
+            analysis._call_lapack("dgbbrd", b"N", *[0] * 15)
+
+    def test_nonzero_info_is_refused(self, monkeypatch):
+        class Routine:
+            argtypes = (ctypes.c_char_p, np.ctypeslib.ndpointer(np.intc))
+
+            def __call__(self, job, info):
+                info[...] = 3
+
+        monkeypatch.setattr(analysis, "_lapack_routine", lambda name: Routine())
+        with pytest.raises(NumericalError, match="LAPACK dgbbrd returned info 3"):
+            analysis._call_lapack("dgbbrd", b"N")
+
+
 #: (c, d, g, N): rational g whose diagonals past a narrow band weigh below u ||T||
 CUT_CASES = {
     "real": (1.0, 0.5, rational_symbol([1.0, 0.5], [1.0, -0.05]), 512),
@@ -856,7 +968,6 @@ CUT_CASES = {
     "real c=0": (0.0, 1.5, rational_symbol([1.0, 0.5], [1.0, -0.05]), 512),
     "complex": (1.0 - 0.5j, 0.3j, rational_symbol([1.0, 0.5j], [1.0, -1e-6j]), 512),
 }
-WORKLOAD_RATIONAL = HarmonicSymbol(1.0, 0.25, rational_symbol(WORKLOAD_P, WORKLOAD_Q))
 
 
 class TestTailCut:
@@ -922,11 +1033,15 @@ class TestTailCut:
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_non_finite_coefficients_are_never_cut(self):
-        # inf - inf in the long division: a non-finite tail from a_1 on, so the dense SVD,
-        # which takes every size below the pencil's crossover, refuses
-        phi = HarmonicSymbol(1.0, 0.0, rational_symbol([1.7e308, 1.7e308], [1.0, -0.5, 0.3]))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
-            bounded_below_trend(phi, (4, 8, 16))
+        # the long division of these p and q overflows to inf - inf from a_1 on; the dense
+        # route below the pencil's crossover divides the scaled p and q instead, and
+        # answers as the pencil does above it
+        q = [1.0, -0.5, 0.3]
+        phi = HarmonicSymbol(1.0, 0.0, rational_symbol([1.7e308, 1.7e308], q))
+        unit = HarmonicSymbol(1.0, 0.0, rational_symbol([1.7e308 * 2.0**-1023] * 2, q))
+        sizes = (4, 8, 16)
+        got = bounded_below_trend(phi, sizes).sigma_min
+        assert got == tuple(np.ldexp(bounded_below_trend(unit, sizes).sigma_min, 1023))
 
     def test_overflowing_series_has_a_finite_pencil_answer(self):
         # the same symbol from N = 5 * 16 on: the pencil reads p and q, not the series

@@ -194,6 +194,12 @@ class TestQuadrature:
             QuadratureSpec(radial_nodes=1)
         with pytest.raises(ValueError):
             QuadratureSpec(angular_nodes=3)
+        # sizes are integers: numpy ones pass as ints, anything else is refused
+        spec = QuadratureSpec(np.int64(8), np.int32(16))
+        assert spec == QuadratureSpec(8, 16) and type(spec.angular_nodes) is int
+        for sizes in [(8, 4.5), (2.5, 8), (8.0, 16), (8, "16")]:
+            with pytest.raises(TypeError):
+                QuadratureSpec(*sizes)
 
     def test_weights_sum_to_one(self):
         _, w = QuadratureSpec().points()
