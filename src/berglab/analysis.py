@@ -31,18 +31,13 @@ the JSON report written from it (``dataclasses.asdict``); a field with
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import re
-import sys
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lapack
 from .disc import PowerSeries
 from .errors import NumericalError
 from .symbols import (
@@ -59,9 +54,7 @@ from .symbols import (
 from .toeplitz import (
     TruncatedOperator,
     _analytic_matrix,
-    _harmonic_band,
     _lower_toeplitz,
-    _pencil_bands,
     _section_rows,
     toeplitz_analytic,
 )
@@ -103,9 +96,9 @@ DRIFT_THRESHOLD = 0.05
 #: commutator defect above this refuses a matrix as not normal
 _NORMAL_TOL = 1e-10
 #: the trend takes a banded route while (2m + 1) * ratio <= N: both reductions cost
-#: O(N^2 m).  The ratios keep the pencil (rational g) below the dense SVD (1 BLAS
-#: thread), complex bands through zhbgvx being slower than dsbgvx on real ones; the
-#: bidiagonal route of polynomials is faster than the pencil and keeps them
+#: O(N^2 m).  The ratios keep the pencil (rational g) below the dense SVD (1 BLAS thread),
+#: zhbgvx being slower than dsbgvx; polynomial bands, real or complex, take the real
+#: ratio, their bidiagonal route breaking even with the dense SVD near N / (2m + 1) = 8
 _BAND_RATIO_REAL = 16
 _BAND_RATIO_COMPLEX = 64
 #: the denominator of a polynomial
@@ -118,9 +111,11 @@ _NOTES = (
 
 
 def _as_matrix(t) -> np.ndarray:
+    """``t``'s matrix: a float64 array as it is, anything else as complex128."""
     if isinstance(t, TruncatedOperator):
         return t.matrix
-    arr = np.asarray(t, dtype=np.complex128)
+    arr = np.asarray(t)
+    arr = arr if arr.dtype == np.float64 else np.asarray(arr, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     return arr
@@ -141,108 +136,8 @@ def smallest_singular_value(t) -> float:
         raise NumericalError(f"SVD failed on {m.shape[0]} x {m.shape[1]} matrix") from exc
 
 
-#: C prototypes of the LAPACK routines the banded routes call through ctypes, as
-#: scipy.linalg.cython_lapack names their capsules once Cython's type prefixes are
-#: stripped: ``d`` is a double, ``double_complex`` two, and every integer a C int
-_LAPACK_PROTOTYPES = {
-    "dgbbrd": "void (char *, int *, int *, int *, int *, int *, d *, int *, d *, d *, d *, "
-    "int *, d *, int *, d *, int *, d *, int *)",
-    "dsbgvx": "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, "
-    "d *, int *, d *, d *, int *, int *, d *, int *, d *, d *, int *, d *, int *, int *, int *)",
-    "dstebz": "void (char *, char *, int *, d *, d *, int *, int *, d *, d *, d *, int *, "
-    "int *, d *, int *, int *, d *, int *, int *)",
-    "zgbbrd": "void (char *, int *, int *, int *, int *, int *, double_complex *, int *, d *, "
-    "d *, double_complex *, int *, double_complex *, int *, double_complex *, int *, "
-    "double_complex *, d *, int *)",
-    "zhbgvx": "void (char *, char *, char *, int *, int *, int *, double_complex *, int *, "
-    "double_complex *, int *, double_complex *, int *, d *, d *, int *, int *, d *, int *, "
-    "d *, double_complex *, int *, double_complex *, d *, int *, int *, int *)",
-}
-#: the numpy dtype each pointer of a pinned prototype is called with
-_POINTER_DTYPES = {"int *": np.intc, "d *": np.float64, "double_complex *": np.complex128}
-_CYTHON_TYPE_PREFIX = re.compile(r"__pyx_t_(?:\w*?cython_lapack_)?")
-#: twice the safe minimum: the tightest bisection tolerance, which LAPACK advises
-_ABSTOL = 2 * np.finfo(float).tiny
-
-
-def _check_prototype(name: str, signature: str) -> str:
-    """``signature`` without Cython's type prefixes, refused unless it is ``name``'s
-    pinned prototype: ctypes passes whatever it is given, so a changed ABI would
-    corrupt memory instead of failing."""
-    found = _CYTHON_TYPE_PREFIX.sub("", signature)
-    if found != _LAPACK_PROTOTYPES[name]:
-        raise NumericalError(
-            f"scipy.linalg.cython_lapack.{name} has the C prototype {found!r}, not the "
-            f"pinned {_LAPACK_PROTOTYPES[name]!r}; refusing to call it through ctypes"
-        )
-    return found
-
-
-def _cython_lapack():
-    """SciPy's public Cython LAPACK module, loaded from its extension file in SciPy's
-    ``linalg`` directory so that ``scipy/linalg/__init__.py`` never runs: importing
-    ``scipy.linalg`` adds ~0.2 s and ~21 MB resident (it loads ``scipy.sparse``), the
-    extension alone ~3 ms and ~2 MB.  It is registered under its own name, so a later
-    ``from scipy.linalg import cython_lapack`` returns this module."""
-    name = "scipy.linalg.cython_lapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-    spec = importlib.machinery.FileFinder(directory, loader).find_spec(name)
-    if spec is None:
-        raise NumericalError(f"no cython_lapack extension in {directory}; LAPACK unavailable")
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@functools.cache
-def _lapack_routine(name: str):
-    """LAPACK's ``name`` from SciPy's public Cython LAPACK API, callable through ctypes
-    with bytes for each ``char *`` and, for the rest, a writeable Fortran-contiguous
-    array of the pointer's dtype: ctypes refuses any other argument."""
-    capsule = _cython_lapack().__pyx_capi__[name]
-    signature = _capsule_name(capsule)
-    params = _check_prototype(name, signature.decode())[len("void (") : -1].split(", ")
-    argtypes = [
-        ctypes.c_char_p
-        if t == "char *"
-        else np.ctypeslib.ndpointer(_POINTER_DTYPES[t], flags=("F_CONTIGUOUS", "WRITEABLE"))
-        for t in params
-    ]
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
-    address = get_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
-
-
-def _capsule_name(capsule) -> bytes:
-    """The name of a PyCapsule, which Cython sets to the C prototype of what it holds."""
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)
-    return get_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-
-
-def _call_lapack(name: str, *args) -> None:
-    """LAPACK's ``name`` on ``args`` and an INFO appended as its last argument; a Python
-    int becomes a C int and a float a double, and a nonzero INFO is refused.  A wrong
-    number of arguments, or one that :func:`_lapack_routine` does not accept, raises
-    before the call."""
-    routine = _lapack_routine(name)
-    info = np.zeros((), np.intc)
-    routine(*(
-        np.array(a, np.intc if isinstance(a, int) else np.float64)
-        if isinstance(a, (int, float))
-        else a
-        for a, _ in zip((*args, info), routine.argtypes, strict=True)
-    ))
-    if info:
-        raise NumericalError(f"LAPACK {name} returned info {int(info)}; refusing its result")
-
-
-def _scaled_sigma_min(route, c, d, *polys, **kw) -> float:
-    """``route(c, d, *polys, **kw)``: sigma_min of T = c A + d A^*, A the truncation of
+def _scaled_sigma_min(route, c, d, *polys, n: int) -> float:
+    """``route(c, d, *polys, n=n)``: sigma_min of T = c A + d A^*, A the truncation of
     g = p (``polys = (p,)``) or g = p/q (``(p, q)``), run on (c, d), p and q each
     brought to a largest modulus in [1/2, 1) by an exact power of two, and as float64
     when all of them are real.
@@ -259,7 +154,7 @@ def _scaled_sigma_min(route, c, d, *polys, **kw) -> float:
     if not any(x.imag.any() for x in parts):
         parts = [x.real for x in parts]
     (c, d), *polys = parts
-    sigma = route(c, d, *polys, **kw)
+    sigma = route(c, d, *polys, n=n)
     try:
         # bisection can return a rounding-level value just below zero
         sigma = math.ldexp(abs(float(sigma)), exps[0] + exps[1] - sum(exps[2:]))
@@ -267,82 +162,12 @@ def _scaled_sigma_min(route, c, d, *polys, **kw) -> float:
         sigma = math.inf
     if not math.isfinite(sigma):
         raise NumericalError(
-            f"sigma_min {sigma} at N = {kw['n']}; refusing a non-finite or failed result"
+            f"sigma_min {sigma} at N = {n}; refusing a non-finite or failed result"
         )
     return sigma
 
 
-def _pencil_sigma_min(c: complex, d: complex, p: np.ndarray, q: np.ndarray, n: int) -> float:
-    """sigma_min of T = c A + d A^*, A the N x N truncation of g = p/q (float64 or
-    complex128 coefficients), as eigenvalue N + 1 in ascending order of the pencil (K, B)
-    of :func:`_pencil_bands`, by LAPACK's ``dsbgvx`` (real) or ``zhbgvx``, on the
-    scaling of :func:`_scaled_sigma_min`.
-
-    The eigenvalues of the pencil are exactly +-sigma_i(T); the bisection finds
-    the one asked for without squaring the condition number as T^*T would.
-    """
-    return _scaled_sigma_min(_pencil_eigenvalue, c, d, p, q, n=n)
-
-
-def _pencil_eigenvalue(c, d, p: np.ndarray, q: np.ndarray, n: int) -> float:
-    """Eigenvalue N + 1 of the pencil of :func:`_pencil_sigma_min`, NaN if none is found."""
-    real = np.isrealobj(p)
-    dtype = p.dtype
-    ab, bb = (np.asfortranarray(x, dtype) for x in _pencil_bands(c, d, p, q, n))
-    two_n, ka, kb = 2 * n, ab.shape[0] - 1, bb.shape[0] - 1
-    w, found = np.zeros(two_n), np.zeros((), np.intc)
-    unused = np.zeros(1, dtype)  # Q and Z: not referenced for jobz = 'N'
-    work = [np.zeros(7 * two_n)] if real else [np.zeros(two_n, dtype), np.zeros(7 * two_n)]
-    _call_lapack(
-        "dsbgvx" if real else "zhbgvx",
-        b"N", b"I", b"U", two_n, ka, kb, ab, ka + 1, bb, kb + 1, unused, 1, 0.0, 0.0,
-        n + 1, n + 1, _ABSTOL, found, w, unused, 1,
-        *work, np.zeros(5 * two_n, np.intc), np.zeros(two_n, np.intc),
-    )
-    return w[0] if found == 1 else math.nan
-
-
-def _bidiagonal_sigma_min(c: complex, d: complex, p: np.ndarray, n: int) -> float:
-    """sigma_min of T = c A + d A^*, A the N x N truncation of the polynomial p (float64
-    or complex128 coefficients), on the scaling of :func:`_scaled_sigma_min`.
-
-    LAPACK's ``dgbbrd`` (real) or ``zgbbrd`` reduces T's band (:func:`_harmonic_band`)
-    to an upper bidiagonal B = Q^* T P with real diagonal d_i and superdiagonal e_i by
-    orthogonal transforms of T itself, O(N^2 m) for half-bandwidth m.  The Golub-Kahan
-    tridiagonal of B, zero diagonal and off-diagonal d_1, e_1, d_2, ..., d_N, has the
-    eigenvalues +-sigma_i(T); ``dstebz`` bisects for the one at ascending index N + 1,
-    which it resolves to high relative accuracy.
-    """
-    return _scaled_sigma_min(_golub_kahan_sigma, c, d, p[:n], n=n)
-
-
-def _golub_kahan_sigma(c, d, p: np.ndarray, n: int) -> float:
-    """Eigenvalue N + 1 of the tridiagonal of :func:`_bidiagonal_sigma_min`, NaN if none
-    is found."""
-    ab = _harmonic_band(c, d, p, n)
-    m = len(p) - 1
-    diag, off = np.zeros(n), np.zeros(max(n - 1, 1))
-    real = np.isrealobj(ab)
-    unused = np.zeros(1, ab.dtype)  # Q, P^T and C: not referenced for vect = 'N', ncc = 0
-    work = [np.zeros(2 * n)] if real else [np.zeros(n, ab.dtype), np.zeros(n)]
-    _call_lapack(
-        "dgbbrd" if real else "zgbbrd",
-        b"N", n, n, 0, m, m, ab, 2 * m + 1, diag, off, unused, 1, unused, 1, unused, 1, *work,
-    )
-    two_n = 2 * n
-    tridiagonal = np.zeros(two_n - 1)
-    tridiagonal[::2], tridiagonal[1::2] = diag, off[: n - 1]
-    w, found = np.zeros(two_n), np.zeros((), np.intc)
-    _call_lapack(
-        "dstebz",
-        b"I", b"E", two_n, 0.0, 0.0, n + 1, n + 1, _ABSTOL, np.zeros(two_n), tridiagonal,
-        found, np.zeros((), np.intc), w, np.zeros(two_n, np.intc), np.zeros(two_n, np.intc),
-        np.zeros(4 * two_n), np.zeros(3 * two_n, np.intc),
-    )
-    return w[0] if found == 1 else math.nan
-
-
-def _dense_sigma_min(c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int, tag: str):
+def _dense_sigma_min(c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int):
     """sigma_min of the dense section T of g = p, or of g = p/q through its Taylor
     coefficients, by :func:`smallest_singular_value`.  Real c, d with real coefficients,
     or coefficients exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD
@@ -353,8 +178,7 @@ def _dense_sigma_min(c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int
     real = [a.real for a in (coeffs, rot) if real_cd and not a.imag.any()]
     if real:
         coeffs, c, d = real[0], c.real, d.real
-    m = _analytic_matrix(coeffs, n, (c, d))
-    return smallest_singular_value(TruncatedOperator(m, tag, "closed_form", True))
+    return smallest_singular_value(_analytic_matrix(coeffs, n, (c, d)))
 
 
 def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
@@ -365,8 +189,8 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
     p of degree N - 1: T reads a_0 .. a_{N-1} alone.  Exact trailing zeros
     are trimmed.  Degree 0 gives T = (c a_0 + d conj(a_0)) I.  A band of
     half-bandwidth m = max(deg p, deg q) is narrow while (2m + 1) * ratio
-    <= N: then a polynomial takes :func:`_bidiagonal_sigma_min`, O(N^2 m)
-    on T itself, and a rational g :func:`_pencil_sigma_min`, its only
+    <= N: then a polynomial takes :func:`lapack.bidiagonal_sigma`, O(N^2 m)
+    on T itself, and a rational g :func:`lapack.pencil_sigma`, its only
     banded route.  Wider bands take the dense SVD (:func:`_dense_sigma_min`)
     on the same power-of-two scaling, so one symbol is answered or refused
     alike on every route.
@@ -378,12 +202,14 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
     if len(p) == len(q) == 1:
         a0 = p[0] / q[0]
         return float(abs(c * a0 + d * np.conj(a0)))
-    real_band = not (np.imag([c, d]).any() or p.imag.any() or q.imag.any())
-    ratio = _BAND_RATIO_REAL if real_band else _BAND_RATIO_COMPLEX
-    if (2 * max(len(p), len(q)) - 1) * ratio <= n:
-        return _pencil_sigma_min(c, d, p, q, n) if rational else _bidiagonal_sigma_min(c, d, p, n)
-    polys = (num, den) if rational else (num,)
-    return _scaled_sigma_min(_dense_sigma_min, c, d, *polys, n=n, tag=phi.tag())
+    complex_pencil = rational and (np.imag([c, d]).any() or p.imag.any() or q.imag.any())
+    ratio = _BAND_RATIO_COMPLEX if complex_pencil else _BAND_RATIO_REAL
+    if (2 * max(len(p), len(q)) - 1) * ratio > n:
+        polys = (num, den) if rational else (num,)
+        return _scaled_sigma_min(_dense_sigma_min, c, d, *polys, n=n)
+    if rational:
+        return _scaled_sigma_min(lapack.pencil_sigma, c, d, p, q, n=n)
+    return _scaled_sigma_min(lapack.bidiagonal_sigma, c, d, p, n=n)
 
 
 def normality_defect(t) -> float:
@@ -423,12 +249,12 @@ class TrendReport:
 
 
 def check_schedule(sizes) -> tuple[int, ...]:
-    """The sizes as ints: at least three, each at least 1, strictly increasing.
+    """The integer sizes as ints: at least three, each at least 1, strictly increasing.
 
     The verdict machinery reads the last relative step of a trend as
     its stabilization signal, which needs three sizes.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(map(operator.index, sizes))
     if len(sizes) < 3:
         raise ValueError("schedule needs at least 3 sizes")
     if min(sizes) < 1:
@@ -470,9 +296,9 @@ def bounded_below_trend(
 ) -> TrendReport:
     """sigma_min of the truncated operator at each size of the schedule.
 
-    The schedule must pass :func:`check_schedule`.  Polynomial and
-    rational g with narrow pencils never build the dense matrix (see
-    :func:`_trend_sigma_min`).
+    The schedule must pass :func:`check_schedule`.  A polynomial g with
+    a narrow band and a rational g with a narrow pencil never build the
+    dense matrix (see :func:`_trend_sigma_min`).
     """
     sizes = check_schedule(sizes)
     sigmas = tuple(_trend_sigma_min(phi, n) for n in sizes)

@@ -171,7 +171,7 @@ def normalized_kernel_coeffs(z: complex, n: int) -> np.ndarray:
     ||k_z|| = 1.  The truncated vector has norm strictly below 1; the
     deficit is the tail mass that callers can bound explicitly.
     """
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError("n must be positive")
     z = complex(z)
     _inside_disc(z, "z")

@@ -1,0 +1,238 @@
+"""LAPACK's banded routines through SciPy's Cython capsules, and the bands they read.
+
+The sigma_min trend's banded routes: :func:`pencil_sigma` for a rational g
+(``DECISIONS.md`` entry 5), :func:`bidiagonal_sigma` for a polynomial (entry 7).
+Neither scales its input; the capsules load on first use, without ``scipy.linalg``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import importlib.machinery
+import importlib.util
+import math
+import os
+import re
+import sys
+
+import numpy as np
+
+from .errors import NumericalError
+
+#: C prototypes of the LAPACK routines the banded routes call through ctypes, as
+#: scipy.linalg.cython_lapack names their capsules once Cython's type prefixes are
+#: stripped: ``d`` is a double, ``double_complex`` two, and every integer a C int
+_LAPACK_PROTOTYPES = {
+    "dgbbrd": "void (char *, int *, int *, int *, int *, int *, d *, int *, d *, d *, d *, "
+    "int *, d *, int *, d *, int *, d *, int *)",
+    "dsbgvx": "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, "
+    "d *, int *, d *, d *, int *, int *, d *, int *, d *, d *, int *, d *, int *, int *, int *)",
+    "dstebz": "void (char *, char *, int *, d *, d *, int *, int *, d *, d *, d *, int *, "
+    "int *, d *, int *, int *, d *, int *, int *)",
+    "zgbbrd": "void (char *, int *, int *, int *, int *, int *, double_complex *, int *, d *, "
+    "d *, double_complex *, int *, double_complex *, int *, double_complex *, int *, "
+    "double_complex *, d *, int *)",
+    "zhbgvx": "void (char *, char *, char *, int *, int *, int *, double_complex *, int *, "
+    "double_complex *, int *, double_complex *, int *, d *, d *, int *, int *, d *, int *, "
+    "d *, double_complex *, int *, double_complex *, d *, int *, int *, int *)",
+}
+#: the numpy dtype each pointer of a pinned prototype is called with
+_POINTER_DTYPES = {"int *": np.intc, "d *": np.float64, "double_complex *": np.complex128}
+_CYTHON_TYPE_PREFIX = re.compile(r"__pyx_t_(?:\w*?cython_lapack_)?")
+#: twice the safe minimum: the tightest bisection tolerance, which LAPACK advises
+_ABSTOL = 2 * np.finfo(float).tiny
+
+
+def _check_prototype(name: str, signature: str) -> str:
+    """``signature`` without Cython's type prefixes, refused unless it is ``name``'s
+    pinned prototype: ctypes passes whatever it is given, so a changed ABI would
+    corrupt memory instead of failing."""
+    found = _CYTHON_TYPE_PREFIX.sub("", signature)
+    if found != _LAPACK_PROTOTYPES[name]:
+        raise NumericalError(
+            f"scipy.linalg.cython_lapack.{name} has the C prototype {found!r}, not the "
+            f"pinned {_LAPACK_PROTOTYPES[name]!r}; refusing to call it through ctypes"
+        )
+    return found
+
+
+def _cython_lapack():
+    """SciPy's public Cython LAPACK module, loaded from its extension file in SciPy's
+    ``linalg`` directory so that ``scipy/linalg/__init__.py`` never runs: importing
+    ``scipy.linalg`` adds ~0.2 s and ~21 MB resident (it loads ``scipy.sparse``), the
+    extension alone ~3 ms and ~2 MB.  It is registered under its own name, so a later
+    ``from scipy.linalg import cython_lapack`` returns this module."""
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(directory, loader).find_spec(name)
+    if spec is None:
+        raise NumericalError(f"no cython_lapack extension in {directory}; LAPACK unavailable")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _lapack_routine(name: str):
+    """LAPACK's ``name`` from SciPy's public Cython LAPACK API, callable through ctypes
+    with bytes for each ``char *`` and, for the rest, a writeable Fortran-contiguous
+    array of the pointer's dtype: ctypes refuses any other argument."""
+    capsule = _cython_lapack().__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    params = _check_prototype(name, signature.decode())[len("void (") : -1].split(", ")
+    array = functools.partial(np.ctypeslib.ndpointer, flags=("F_CONTIGUOUS", "WRITEABLE"))
+    argtypes = [ctypes.c_char_p if t == "char *" else array(_POINTER_DTYPES[t]) for t in params]
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
+    address = get_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+def _capsule_name(capsule) -> bytes:
+    """The name of a PyCapsule, which Cython sets to the C prototype of what it holds."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)
+    return get_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+
+
+def _call_lapack(name: str, *args) -> None:
+    """LAPACK's ``name`` on ``args`` and an INFO appended as its last argument; a Python
+    int becomes a C int and a float a double, and a nonzero INFO is refused.  A wrong
+    number of arguments, or one that :func:`_lapack_routine` does not accept, raises
+    before the call."""
+    routine = _lapack_routine(name)
+    info = np.zeros((), np.intc)
+    routine(*(
+        np.array(a, np.intc if isinstance(a, int) else np.float64)
+        if isinstance(a, (int, float))
+        else a
+        for a, _ in zip((*args, info), routine.argtypes, strict=True)
+    ))
+    if info:
+        raise NumericalError(f"LAPACK {name} returned info {int(info)}; refusing its result")
+
+
+def _gram_band(a: np.ndarray, b: np.ndarray, n: int, w: int) -> np.ndarray:
+    """Diagonals of G = L_a^* L_b, L_a and L_b the N x N analytic truncations of the
+    polynomials a and b: ``out[w + s, i] = G[i, i + s]``, zero outside G, for |s| <= w.
+
+    Row r = i + k of L_a^* meets column j = i + k - l of L_b in one term,
+    ``conj(a_k) b_l sqrt((i+1)(j+1)) / (r+1)``, for r < N: O(N deg a deg b), no N x N array.
+    """
+    out = np.zeros((2 * w + 1, n), dtype=np.result_type(a, b))
+    idx = np.arange(1.0, n + 1.0)  # i + 1
+    for k, ak in enumerate(a):
+        for l, bl in enumerate(b):
+            s = k - l
+            rows = slice(max(0, -s), n - k)
+            i1 = idx[rows]
+            out[w + s, rows] += np.conj(ak) * bl * np.sqrt(i1 * (i1 + s)) / (i1 + k)
+    return out
+
+
+def _pencil_bands(c, d, p: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper band storage of the pencil (K, B) whose eigenvalues are +-sigma_i(T).
+
+    T = c A + d A^* is the N x N truncation for g = p/q, so A = P Q^{-1}
+    with P, Q the analytic truncations of p and q (sections of lower
+    triangular operators multiply exactly).  With W = diag(Q, Q), W^*
+    [[0, T], [T^*, 0]] W = K = [[0, M], [M^*, 0]], M = c Q^*P + d P^*Q, and
+    W^* W = B = diag(Q^*Q, Q^*Q).  Unknowns are interleaved, K[2i, 2j+1] =
+    M[i, j], so K has bandwidth ka = 2m + 1 for m = max(deg p, deg q) and B
+    bandwidth kb = 2 deg q.  Entry (r, s), r <= s, of a matrix of bandwidth
+    k sits at ``[k + r - s, s]`` of the (k + 1) x 2N Fortran-ordered array
+    LAPACK's ``?sbgvx``/``?hbgvx`` read.
+    """
+    p, q = p[:n], q[:n]
+    m = max(len(p), len(q)) - 1
+    ka, kb = 2 * m + 1, 2 * (len(q) - 1)
+    dtype = np.result_type(c, d, p, q)
+    g = _gram_band(q, p, n, m)  # Q^* P
+    ab = np.zeros((ka + 1, 2 * n), dtype=dtype, order="F")
+    for s in range(m + 1):
+        upper, lower = g[m + s, : n - s], g[m - s, s:]  # G[i, i+s], G[i+s, i]
+        ab[ka - 2 * s - 1, 2 * s + 1 :: 2] = c * upper + d * np.conj(lower)  # M[i, i+s]
+        if s:  # conj(M[i+s, i]) at K[2i+1, 2i+2s]
+            ab[ka - 2 * s + 1, 2 * s :: 2] = np.conj(c * lower + d * np.conj(upper))
+    gq = _gram_band(q, q, n, len(q) - 1)  # Q^* Q
+    bb = np.zeros((kb + 1, 2 * n), dtype=dtype, order="F")
+    for s in range(len(q)):
+        bb[kb - 2 * s, 2 * s :: 2] = bb[kb - 2 * s, 2 * s + 1 :: 2] = gq[len(q) - 1 + s, : n - s]
+    return ab, bb
+
+
+def _harmonic_band(c: complex, d: complex, p: np.ndarray, n: int) -> np.ndarray:
+    """General band storage of T = c A + d A^*, A the N x N analytic truncation of the
+    polynomial p of degree m < N: entry (i, j), |i - j| <= m, sits at ``[m + i - j, j]``
+    of the (2m + 1) x N Fortran-ordered array LAPACK's ``?gbbrd`` reads.  Built from
+    A[i + k, i] = p_k sqrt((i + 1) / (i + k + 1)) in O(N m), with no N x N array.
+    """
+    m = len(p) - 1
+    ab = np.zeros((2 * m + 1, n), dtype=np.result_type(c, d, p), order="F")
+    idx = np.arange(1.0, n + 1.0)  # i + 1
+    ab[m] = c * p[0] + d * np.conj(p[0])
+    for k in range(1, m + 1):
+        a = p[k] * np.sqrt(idx[: n - k] / idx[k:])  # A[i + k, i]
+        ab[m + k, : n - k] = c * a  # T[i + k, i]
+        ab[m - k, k:] = d * np.conj(a)  # T[i, i + k]
+    return ab
+
+
+def pencil_sigma(c, d, p: np.ndarray, q: np.ndarray, n: int) -> float:
+    """sigma_min of T = c A + d A^*, A the N x N truncation of g = p/q (float64 or
+    complex128 coefficients): eigenvalue N + 1 in ascending order of the pencil (K, B) of
+    :func:`_pencil_bands`, by LAPACK's ``dsbgvx`` (real) or ``zhbgvx``; NaN if none is found.
+
+    The eigenvalues of the pencil are exactly +-sigma_i(T); the bisection finds
+    the one asked for without squaring the condition number as T^*T would.
+    """
+    ab, bb = _pencil_bands(c, d, p, q, n)
+    real, dtype = np.isrealobj(ab), ab.dtype
+    two_n, ka, kb = 2 * n, ab.shape[0] - 1, bb.shape[0] - 1
+    w, found = np.zeros(two_n), np.zeros((), np.intc)
+    unused = np.zeros(1, dtype)  # Q and Z: not referenced for jobz = 'N'
+    work = [np.zeros(7 * two_n)] if real else [np.zeros(two_n, dtype), np.zeros(7 * two_n)]
+    _call_lapack(
+        "dsbgvx" if real else "zhbgvx",
+        b"N", b"I", b"U", two_n, ka, kb, ab, ka + 1, bb, kb + 1, unused, 1, 0.0, 0.0,
+        n + 1, n + 1, _ABSTOL, found, w, unused, 1,
+        *work, np.zeros(5 * two_n, np.intc), np.zeros(two_n, np.intc),
+    )
+    return w[0] if found == 1 else math.nan
+
+
+def bidiagonal_sigma(c, d, p: np.ndarray, n: int) -> float:
+    """sigma_min of T = c A + d A^*, A the N x N truncation of the polynomial p of degree
+    m < N (float64 or complex128 coefficients); NaN if none is found.
+
+    LAPACK's ``dgbbrd`` (real) or ``zgbbrd`` reduces T's band (:func:`_harmonic_band`)
+    to an upper bidiagonal B = Q^* T P with real diagonal d_i and superdiagonal e_i by
+    orthogonal transforms of T itself, O(N^2 m) for half-bandwidth m.  The Golub-Kahan
+    tridiagonal of B, zero diagonal and off-diagonal d_1, e_1, d_2, ..., d_N, has the
+    eigenvalues +-sigma_i(T); ``dstebz`` bisects for the one at ascending index N + 1,
+    which it resolves to high relative accuracy.
+    """
+    ab = _harmonic_band(c, d, p, n)
+    m, two_n = len(p) - 1, 2 * n
+    diag, off = np.zeros(n), np.zeros(max(n - 1, 1))
+    real = np.isrealobj(ab)
+    unused = np.zeros(1, ab.dtype)  # Q, P^T and C: not referenced for vect = 'N', ncc = 0
+    work = [np.zeros(2 * n)] if real else [np.zeros(n, ab.dtype), np.zeros(n)]
+    _call_lapack(
+        "dgbbrd" if real else "zgbbrd",
+        b"N", n, n, 0, m, m, ab, 2 * m + 1, diag, off, unused, 1, unused, 1, unused, 1, *work,
+    )
+    tridiagonal = np.zeros(two_n - 1)
+    tridiagonal[::2], tridiagonal[1::2] = diag, off[: n - 1]
+    w, found = np.zeros(two_n), np.zeros((), np.intc)
+    _call_lapack(
+        "dstebz",
+        b"I", b"E", two_n, 0.0, 0.0, n + 1, n + 1, _ABSTOL, np.zeros(two_n), tridiagonal,
+        found, np.zeros((), np.intc), w, np.zeros(two_n, np.intc), np.zeros(two_n, np.intc),
+        np.zeros(4 * two_n), np.zeros(3 * two_n, np.intc),
+    )
+    return w[0] if found == 1 else math.nan

@@ -18,6 +18,7 @@ downstream says so.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -254,6 +255,8 @@ class DiscGrid:
             raise ValueError("radii must be strictly ascending")
         if r[0] < 0.0 or r[-1] >= 1.0:
             raise ValueError("radii must lie in [0, 1)")
+        # a float count would build angles that are not equispaced
+        object.__setattr__(self, "angles_per_radius", operator.index(self.angles_per_radius))
         if self.angles_per_radius < 4:
             raise ValueError("angles_per_radius must be at least 4")
         object.__setattr__(self, "radii", r)

@@ -19,6 +19,7 @@ N x N corner sees only part of the operator.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -54,8 +55,7 @@ class TruncatedOperator:
     symbol_tag: str
     builder: str
 
-    #: set only by the builders below and the trend's dense routes, whose fresh array
-    #: is adopted uncopied; the trend's real routes hand over float64, never exported
+    #: set only by the builders below, whose fresh complex128 array is adopted uncopied
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
@@ -121,78 +121,9 @@ def _analytic_matrix(g, n: int, mix: tuple[complex, complex] | None = None) -> n
     return out
 
 
-def _gram_band(a: np.ndarray, b: np.ndarray, n: int, w: int) -> np.ndarray:
-    """Diagonals of G = L_a^* L_b, L_a and L_b the N x N analytic truncations of the
-    polynomials a and b: ``out[w + s, i] = G[i, i + s]``, zero outside G, for |s| <= w.
-
-    Row r = i + k of L_a^* meets column j = i + k - l of L_b in one term,
-    ``conj(a_k) b_l sqrt((i+1)(j+1)) / (r+1)``, for r < N: O(N deg a deg b), no N x N array.
-    """
-    out = np.zeros((2 * w + 1, n), dtype=np.result_type(a, b))
-    idx = np.arange(1.0, n + 1.0)  # i + 1
-    for k, ak in enumerate(a):
-        for l, bl in enumerate(b):
-            s = k - l
-            rows = slice(max(0, -s), n - k)
-            i1 = idx[rows]
-            out[w + s, rows] += np.conj(ak) * bl * np.sqrt(i1 * (i1 + s)) / (i1 + k)
-    return out
-
-
-def _pencil_bands(
-    c: complex, d: complex, p: np.ndarray, q: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Upper band storage of the pencil (K, B) whose eigenvalues are +-sigma_i(T).
-
-    T = c A + d A^* is the N x N truncation for g = p/q, so A = P Q^{-1}
-    with P, Q the analytic truncations of p and q (sections of lower
-    triangular operators multiply exactly).  With W = diag(Q, Q), W^*
-    [[0, T], [T^*, 0]] W = K = [[0, M], [M^*, 0]], M = c Q^*P + d P^*Q, and
-    W^* W = B = diag(Q^*Q, Q^*Q).  Unknowns are interleaved, K[2i, 2j+1] =
-    M[i, j], so K has bandwidth ka = 2m + 1 for m = max(deg p, deg q) and B
-    bandwidth kb = 2 deg q.  Entry (r, s), r <= s, of a matrix of bandwidth
-    k sits at ``[k + r - s, s]`` of the (k + 1) x 2N Fortran-ordered array
-    LAPACK's ``?sbgvx``/``?hbgvx`` read.  The trend takes this pencil for a rational g;
-    for q = [1], B = I, but a polynomial takes :func:`_harmonic_band` instead.
-    """
-    p, q = p[:n], q[:n]
-    m = max(len(p), len(q)) - 1
-    ka, kb = 2 * m + 1, 2 * (len(q) - 1)
-    dtype = np.result_type(c, d, p, q)
-    g = _gram_band(q, p, n, m)  # Q^* P
-    ab = np.zeros((ka + 1, 2 * n), dtype=dtype, order="F")
-    for s in range(m + 1):
-        upper, lower = g[m + s, : n - s], g[m - s, s:]  # G[i, i+s], G[i+s, i]
-        ab[ka - 2 * s - 1, 2 * s + 1 :: 2] = c * upper + d * np.conj(lower)  # M[i, i+s]
-        if s:  # conj(M[i+s, i]) at K[2i+1, 2i+2s]
-            ab[ka - 2 * s + 1, 2 * s :: 2] = np.conj(c * lower + d * np.conj(upper))
-    gq = _gram_band(q, q, n, len(q) - 1)  # Q^* Q
-    bb = np.zeros((kb + 1, 2 * n), dtype=dtype, order="F")
-    for s in range(len(q)):
-        bb[kb - 2 * s, 2 * s :: 2] = bb[kb - 2 * s, 2 * s + 1 :: 2] = gq[len(q) - 1 + s, : n - s]
-    return ab, bb
-
-
-def _harmonic_band(c: complex, d: complex, p: np.ndarray, n: int) -> np.ndarray:
-    """General band storage of T = c A + d A^*, A the N x N analytic truncation of the
-    polynomial p of degree m < N: entry (i, j), |i - j| <= m, sits at ``[m + i - j, j]``
-    of the (2m + 1) x N Fortran-ordered array LAPACK's ``?gbbrd`` reads.  Built from
-    A[i + k, i] = p_k sqrt((i + 1) / (i + k + 1)) in O(N m), with no N x N array.
-    """
-    m = len(p) - 1
-    ab = np.zeros((2 * m + 1, n), dtype=np.result_type(c, d, p), order="F")
-    idx = np.arange(1.0, n + 1.0)  # i + 1
-    ab[m] = c * p[0] + d * np.conj(p[0])
-    for k in range(1, m + 1):
-        a = p[k] * np.sqrt(idx[: n - k] / idx[k:])  # A[i + k, i]
-        ab[m + k, : n - k] = c * a  # T[i + k, i]
-        ab[m - k, k:] = d * np.conj(a)  # T[i, i + k]
-    return ab
-
-
 def check_size(n: int) -> int:
-    """The truncation size of every builder, at least 1."""
-    if n < 1:
+    """The truncation size of every builder, an integer at least 1."""
+    if operator.index(n) < 1:
         raise ValueError("n must be at least 1")
     return n
 

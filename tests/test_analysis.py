@@ -8,13 +8,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from berglab import analysis, toeplitz
+from berglab import analysis, lapack
 from berglab.analysis import (
     DRIFT_THRESHOLD,
     InvertibilityReport,
     VerdictConfig,
     adjoint_mix,
     bounded_below_trend,
+    check_schedule,
     invertibility_verdict,
     mix_bound_check,
     mix_sandwich_check,
@@ -142,6 +143,11 @@ class TestRealRoute:
         assert abs(smallest_singular_value(m) - svals[-1]) <= 1e-15 * svals[0]
         commutator = m.conj().T @ m - m @ m.conj().T
         assert abs(normality_defect(m) - np.linalg.norm(commutator)) <= 1e-14 * svals[0] ** 2
+        # a float64 array is taken as it is, and gives its complex128 copy's bits
+        real = np.ascontiguousarray(m.real)
+        assert np.shares_memory(analysis._as_matrix(real), real)
+        assert smallest_singular_value(real) == smallest_singular_value(m)
+        assert normality_defect(real) == normality_defect(m)
 
     def test_wide_band_trend_matches_complex_route(self):
         phi = REAL_SYMBOLS["wide band"]
@@ -271,6 +277,17 @@ class TestBoundedBelowTrend:
             bounded_below_trend(phi, (32, 16, 64))
         with pytest.raises(ValueError, match="at least 1"):
             bounded_below_trend(phi, (0, 16, 32))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(16.7, 32.2, 64.9), (16.0, 32.0, 64.0), (np.float64(16.0), 32, 64)],
+        ids=["fractions", "floats", "numpy float"],
+    )
+    def test_schedule_refuses_non_integers(self, sizes):
+        # int() would floor 16.7 to 16
+        with pytest.raises(TypeError):
+            check_schedule(sizes)
+        assert check_schedule(np.array([16, 32, 64])) == (16, 32, 64)
 
     def test_report_dict_keys(self):
         phi = HarmonicSymbol(1.0, 0.0, TWO_PLUS_Z)
@@ -635,7 +652,13 @@ def subprocess_env():
 
 def pencil_sigma_min(c, d, p, q, n):
     """The pencil route on the coefficients as given, untrimmed, at any size."""
-    return analysis._pencil_sigma_min(c, d, np.asarray(p, complex), np.asarray(q, complex), n)
+    p, q = np.asarray(p, complex), np.asarray(q, complex)
+    return analysis._scaled_sigma_min(lapack.pencil_sigma, c, d, p, q, n=n)
+
+
+def bidiagonal_sigma_min(c, d, p, n):
+    """The bidiagonal route on the first N coefficients, as the trend passes them."""
+    return analysis._scaled_sigma_min(lapack.bidiagonal_sigma, c, d, np.asarray(p)[:n], n=n)
 
 
 def pencil_symbol(c, d, p, q):
@@ -693,10 +716,8 @@ def assert_matches_dense(sigma, phi, n, allowance=16):
 def lapack_calls(monkeypatch):
     """The names of the LAPACK routines called from now on, in call order."""
     routines = []
-    load = analysis._lapack_routine
-    monkeypatch.setattr(
-        analysis, "_lapack_routine", lambda name: routines.append(name) or load(name)
-    )
+    load = lapack._lapack_routine
+    monkeypatch.setattr(lapack, "_lapack_routine", lambda name: routines.append(name) or load(name))
     return routines
 
 
@@ -715,6 +736,14 @@ class TestBandedSigmaMin:
     def test_collapsing_symbol_is_nonnegative_noise(self):
         assert 0.0 <= pencil_sigma_min(1.0, 0.5, [0.0, 1.0], [1.0], 512) <= 1e-12
 
+    def test_real_coefficients_keep_a_complex_mix(self, monkeypatch):
+        # float64 p and q with complex c: the bands are complex, not cast to float64
+        c, d, p, q = 1 + 0.5j, 0.3, np.array(WORKLOAD_P), np.array(WORKLOAD_Q)
+        routines = lapack_calls(monkeypatch)
+        sigma = analysis._scaled_sigma_min(lapack.pencil_sigma, c, d, p, q, n=64)
+        assert routines == ["zhbgvx"]
+        assert_matches_dense(sigma, pencil_symbol(c, d, WORKLOAD_P, WORKLOAD_Q), 64)
+
     @pytest.mark.parametrize("d", [0.0, 0.5])
     def test_blaschke_factor_is_nonnegative_noise(self, d):
         # (z - 0.7) / (1 - 0.7 z) vanishes at 0.7: inf |phi| = 0
@@ -726,7 +755,7 @@ class TestBandedSigmaMin:
         dense = analysis.smallest_singular_value
 
         def counted(t):
-            calls.append(t.n)
+            calls.append(len(t))
             return dense(t)
 
         monkeypatch.setattr(analysis, "smallest_singular_value", counted)
@@ -749,10 +778,10 @@ class TestBandedSigmaMin:
         wide = HarmonicSymbol(1.0, 0.5, polynomial_symbol(coeffs))
         _, calls = self._dense_calls(monkeypatch, wide, (64, 128, 256))
         assert calls == [64, 128, 256]
-        # a complex band of degree 3 pays only from N = 7 * 64 on
+        # a complex band of degree 3 pays from N = 7 * 16 on, as a real one does
         complex_band = pencil_symbol(*PENCIL_CASES["complex"])
         _, calls = self._dense_calls(monkeypatch, complex_band, (64, 256, 448))
-        assert calls == [64, 256]
+        assert calls == [64]
 
     def test_rational_symbols_skip_the_dense_svd(self, monkeypatch):
         # m = 1: the pencil pays from N = 3 * 16 on
@@ -798,7 +827,7 @@ class TestBidiagonalSigmaMin:
     def test_matches_dense_svd(self, monkeypatch, case, n):
         c, d, coeffs = BAND_CASES[case]
         routines = lapack_calls(monkeypatch)
-        sigma = analysis._bidiagonal_sigma_min(c, d, np.asarray(coeffs, complex), n)
+        sigma = bidiagonal_sigma_min(c, d, np.asarray(coeffs, complex), n)
         # real bands reach LAPACK dgbbrd, complex ones zgbbrd, then the bisection; T reads
         # a_0 .. a_{N-1} alone
         real = not (np.imag([c, d]).any() or np.imag(coeffs[:n]).any())
@@ -808,17 +837,17 @@ class TestBidiagonalSigmaMin:
     @pytest.mark.parametrize("n", [512, 1024])
     def test_collapsing_symbol_is_nonnegative_noise(self, n):
         # dstebz splits the tridiagonal at an off-diagonal below sqrt(safe minimum)
-        assert 0.0 <= analysis._bidiagonal_sigma_min(1.0, 0.5, np.array([0.0, 1.0]), n) <= 1e-12
+        assert 0.0 <= bidiagonal_sigma_min(1.0, 0.5, [0.0, 1.0], n) <= 1e-12
 
     @pytest.mark.parametrize("coeffs", [[np.inf, 1.0], [1.0, np.nan]], ids=["inf", "nan"])
     def test_non_finite_band_is_refused(self, coeffs):
         with pytest.raises(NumericalError, match="LAPACK dstebz returned info"):
-            analysis._bidiagonal_sigma_min(1.0, 0.5, np.array(coeffs), 128)
+            bidiagonal_sigma_min(1.0, 0.5, coeffs, 128)
 
     def test_band_holds_the_section(self):
         c, d, coeffs = BAND_CASES["degree 8 complex"]
         n, m = 12, len(coeffs) - 1
-        ab = toeplitz._harmonic_band(c, d, np.asarray(coeffs), n)
+        ab = lapack._harmonic_band(c, d, np.asarray(coeffs), n)
         t = toeplitz_harmonic(HarmonicSymbol(c, d, polynomial_symbol(coeffs)), n).matrix
         assert ab.shape == (2 * m + 1, n) and ab.flags.f_contiguous
         for i in range(n):
@@ -831,20 +860,20 @@ class TestBidiagonalSigmaMin:
     @pytest.mark.parametrize(
         "phi, route",
         [
-            (pencil_symbol(*PENCIL_CASES["real"]), "_bidiagonal_sigma_min"),
-            (pencil_symbol(*PENCIL_CASES["complex"]), "_bidiagonal_sigma_min"),
-            (WORKLOAD_RATIONAL, "_pencil_sigma_min"),
-            (pencil_symbol(*PENCIL_CASES["complex p, q"]), "_pencil_sigma_min"),
+            (pencil_symbol(*PENCIL_CASES["real"]), "bidiagonal_sigma"),
+            (pencil_symbol(*PENCIL_CASES["complex"]), "bidiagonal_sigma"),
+            (WORKLOAD_RATIONAL, "pencil_sigma"),
+            (pencil_symbol(*PENCIL_CASES["complex p, q"]), "pencil_sigma"),
         ],
         ids=["real polynomial", "complex polynomial", "real rational", "complex rational"],
     )
     def test_polynomials_leave_the_pencil(self, monkeypatch, phi, route):
         sizes = (448, 512, 1024)  # above the crossover of every band here
-        calls = {name: [] for name in ("_bidiagonal_sigma_min", "_pencil_sigma_min")}
+        calls = {name: [] for name in ("bidiagonal_sigma", "pencil_sigma")}
         for name, sizes_seen in calls.items():
-            original = getattr(analysis, name)
+            original = getattr(lapack, name)
             monkeypatch.setattr(
-                analysis, name, lambda *a, f=original, s=sizes_seen: s.append(a[-1]) or f(*a)
+                lapack, name, lambda *a, n, f=original, s=sizes_seen: s.append(n) or f(*a, n=n)
             )
         bounded_below_trend(phi, sizes)
         assert calls == {name: list(sizes) if name == route else [] for name in calls}
@@ -853,34 +882,34 @@ class TestBidiagonalSigmaMin:
         routines = lapack_calls(monkeypatch)
         for case in ("real", "complex", "workload", "complex p, q"):
             bounded_below_trend(pencil_symbol(*PENCIL_CASES[case]), (448, 512, 1024))
-        assert set(routines) == set(analysis._LAPACK_PROTOTYPES)
+        assert set(routines) == set(lapack._LAPACK_PROTOTYPES)
 
 
 class TestLapackCapsules:
     """The banded routes call LAPACK through ctypes only behind the pinned C prototypes."""
 
-    @pytest.mark.parametrize("name", sorted(analysis._LAPACK_PROTOTYPES))
+    @pytest.mark.parametrize("name", sorted(lapack._LAPACK_PROTOTYPES))
     def test_installed_scipy_matches_the_pinned_prototype(self, name):
         from scipy.linalg import cython_lapack
 
-        signature = analysis._capsule_name(cython_lapack.__pyx_capi__[name]).decode()
+        signature = lapack._capsule_name(cython_lapack.__pyx_capi__[name]).decode()
         assert "__pyx_t_" in signature  # the prefixes the guard strips are there to strip
-        assert analysis._check_prototype(name, signature) == analysis._LAPACK_PROTOTYPES[name]
-        assert callable(analysis._lapack_routine(name))
+        assert lapack._check_prototype(name, signature) == lapack._LAPACK_PROTOTYPES[name]
+        assert callable(lapack._lapack_routine(name))
 
     def test_capsules_load_without_scipy_linalg(self):
         # the extension file is loaded by itself; a later import of scipy.linalg must
         # find the same module, the same function pointers and the same trend
         code = """
 import ctypes, sys
-from berglab import analysis, toeplitz
+from berglab import analysis, lapack
 from berglab.symbols import HarmonicSymbol, polynomial_symbol, rational_symbol
 
 get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 def pointers(module):
-    capsules = [module.__pyx_capi__[name] for name in sorted(analysis._LAPACK_PROTOTYPES)]
-    return [get(c, analysis._capsule_name(c)) for c in capsules]
+    capsules = [module.__pyx_capi__[name] for name in sorted(lapack._LAPACK_PROTOTYPES)]
+    return [get(c, lapack._capsule_name(c)) for c in capsules]
 
 symbols = [
     HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5])),
@@ -893,7 +922,7 @@ print("scipy.linalg" in sys.modules)
 module = sys.modules["scipy.linalg.cython_lapack"]
 loaded = pointers(module)
 from scipy.linalg import cython_lapack
-analysis._lapack_routine.cache_clear()
+lapack._lapack_routine.cache_clear()
 print(cython_lapack is module, pointers(cython_lapack) == loaded)
 print([analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in symbols] == trends)
 """
@@ -908,12 +937,12 @@ print([analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in 
 
         monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
         monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
-        analysis._lapack_routine.cache_clear()
+        lapack._lapack_routine.cache_clear()
         try:
             with pytest.raises(NumericalError, match="no cython_lapack extension"):
-                analysis._lapack_routine("dsbgvx")
+                lapack._lapack_routine("dsbgvx")
         finally:
-            analysis._lapack_routine.cache_clear()
+            lapack._lapack_routine.cache_clear()
 
     @pytest.mark.parametrize(
         "old, new",
@@ -921,33 +950,33 @@ print([analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in 
         ids=["long", "int64", "one argument short", "float"],
     )
     def test_mismatched_prototype_is_refused(self, monkeypatch, old, new):
-        pinned = analysis._LAPACK_PROTOTYPES["dsbgvx"]
+        pinned = lapack._LAPACK_PROTOTYPES["dsbgvx"]
         with pytest.raises(NumericalError, match="refusing to call it through ctypes"):
-            analysis._check_prototype("dsbgvx", pinned.replace(old, new, 1))
+            lapack._check_prototype("dsbgvx", pinned.replace(old, new, 1))
         # the loader itself refuses before any call: pin a prototype SciPy does not have
-        monkeypatch.setitem(analysis._LAPACK_PROTOTYPES, "dsbgvx", pinned.replace(old, new, 1))
-        analysis._lapack_routine.cache_clear()
+        monkeypatch.setitem(lapack._LAPACK_PROTOTYPES, "dsbgvx", pinned.replace(old, new, 1))
+        lapack._lapack_routine.cache_clear()
         try:
             with pytest.raises(NumericalError, match="dsbgvx"):
-                analysis._lapack_routine("dsbgvx")
+                lapack._lapack_routine("dsbgvx")
         finally:
-            analysis._lapack_routine.cache_clear()
+            lapack._lapack_routine.cache_clear()
 
 
     def test_wrong_arguments_are_refused_before_the_call(self):
         # the prototype's int * M gets a double: ctypes refuses it before LAPACK runs
         with pytest.raises(ctypes.ArgumentError, match="int32"):
-            analysis._call_lapack("dgbbrd", b"N", np.array(4.0), *[0] * 15)
+            lapack._call_lapack("dgbbrd", b"N", np.array(4.0), *[0] * 15)
         # and so a C-ordered band, and a read-only one
         band = np.zeros((3, 4))
         read_only = np.zeros(4)
         read_only.flags.writeable = False
         for ab in (band, read_only):
             with pytest.raises(ctypes.ArgumentError, match="F_CONTIGUOUS|WRITEABLE"):
-                analysis._call_lapack("dgbbrd", b"N", 4, 4, 0, 1, 1, ab, *[0] * 10)
+                lapack._call_lapack("dgbbrd", b"N", 4, 4, 0, 1, 1, ab, *[0] * 10)
         # and one argument short is refused before ctypes sees any
         with pytest.raises(ValueError, match="zip"):
-            analysis._call_lapack("dgbbrd", b"N", *[0] * 15)
+            lapack._call_lapack("dgbbrd", b"N", *[0] * 15)
 
     def test_nonzero_info_is_refused(self, monkeypatch):
         class Routine:
@@ -956,9 +985,9 @@ print([analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in 
             def __call__(self, job, info):
                 info[...] = 3
 
-        monkeypatch.setattr(analysis, "_lapack_routine", lambda name: Routine())
+        monkeypatch.setattr(lapack, "_lapack_routine", lambda name: Routine())
         with pytest.raises(NumericalError, match="LAPACK dgbbrd returned info 3"):
-            analysis._call_lapack("dgbbrd", b"N")
+            lapack._call_lapack("dgbbrd", b"N")
 
 
 #: (c, d, g, N): rational g whose diagonals past a narrow band weigh below u ||T||

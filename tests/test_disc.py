@@ -181,6 +181,15 @@ class TestNormalizedKernelCoeffs:
             expected = (1.0 - abs(z) ** 2) * PowerSeries(taylor)(z)
             assert abs(pairing - expected) < 1e-8
 
+    @pytest.mark.parametrize(
+        "n", [4.5, 4.0, np.float64(4.0)], ids=["4.5", "float 4.0", "numpy 4.0"]
+    )
+    def test_size_must_be_an_integer(self, n):
+        # np.arange(4.5) would give 5 coefficients
+        with pytest.raises(TypeError):
+            normalized_kernel_coeffs(0.3, n)
+        assert len(normalized_kernel_coeffs(0.3, np.int64(4))) == 4
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             normalized_kernel_coeffs(1.0 + 0j, 4)

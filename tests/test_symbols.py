@@ -151,6 +151,15 @@ class TestDiscGrid:
         with pytest.raises(ValueError):
             DiscGrid((0.0, 0.5), 2)
 
+    @pytest.mark.parametrize(
+        "angles", [8.5, 8.0, np.float64(8.0)], ids=["8.5", "float 8.0", "numpy 8.0"]
+    )
+    def test_angle_count_must_be_an_integer(self, angles):
+        # 8.5 would give 9 angles that are not equispaced, and refined() 17.0
+        with pytest.raises(TypeError):
+            DiscGrid((0.5,), angles)
+        assert type(DiscGrid((0.5,), np.int64(8)).angles_per_radius) is int
+
     def test_default_grid_radii(self):
         grid = default_modulus_grid()
         assert grid.radii[0] == 0.0

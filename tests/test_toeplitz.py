@@ -15,8 +15,10 @@ from berglab.symbols import (
     power_symbol,
     rational_symbol,
 )
+from berglab.lapack import _gram_band
 from berglab.toeplitz import (
     TruncatedOperator,
+    check_size,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
@@ -24,7 +26,7 @@ from berglab.toeplitz import (
     toeplitz_harmonic,
     toeplitz_quadrature,
 )
-from berglab.toeplitz import _analytic_matrix, _gram_band, _lower_toeplitz, _section_rows
+from berglab.toeplitz import _analytic_matrix, _lower_toeplitz, _section_rows
 
 QUAD_TOL = 1e-10
 MACHINE = 1e-12
@@ -92,6 +94,15 @@ class TestAnalyticBuilder:
             for r0, r1, cols in [(0, 1, 1), (0, n, n), (n // 2, n, n // 2 + 1), (n - 1, n, 1)]:
                 block = _section_rows(lower, idx, slice(r0, r1), cols)
                 assert np.array_equal(block.view(float), whole[r0:r1, :cols].copy().view(float))
+
+    @pytest.mark.parametrize(
+        "n", [4.5, 4.0, np.float64(4.0)], ids=["4.5", "float 4.0", "numpy 4.0"]
+    )
+    def test_size_must_be_an_integer(self, n):
+        # refused before numpy sees it, as QuadratureSpec refuses its node counts
+        with pytest.raises(TypeError):
+            check_size(n)
+        assert check_size(np.int64(4)) == 4
 
     @pytest.mark.parametrize(
         "g", [polynomial_symbol([2.0, 1.0]), rational_symbol([1.0, 0.5], [2.0, -0.5])],
