@@ -26,7 +26,8 @@ Key facts the checks lean on, all verified rather than assumed:
 
 A report dataclass's fields, in declaration order, are the layout of
 the JSON report written from it (``dataclasses.asdict``); a field with
-``init=False`` is a constant the report states.
+``init=False`` is a constant the report states.  A property, such as a
+mix check's ``passed`` and ``margin``, is not a field and stays out of it.
 """
 
 from __future__ import annotations
@@ -128,12 +129,19 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 
 
 def smallest_singular_value(t) -> float:
-    """sigma_min via full SVD; equals sigma_min of the adjoint exactly."""
+    """sigma_min via full SVD; equals sigma_min of the adjoint exactly.  A failed SVD or
+    a non-finite sigma_min, which an infinite or NaN entry gives, is refused."""
     m = _real_if_exact(_as_matrix(t))
     try:
-        return float(np.linalg.svd(m, compute_uv=False)[-1])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"SVD failed on {m.shape[0]} x {m.shape[1]} matrix") from exc
+        sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
+    except np.linalg.LinAlgError:  # the real SVD reports a NaN entry as no convergence
+        sigma = math.nan
+    if not math.isfinite(sigma):
+        raise NumericalError(
+            f"sigma_min {sigma} of a {m.shape[0]} x {m.shape[1]} matrix; "
+            "refusing a non-finite or failed result"
+        )
+    return sigma
 
 
 def _scaled_sigma_min(route, c, d, *polys, n: int) -> float:
@@ -224,14 +232,25 @@ def adjoint_mix(t, s: complex) -> np.ndarray:
     return s * m + m.conj().T
 
 
-def _require_normal(m: np.ndarray) -> None:
+def _mix_core(t, s, side: str):
+    """The steps every s T + T^* check shares: ``s`` must pass :func:`check_mix_s` on
+    ``side``, T must be normal, and sigma_min is taken of T and of the mix.  Returns T's
+    matrix, the mix, the record fields n, s, sigma_t and sigma_mix, and whether T and
+    the mix are invertible alike: both sigma_min above :data:`SIGMA_POSITIVE_TOL`, or
+    neither."""
+    m = _as_matrix(t)
+    s = check_mix_s(s, side)
     defect = normality_defect(m)
-    if defect > _NORMAL_TOL:
+    if not defect <= _NORMAL_TOL:  # a non-finite entry gives a NaN defect
         raise ValueError(
-            f"matrix is not normal (commutator defect {defect:.3e} > {_NORMAL_TOL:.1e}); "
+            f"matrix is not normal (commutator defect {defect:.3e}, not <= {_NORMAL_TOL:.1e}); "
             "the transfer results assume a hyponormal operator, and the exact "
             "finite model of that hypothesis is a normal matrix"
         )
+    mix = adjoint_mix(m, s)
+    sigma_t, sigma_mix = smallest_singular_value(m), smallest_singular_value(mix)
+    shared = {"n": len(m), "s": s, "sigma_t": sigma_t, "sigma_mix": sigma_mix}
+    return m, mix, shared, (sigma_t > SIGMA_POSITIVE_TOL) == (sigma_mix > SIGMA_POSITIVE_TOL)
 
 
 @dataclass(frozen=True)
@@ -283,7 +302,8 @@ def check_mix_s(s, side: str) -> complex:
 
 
 def check_shift_window(n: int) -> int:
-    """The shift truncation size of :func:`shift_window_demo`, at least 8."""
+    """The shift truncation size of :func:`shift_window_demo`, an integer at least 8."""
+    n = operator.index(n)
     if n < 8:
         raise ValueError("n must be at least 8")
     return n
@@ -324,6 +344,14 @@ class MixBoundCheck:
     lower_bound: float
     bound_holds: bool | None
 
+    @property
+    def passed(self) -> bool:
+        return self.equivalence_holds and bool(self.bound_holds)
+
+    @property
+    def margin(self) -> float:
+        return self.sigma_mix - self.lower_bound
+
 
 def mix_bound_check(t, s: complex) -> MixBoundCheck:
     """For normal T and |s| < 1: s T + T^* inherits bounded-below from T.
@@ -332,22 +360,14 @@ def mix_bound_check(t, s: complex) -> MixBoundCheck:
     positive or both vanishing relative to :data:`SIGMA_POSITIVE_TOL`), and the
     quantitative floor (1 - |s|) sigma_min(T) whenever T is invertible.
     """
-    m = _as_matrix(t)
-    s = check_mix_s(s, "<")
-    _require_normal(m)
-    sigma_t = smallest_singular_value(m)
-    sigma_mix = smallest_singular_value(adjoint_mix(m, s))
-    both_pos = sigma_t > SIGMA_POSITIVE_TOL and sigma_mix > SIGMA_POSITIVE_TOL
-    both_zero = sigma_t <= SIGMA_POSITIVE_TOL and sigma_mix <= SIGMA_POSITIVE_TOL
-    lower = (1.0 - abs(s)) * sigma_t
+    _, _, shared, alike = _mix_core(t, s, "<")
+    lower = (1.0 - abs(shared["s"])) * shared["sigma_t"]
+    holds = bool(shared["sigma_mix"] >= lower - 1e-12)
     return MixBoundCheck(
-        n=m.shape[0],
-        s=s,
-        sigma_t=sigma_t,
-        sigma_mix=sigma_mix,
-        equivalence_holds=bool(both_pos or both_zero),
+        **shared,
+        equivalence_holds=alike,
         lower_bound=lower,
-        bound_holds=bool(sigma_mix >= lower - 1e-12) if sigma_t > SIGMA_POSITIVE_TOL else None,
+        bound_holds=holds if shared["sigma_t"] > SIGMA_POSITIVE_TOL else None,
     )
 
 
@@ -367,44 +387,46 @@ class MixSandwichCheck:
     sigma_mix: float
     equivalence_holds: bool
 
+    @property
+    def passed(self) -> bool:
+        return self.within_bounds and self.equivalence_holds
+
+    @property
+    def margin(self) -> float:
+        return min(self.ratio_min - self.lower, self.upper - self.ratio_max)
+
 
 def mix_sandwich_check(t, s: complex, trials: int = 1000, rng=None) -> MixSandwichCheck:
     """For normal T, |s| > 1: (|s|-1)||Th|| <= ||(sT+T^*)h|| <= (|s|+1)||Th||.
 
-    Samples ``trials`` random complex vectors h and reports the observed
-    ratio range; vectors annihilated by T are skipped (for normal T the
-    kernel of T^* agrees, so the sandwich is trivially 0 <= 0 there).
+    Samples ``trials`` (at least 1) random complex vectors h and reports
+    the observed ratio range; vectors annihilated by T are skipped (for
+    normal T the kernel of T^* agrees, so the sandwich is trivially
+    0 <= 0 there), and a sample with no other vector is refused.
     """
-    m = _as_matrix(t)
-    s = check_mix_s(s, ">")
-    _require_normal(m)
+    trials = operator.index(trials)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    m, mix, shared, alike = _mix_core(t, s, ">")
     rng = np.random.default_rng(rng)
-    n = m.shape[0]
-    mix = adjoint_mix(m, s)
-    h = rng.normal(size=(n, trials)) + 1j * rng.normal(size=(n, trials))
+    h = rng.normal(size=(len(m), trials)) + 1j * rng.normal(size=(len(m), trials))
     th = np.linalg.norm(m @ h, axis=0)
     mh = np.linalg.norm(mix @ h, axis=0)
     mask = th > 1e-14 * np.linalg.norm(h, axis=0)
+    if not mask.any():
+        raise ValueError(f"T annihilates all {trials} sampled vectors; no ratio to bound")
     ratios = mh[mask] / th[mask]
-    sigma_t = smallest_singular_value(m)
-    sigma_mix = smallest_singular_value(mix)
-    both_pos = sigma_t > SIGMA_POSITIVE_TOL and sigma_mix > SIGMA_POSITIVE_TOL
-    both_zero = sigma_t <= SIGMA_POSITIVE_TOL and sigma_mix <= SIGMA_POSITIVE_TOL
-    lower, upper = abs(s) - 1.0, abs(s) + 1.0
+    low, high = float(ratios.min()), float(ratios.max())
+    lower, upper = abs(shared["s"]) - 1.0, abs(shared["s"]) + 1.0
     return MixSandwichCheck(
-        n=n,
-        s=s,
-        trials=int(trials),
-        ratio_min=float(ratios.min()),
-        ratio_max=float(ratios.max()),
+        **shared,
+        trials=trials,
+        ratio_min=low,
+        ratio_max=high,
         lower=lower,
         upper=upper,
-        within_bounds=bool(
-            ratios.min() >= lower - 1e-10 and ratios.max() <= upper + 1e-10
-        ),
-        sigma_t=sigma_t,
-        sigma_mix=sigma_mix,
-        equivalence_holds=bool(both_pos or both_zero),
+        within_bounds=low >= lower - 1e-10 and high <= upper + 1e-10,
+        equivalence_holds=alike,
     )
 
 
@@ -420,6 +442,14 @@ class MixTransferCheck:
     mix_invertible: bool
     transfer_holds: bool
 
+    @property
+    def passed(self) -> bool:
+        return self.transfer_holds
+
+    @property
+    def margin(self) -> float:
+        return min(self.sigma_t, self.sigma_mix)
+
 
 def mix_transfer_check(t, s: complex) -> MixTransferCheck:
     """For normal T and |s| != 1: T invertible iff s T + T^* invertible.
@@ -428,21 +458,12 @@ def mix_transfer_check(t, s: complex) -> MixTransferCheck:
     infinite dimension (the shift furnishes a counterexample), so a
     silent answer would be misleading.
     """
-    m = _as_matrix(t)
-    s = check_mix_s(s, "!=")
-    _require_normal(m)
-    sigma_t = smallest_singular_value(m)
-    sigma_mix = smallest_singular_value(adjoint_mix(m, s))
-    t_inv = sigma_t > SIGMA_POSITIVE_TOL
-    mix_inv = sigma_mix > SIGMA_POSITIVE_TOL
+    _, _, shared, alike = _mix_core(t, s, "!=")
     return MixTransferCheck(
-        n=m.shape[0],
-        s=s,
-        sigma_t=sigma_t,
-        sigma_mix=sigma_mix,
-        t_invertible=t_inv,
-        mix_invertible=mix_inv,
-        transfer_holds=bool(t_inv == mix_inv),
+        **shared,
+        t_invertible=shared["sigma_t"] > SIGMA_POSITIVE_TOL,
+        mix_invertible=shared["sigma_mix"] > SIGMA_POSITIVE_TOL,
+        transfer_holds=alike,
     )
 
 
@@ -471,7 +492,7 @@ def shift_window_demo(n: int, s: complex) -> ShiftWindowDemo:
     row of the shift truncation vanishes, so the adjoint annihilates it
     while the mix maps it to a vector of norm |s| sqrt(1/2).
     """
-    check_shift_window(n)
+    n = check_shift_window(n)
     s = check_mix_s(s, ">")
     a = toeplitz_analytic([0.0, 1.0], n).matrix
     mix = s * a + a.conj().T

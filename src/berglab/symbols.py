@@ -251,9 +251,10 @@ class DiscGrid:
         r = tuple(float(x) for x in self.radii)
         if not r:
             raise ValueError("grid needs at least one radius")
-        if any(b <= a for a, b in zip(r, r[1:])):
+        # both checks are written so that a NaN radius fails them
+        if not all(a < b for a, b in zip(r, r[1:])):
             raise ValueError("radii must be strictly ascending")
-        if r[0] < 0.0 or r[-1] >= 1.0:
+        if not (0.0 <= r[0] and r[-1] < 1.0):
             raise ValueError("radii must lie in [0, 1)")
         # a float count would build angles that are not equispaced
         object.__setattr__(self, "angles_per_radius", operator.index(self.angles_per_radius))

@@ -16,6 +16,7 @@ from berglab.analysis import (
     adjoint_mix,
     bounded_below_trend,
     check_schedule,
+    check_shift_window,
     invertibility_verdict,
     mix_bound_check,
     mix_sandwich_check,
@@ -76,6 +77,14 @@ class TestSmallestSingularValue:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_refuses_non_finite(self, bad, dtype):
+        # an inf entry gives sigma_min = nan; a NaN entry stops the real SVD from
+        # converging and gives nan from the complex one
+        with pytest.raises(NumericalError, match="non-finite"), np.errstate(invalid="ignore"):
+            smallest_singular_value(np.diag([bad, 1.0]).astype(dtype))
 
 
 class TestNormalityDefect:
@@ -310,6 +319,8 @@ class TestMixBoundCheck:
         assert check.lower_bound == pytest.approx(0.5, abs=EXACT)
         assert check.equivalence_holds
         assert check.bound_holds
+        assert check.passed
+        assert check.margin == pytest.approx(1.0, abs=EXACT)
 
     def test_singular_diagonal(self):
         check = mix_bound_check(np.diag([1.0, 0.0]).astype(complex), 0.5)
@@ -317,6 +328,7 @@ class TestMixBoundCheck:
         assert check.sigma_mix <= 1e-12
         assert check.equivalence_holds
         assert check.bound_holds is None
+        assert not check.passed  # a singular T has no floor to hold
 
     def test_rejects_s_on_or_outside_circle(self):
         m = np.eye(3, dtype=complex)
@@ -354,6 +366,8 @@ class TestMixSandwichCheck:
         assert check.lower == 1.0
         assert check.upper == 3.0
         assert 1.0 <= check.ratio_min <= check.ratio_max <= 3.0
+        assert check.passed
+        assert check.margin == min(check.ratio_min - 1.0, 3.0 - check.ratio_max)
 
     def test_identity_ratio_is_constant(self):
         check = mix_sandwich_check(np.eye(4, dtype=complex), 3.0, trials=50, rng=1)
@@ -370,6 +384,20 @@ class TestMixSandwichCheck:
         with pytest.raises(ValueError, match="not normal"):
             mix_sandwich_check(toeplitz_analytic([0.0, 1.0], 8).matrix, 2.0)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_must_be_at_least_one(self, trials):
+        # else numpy fails on them with reduction and shape errors that name no argument
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            mix_sandwich_check(np.eye(3), 2.0, trials=trials, rng=0)
+        with pytest.raises(TypeError):
+            mix_sandwich_check(np.eye(3), 2.0, trials=2.0, rng=0)
+        assert mix_sandwich_check(np.eye(3), 2.0, trials=np.int64(1), rng=0).trials == 1
+
+    def test_sample_inside_the_kernel_is_refused(self):
+        # T = 0 is normal, and every sampled h lies in its kernel: no ratio exists
+        with pytest.raises(ValueError, match="annihilates all 20 sampled vectors"):
+            mix_sandwich_check(np.zeros((3, 3)), 2.0, trials=20, rng=0)
+
     def test_random_normal_sweep(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
@@ -385,6 +413,8 @@ class TestMixTransferCheck:
         check = mix_transfer_check(np.diag([1.0, -1.0]).astype(complex), 2.0)
         assert check.t_invertible and check.mix_invertible and check.transfer_holds
         assert check.sigma_mix == pytest.approx(3.0, abs=EXACT)
+        assert check.passed
+        assert check.margin == pytest.approx(1.0, abs=EXACT)
 
     def test_singular_diagonal(self):
         check = mix_transfer_check(np.diag([1.0, 0.0]).astype(complex), 2.0)
@@ -418,6 +448,32 @@ class TestMixTransferCheck:
                 assert mix_transfer_check(t, s).transfer_holds
 
 
+MIX_CHECKS = {
+    "3.1": (mix_bound_check, 0.5),
+    "3.2": (mix_sandwich_check, 2.0),
+    "3.3": (mix_transfer_check, 2.0),
+}
+
+
+class TestMixCore:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("check", MIX_CHECKS)
+    def test_refuses_non_finite(self, check, bad):
+        # the commutator defect of either is NaN, which a `defect > tol` test lets
+        # through; an inf entry would then pass 3.3 with sigma_t = sigma_mix = nan
+        run, s = MIX_CHECKS[check]
+        with pytest.raises(ValueError, match="not normal"), np.errstate(invalid="ignore"):
+            run(np.diag([bad, 1.0]), s)
+
+    @pytest.mark.parametrize("check", MIX_CHECKS)
+    def test_passed_and_margin_are_not_fields(self, check):
+        run, s = MIX_CHECKS[check]
+        record = run(np.diag([1.0, 2.0j]), s)
+        assert record.passed is True
+        assert isinstance(record.margin, float)
+        assert not {"passed", "margin"} & set(asdict(record))
+
+
 class TestShiftWindowDemo:
     def test_witness_values(self):
         demo = shift_window_demo(8, 2.0)
@@ -440,6 +496,11 @@ class TestShiftWindowDemo:
             shift_window_demo(4, 2.0)
         with pytest.raises(ValueError):
             shift_window_demo(8, 0.5)
+        # else a float size reaches toeplitz_analytic and fails there with a bare TypeError
+        for n in (8.0, np.float64(8.0), 8.5):
+            with pytest.raises(TypeError):
+                check_shift_window(n)
+        assert type(check_shift_window(np.int64(8))) is int
 
     def test_dict_keys(self):
         d = asdict(shift_window_demo(8, 2.0))

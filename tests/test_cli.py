@@ -240,6 +240,30 @@ class TestRunScenario:
             "pencil": "625282360b3b52a356470c60fa0aa0c673071d2d1d02bbb10dfb0c3b4d1fa78a",
         }
 
+    def test_theorem_check_report_golden_hashes(self, tmp_path):
+        # the checks' sigma_min and sampled ratios and the demo's windowed SVDs come from
+        # LAPACK and BLAS, so these pin the bundled OpenBLAS build (1 or 2 threads alike)
+        size = {"count": 3, "matrix_size": 16}
+        configs = {
+            "3.1": mix_config("3.1", **size, s=[0.5, 0.25]),
+            "3.2": mix_config("3.2", **size, s=[2.0, 1.0], vector_trials=20),
+            "3.3": mix_config("3.3", **size, s=[0.5, -0.5]),
+            "shift_demo": {"name": "s", "kind": "theorem_check", "check": "shift_demo",
+                           "n": 16, "s": [2.0, 0.0], "seed": 0},
+        }
+        for name, config in configs.items():
+            run_scenario(write_config(tmp_path, config), str(tmp_path / name))
+        digests = {
+            name: hashlib.sha256((tmp_path / name / "report.json").read_bytes()).hexdigest()
+            for name in configs
+        }
+        assert digests == {
+            "3.1": "b009cdee5bf4c83268f9862bb25504b769bddeea53a8b3d279ad2834fdaa13ff",
+            "3.2": "68a38fc2e690b883991a21cf53df977e4c3d8f569ecc6f668de1416c6d769794",
+            "3.3": "733be09adf89b4408f61611b4e42fa8d239f075fefb9abb7973ade02def47914",
+            "shift_demo": "5b56a52698a77b62a1ff79728259c91614a09233f3650b848dfdfe5931c08b5b",
+        }
+
     def test_berezin_grid_outputs(self, tmp_path):
         config = {
             "name": "bz",

@@ -152,6 +152,14 @@ class TestDiscGrid:
             DiscGrid((0.0, 0.5), 2)
 
     @pytest.mark.parametrize(
+        "radii", [(0.0, np.nan), (np.nan,), (0.0, np.nan, 0.5)], ids=["last", "only", "middle"]
+    )
+    def test_nan_radius_refused(self, radii):
+        # a NaN passes checks written as `b <= a`, and inf_modulus would report nan
+        with pytest.raises(ValueError, match="radii"):
+            DiscGrid(radii, 8)
+
+    @pytest.mark.parametrize(
         "angles", [8.5, 8.0, np.float64(8.0)], ids=["8.5", "float 8.0", "numpy 8.0"]
     )
     def test_angle_count_must_be_an_integer(self, angles):
