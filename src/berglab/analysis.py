@@ -55,8 +55,6 @@ from .symbols import (
 from .toeplitz import (
     TruncatedOperator,
     _analytic_matrix,
-    _lower_toeplitz,
-    _section_rows,
     toeplitz_analytic,
 )
 
@@ -346,7 +344,8 @@ class MixBoundCheck:
 
     @property
     def passed(self) -> bool:
-        return self.equivalence_holds and bool(self.bound_holds)
+        # the floor applies only when T is invertible
+        return self.equivalence_holds and self.bound_holds is not False
 
     @property
     def margin(self) -> float:
@@ -663,28 +662,16 @@ class PowerStudyReport:
     trend: TrendReport
 
 
-#: rows per block of :func:`_factor_residual`; blocks of 64 moved the t = 3, N = 1024
-#: residual by 1.3e-14, so the size is fixed
-_RESIDUAL_BLOCK = 128
-
-
 def _factor_residual(minus, ratio, plus, n: int) -> float:
     """max |M A - P| over the N x N analytic truncations M, A, P of ``minus``, ``ratio``
-    and ``plus``, one block of rows at a time.
+    and ``plus``, read off their Taylor coefficients.
 
-    All three are lower triangular, so rows r0 .. r1 - 1 of M A - P read only
-    M[r0:r1, :r1], A[:r1, :r1] and P[r0:r1, :r1]: N^3 / 3 complex multiply-adds,
-    with A the only N x N matrix and the rows of M and P built per block.
+    Sections of analytic symbols multiply exactly, so (M A - P)[m, j] =
+    sqrt((j+1)/(m+1)) r_{m-j} with r the first N coefficients of minus * ratio - plus;
+    the l-th subdiagonal peaks at its last entry, sqrt((N-l)/N) |r_l|.
     """
-    a = _analytic_matrix(ratio, n)
-    (lower_m, idx), (lower_p, _) = _lower_toeplitz(minus, n), _lower_toeplitz(plus, n)
-    worst = np.float64(0.0)
-    for r0 in range(0, n, _RESIDUAL_BLOCK):
-        rows = slice(r0, min(r0 + _RESIDUAL_BLOCK, n))
-        defect = _section_rows(lower_m, idx, rows, rows.stop) @ a[: rows.stop, : rows.stop]
-        defect -= _section_rows(lower_p, idx, rows, rows.stop)
-        worst = np.maximum(worst, np.abs(defect).max())  # NaN propagates
-    return float(worst)
+    r = minus.series(n - 1).mul(ratio.series(n - 1), n - 1) - plus.series(n - 1)
+    return float(np.max(np.sqrt(np.arange(n, 0.0, -1.0) / n) * np.abs(r.coeffs)))  # NaN propagates
 
 
 def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
@@ -699,7 +686,7 @@ def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
     precision well before that.
     """
     t = float(t)
-    if abs(t) > 20.0:
+    if not abs(t) <= 20.0:  # written so that a NaN t fails it
         raise NumericalError(
             f"|t| = {abs(t):g} refused: modulus spread e^(|t| pi) exceeds "
             "double-precision dynamic range for trustworthy floors"

@@ -88,30 +88,18 @@ class TruncatedOperator:
 _BLOCK = 16
 
 
-def _lower_toeplitz(g, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(lower, idx)``: the view ``lower[m, j] = a_{m-j}``, zero for m < j, of the first
-    N Taylor coefficients of g (a coefficient array or a symbol), and idx = 1 .. N."""
-    coeffs = (g.series(n - 1).coeffs if isinstance(g, AnalyticSymbol) else g)[:n]
-    pad = np.concatenate([np.zeros(n - len(coeffs)), coeffs[::-1], np.zeros(n - 1)])
-    return sliding_window_view(pad, n)[::-1], np.arange(1.0, n + 1.0)
-
-
-def _section_rows(lower: np.ndarray, idx: np.ndarray, rows: slice, cols: int, out=None):
-    """Rows ``rows`` and the first ``cols`` columns of the analytic truncation of
-    :func:`_lower_toeplitz`, entry (m, j) = a_{m-j} sqrt((j+1)/(m+1)); each entry is
-    computed alone, so every block holds the bits of the whole matrix."""
-    return np.multiply(lower[rows, :cols], np.sqrt(idx[:cols] / idx[rows, None]), out=out)
-
-
 def _analytic_matrix(g, n: int, mix: tuple[complex, complex] | None = None) -> np.ndarray:
     """The N x N analytic truncation A of g, or ``c * A + d * A.conj().T`` bit for bit;
     ``g`` (a coefficient array, real ones giving a real matrix, or a symbol) is expanded
     only once the output is allocated."""
     out = np.empty((n, n), dtype=np.complex128 if isinstance(g, AnalyticSymbol) else g.dtype)
-    lower, idx = _lower_toeplitz(g, n)
+    coeffs = (g.series(n - 1).coeffs if isinstance(g, AnalyticSymbol) else g)[:n]
+    pad = np.concatenate([np.zeros(n - len(coeffs)), coeffs[::-1], np.zeros(n - 1)])
+    lower = sliding_window_view(pad, n)[::-1]  # lower[m, j] = a_{m-j}, zero for m < j
+    idx = np.arange(1.0, n + 1.0)
     for r in range(0, n, _BLOCK):
         rows = slice(r, r + _BLOCK)
-        _section_rows(lower, idx, rows, n, out=out[rows])
+        np.multiply(lower[rows], np.sqrt(idx / idx[rows, None]), out=out[rows])
         if mix is not None:
             t = lower.T[rows] * np.sqrt(idx[rows, None] / idx)  # columns r.. of A, transposed
             # the scalar first, as in ``d * t``: with FMA, operand order can move the last bit

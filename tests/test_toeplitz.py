@@ -26,7 +26,7 @@ from berglab.toeplitz import (
     toeplitz_harmonic,
     toeplitz_quadrature,
 )
-from berglab.toeplitz import _analytic_matrix, _lower_toeplitz, _section_rows
+from berglab.toeplitz import _analytic_matrix
 
 QUAD_TOL = 1e-10
 MACHINE = 1e-12
@@ -84,16 +84,6 @@ class TestAnalyticBuilder:
         for c, d in [(1.0, 0.5), (-0.0, 0.0), (1.0 + 0.5j, 0.25 - 0.75j)]:
             got = _analytic_matrix(coeffs, n, (c, d))
             assert np.array_equal(got.view(float), (c * expected + d * expected.conj().T).view(float))
-
-    @pytest.mark.parametrize("n", [1, 129, 300])
-    def test_row_blocks_hold_the_bits_of_the_whole_section(self, n):
-        rng = np.random.default_rng(n)
-        for coeffs in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
-            whole = _analytic_matrix(coeffs, n)
-            lower, idx = _lower_toeplitz(coeffs, n)
-            for r0, r1, cols in [(0, 1, 1), (0, n, n), (n // 2, n, n // 2 + 1), (n - 1, n, 1)]:
-                block = _section_rows(lower, idx, slice(r0, r1), cols)
-                assert np.array_equal(block.view(float), whole[r0:r1, :cols].copy().view(float))
 
     @pytest.mark.parametrize(
         "n", [4.5, 4.0, np.float64(4.0)], ids=["4.5", "float 4.0", "numpy 4.0"]
