@@ -64,7 +64,6 @@ __all__ = [
     "DRIFT_THRESHOLD",
     "TrendReport",
     "InvertibilityReport",
-    "VerdictConfig",
     "MixBoundCheck",
     "MixSandwichCheck",
     "MixTransferCheck",
@@ -187,27 +186,33 @@ def _dense_sigma_min(c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int
     return smallest_singular_value(_analytic_matrix(coeffs, n, (c, d)))
 
 
+def _constant_sigma(c, d, p: np.ndarray, q: np.ndarray, *, n: int):
+    """sigma_min of T = (c a_0 + d conj(a_0)) I, a_0 = p_0 / q_0: the section of a
+    constant g at every N."""
+    a0 = p[0] / q[0]
+    return abs(c * a0 + d * np.conj(a0))
+
+
 def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
     """sigma_min of ``toeplitz_harmonic(phi, n)``.
 
     T is the section of g = p/q, where p and q are the numerator and
     denominator of a rational g, and for any other g the Taylor polynomial
     p of degree N - 1: T reads a_0 .. a_{N-1} alone.  Exact trailing zeros
-    are trimmed.  Degree 0 gives T = (c a_0 + d conj(a_0)) I.  A band of
+    are trimmed.  Degree 0 takes the closed form :func:`_constant_sigma`.  A band of
     half-bandwidth m = max(deg p, deg q) is narrow while (2m + 1) * ratio
     <= N: then a polynomial takes :func:`lapack.bidiagonal_sigma`, O(N^2 m)
     on T itself, and a rational g :func:`lapack.pencil_sigma`, its only
-    banded route.  Wider bands take the dense SVD (:func:`_dense_sigma_min`)
-    on the same power-of-two scaling, so one symbol is answered or refused
-    alike on every route.
+    banded route.  Wider bands take the dense SVD (:func:`_dense_sigma_min`).
+    Every route runs on the same power-of-two scaling, so one symbol is
+    answered or refused alike on each.
     """
     c, d, g = phi.c, phi.d, phi.g
     rational = isinstance(g, RationalSymbol)
     num, den = (g.p.coeffs[:n], g.q.coeffs[:n]) if rational else (g.series(n - 1).coeffs, _ONE)
     p, q = (x[: max(1, len(np.trim_zeros(x, "b")))] for x in (num, den))
     if len(p) == len(q) == 1:
-        a0 = p[0] / q[0]
-        return float(abs(c * a0 + d * np.conj(a0)))
+        return _scaled_sigma_min(_constant_sigma, c, d, p, q, n=n)
     complex_pencil = rational and (np.imag([c, d]).any() or p.imag.any() or q.imag.any())
     ratio = _BAND_RATIO_COMPLEX if complex_pencil else _BAND_RATIO_REAL
     if (2 * max(len(p), len(q)) - 1) * ratio > n:
@@ -528,18 +533,6 @@ def random_normal_matrix(rng, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VerdictConfig:
-    """Inputs the verdict conjunction depends on, with the lab defaults."""
-
-    sizes: tuple[int, ...] = (16, 32, 64, 128, 256)
-    grid: DiscGrid | None = None
-    inf_threshold: float = INF_POSITIVE_TOL
-    sigma_threshold: float = SIGMA_POSITIVE_TOL
-    drift_threshold: float = DRIFT_THRESHOLD
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class InvertibilityReport:
     """Three-valued invertibility assessment for a harmonic symbol.
 
@@ -592,7 +585,14 @@ def _sandwich_on_grid(phi: HarmonicSymbol, grid: DiscGrid) -> dict | None:
 
 
 def invertibility_verdict(
-    phi: HarmonicSymbol, config: VerdictConfig = VerdictConfig()
+    phi: HarmonicSymbol,
+    sizes: tuple[int, ...] = (16, 32, 64, 128, 256),
+    grid: DiscGrid | None = None,
+    *,
+    inf_positive: float = INF_POSITIVE_TOL,
+    sigma_positive: float = SIGMA_POSITIVE_TOL,
+    drift: float = DRIFT_THRESHOLD,
+    seed: int = 0,
 ) -> InvertibilityReport:
     """Conjunction verdict: positive infimum plus a stabilized sigma floor.
 
@@ -601,18 +601,20 @@ def invertibility_verdict(
     everything else stays ``inconclusive``.  The grid minimum only
     upper-bounds the infimum and finite sections only approximate the
     operator, so the verdict is evidence, not proof, and says so in its
-    notes.
+    notes.  The keywords default to the lab values; the three thresholds
+    are named as the keys of an ``invertibility`` scenario's
+    ``thresholds``, which the report echoes.
     """
-    grid = config.grid or default_modulus_grid()
+    grid = grid or default_modulus_grid()
     scan = inf_modulus(phi, grid)
-    trend = bounded_below_trend(phi, config.sizes, config.drift_threshold)
+    trend = bounded_below_trend(phi, sizes, drift)
     sandwich = _sandwich_on_grid(phi, grid)
-    inf_pos = scan.minimum > config.inf_threshold
+    inf_pos = scan.minimum > inf_positive
     floor = trend.sigma_min[-1]
-    sigma_pos = trend.stabilized and floor > config.sigma_threshold
+    sigma_pos = trend.stabilized and floor > sigma_positive
     if inf_pos and sigma_pos:
         verdict = "invertible_likely"
-    elif not inf_pos and floor <= config.sigma_threshold:
+    elif not inf_pos and floor <= sigma_positive:
         verdict = "not_invertible_likely"
     else:
         verdict = "inconclusive"
@@ -625,15 +627,11 @@ def invertibility_verdict(
         drift=trend.drift,
         stabilized=trend.stabilized,
         case_tag=phi.case_tag,
-        seed=config.seed,
+        seed=seed,
         symbol_tag=phi.tag(),
         s=phi.coanalytic_ratio,
         sandwich=sandwich,
-        thresholds={
-            "inf_positive": config.inf_threshold,
-            "sigma_positive": config.sigma_threshold,
-            "drift": config.drift_threshold,
-        },
+        thresholds={"inf_positive": inf_positive, "sigma_positive": sigma_positive, "drift": drift},
     )
 
 

@@ -46,7 +46,6 @@ from .analysis import (
     random_normal_matrix,
     shift_window_demo,
     smallest_singular_value,
-    VerdictConfig,
 )
 from .berezin import berezin_grid, grid_to_csv, grid_to_json
 from .disc import QuadratureSpec
@@ -282,14 +281,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _run_toeplitz_build(sc: Scenario, write, json_path: Path, csv_path: Path) -> dict:
+def _run_toeplitz_build(sc: Scenario) -> tuple[dict, tuple]:
     if sc.builder == "quadrature":
         op = toeplitz_quadrature(sc.symbol, sc.n, sc.quadrature, sc.symbol.tag())
     else:
         op = toeplitz_harmonic(sc.symbol, sc.n)
-    write(matrix_to_json, op, json_path)
-    write(matrix_to_csv, op, csv_path)
-    return {
+    report = {
         "name": sc.name,
         "kind": sc.kind,
         "n": op.n,
@@ -300,19 +297,18 @@ def _run_toeplitz_build(sc: Scenario, write, json_path: Path, csv_path: Path) ->
         "sigma_min": smallest_singular_value(op),
         "normality_defect": normality_defect(op),
     }
+    return report, ((matrix_to_json, op), (matrix_to_csv, op))
 
 
-def _run_berezin_grid(sc: Scenario, write, csv_path: Path, json_path: Path) -> dict:
+def _run_berezin_grid(sc: Scenario) -> tuple[dict, tuple]:
     # the route's own fields: quadrature (integral), n and tail_tol (matrix)
     kwargs = {key: v for key, v in vars(sc).items() if key in ("n", "tail_tol")}
     if sc.route == "integral":
         kwargs["spec"] = sc.quadrature
     samples = berezin_grid(sc.symbol, sc.grid, sc.route, **kwargs)
-    write(grid_to_csv, samples, csv_path)
-    write(grid_to_json, samples, json_path)
     moduli = [abs(s.value) for s in samples]
     k = int(np.argmin(moduli))
-    return {
+    report = {
         "name": sc.name,
         "kind": sc.kind,
         "route": sc.route,
@@ -322,29 +318,22 @@ def _run_berezin_grid(sc: Scenario, write, csv_path: Path, json_path: Path) -> d
         "argmin": samples[k].z,
         "max_error_estimate": max(s.error_estimate for s in samples),
     }
+    return report, ((grid_to_csv, samples), (grid_to_json, samples))
 
 
-def _run_invertibility(sc: Scenario, write) -> dict:
-    config = VerdictConfig(
-        sizes=sc.schedule,
-        grid=sc.grid,
-        inf_threshold=sc.thresholds["inf_positive"],
-        sigma_threshold=sc.thresholds["sigma_positive"],
-        drift_threshold=sc.thresholds["drift"],
-        seed=sc.seed,
-    )
-    report = asdict(invertibility_verdict(sc.symbol, config))
-    return {**report, "name": sc.name, "kind": sc.kind}
+def _run_invertibility(sc: Scenario) -> tuple[dict, tuple]:
+    verdict = invertibility_verdict(sc.symbol, sc.schedule, sc.grid, **sc.thresholds, seed=sc.seed)
+    return {**asdict(verdict), "name": sc.name, "kind": sc.kind}, ()
 
 
 #: the operator-mix checks of ``theorem_check``, by ``check``
 _MIX_CHECKS = {"3.1": mix_bound_check, "3.2": mix_sandwich_check, "3.3": mix_transfer_check}
 
 
-def _run_theorem_check(sc: Scenario, write) -> dict:
+def _run_theorem_check(sc: Scenario) -> tuple[dict, tuple]:
     report = {"name": sc.name, "kind": sc.kind, "check": sc.check, "seed": sc.seed}
     if sc.check == "shift_demo":
-        return {**report, **asdict(shift_window_demo(sc.n, sc.s))}
+        return {**report, **asdict(shift_window_demo(sc.n, sc.s))}, ()
     rng = np.random.default_rng(sc.seed)
     # 3.2 draws its vectors from the stream of the matrices, after each matrix
     extra = {"trials": sc.vector_trials, "rng": rng} if sc.check == "3.2" else {}
@@ -361,16 +350,18 @@ def _run_theorem_check(sc: Scenario, write) -> dict:
         all_pass=passes == sc.count,
         min_margin=float(min(c.margin for c in checks)),
     )
-    return report
+    return report, ()
 
 
-def _run_example_3_5(sc: Scenario, write) -> dict:
+def _run_example_3_5(sc: Scenario) -> tuple[dict, tuple]:
     report = asdict(power_symbol_study(sc.t, sizes=sc.schedule))
-    return {**report, "name": sc.name, "kind": sc.kind}
+    return {**report, "name": sc.name, "kind": sc.kind}, ()
 
 
-#: each kind's computation, (scenario, write, paths of the files it writes) -> report,
-#: every file written as ``write(writer, *args)``
+#: each kind's pipeline and the names of the files it returns besides report.json.  A
+#: pipeline is a function of the scenario alone, returning ``(report, files)``: files[i]
+#: is the pair ``(writer, data)`` that :func:`run_scenario` writes as
+#: ``writer(data, outdir / names[i])``; no pipeline touches the output directory
 _PIPELINES = {
     "toeplitz_build": (_run_toeplitz_build, ("matrix.json", "matrix.csv")),
     "berezin_grid": (_run_berezin_grid, ("grid.csv", "grid.json")),
@@ -380,36 +371,10 @@ _PIPELINES = {
 }
 
 
-def _emit(sc: Scenario, outdir: Path) -> tuple[dict, list[Path], float]:
-    """Run ``sc`` into ``outdir``; returns the report, every file written, report.json last,
-    and the seconds spent removing and writing files.  The pipeline passes each of its
-    writers through ``write``, which times it.
-    The files of an earlier run of any kind are removed first, other files are left alone;
-    a failed run, also one whose report is refused, leaves none of its files."""
-    start = time.perf_counter()
-    outdir.mkdir(parents=True, exist_ok=True)
+def _remove_outputs(outdir: Path) -> None:
+    """Remove every file that a run of any kind writes from ``outdir``."""
     for name in ("report.json", "manifest.json", *(n for _, ns in _PIPELINES.values() for n in ns)):
         (outdir / name).unlink(missing_ok=True)
-    pipeline, names = _PIPELINES[sc.kind]
-    files = [outdir / name for name in (*names, "report.json")]
-    write_s = time.perf_counter() - start
-
-    def write(writer, *args) -> None:
-        nonlocal write_s
-        t = time.perf_counter()
-        try:
-            writer(*args)
-        finally:
-            write_s += time.perf_counter() - t
-
-    try:
-        report = pipeline(sc, write, *files[:-1])
-        write(_write_json, files[-1], report)
-    except BaseException:
-        for f in files:
-            f.unlink(missing_ok=True)
-        raise
-    return report, files, write_s
 
 
 @dataclass(frozen=True)
@@ -433,41 +398,58 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def run_scenario(config_path, output_dir: str | None = None) -> RunManifest:
-    """Execute one scenario file end to end and write its manifest.
+def run_scenario(config, output_dir: str | None = None) -> RunManifest:
+    """Execute one scenario end to end and write its manifest.
 
-    ``output_dir`` overrides the config's own; one of the two must be
-    present.  Every emitted file lands in the manifest with its hash
-    (the manifest itself is written last and cannot self-reference).
+    ``config`` is a scenario file's path or a parsed config document;
+    ``output_dir`` overrides the config's own, and one of the two must be
+    present.  The only code that touches the output directory: after the
+    pipeline returns, the files of an earlier run of any kind are removed
+    (other files are left alone) and the pipeline's files, report.json and
+    the manifest are written; a failed or refused run leaves none of them.
+    Every emitted file lands in the manifest with its hash (the manifest
+    itself is written last and cannot self-reference).
     """
     t0 = time.perf_counter()
-    config = _load_config(config_path)
+    if not isinstance(config, dict):
+        config = _load_config(config)
     sc = parse_scenario(config)
     outdir = output_dir or sc.output_dir
     if outdir is None:
         raise ConfigError("missing required field 'output_dir' (config or --output-dir)")
     outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    pipeline, names = _PIPELINES[sc.kind]
     t1 = time.perf_counter()
-    _, files, write_s = _emit(sc, outdir)
-    t2 = time.perf_counter()
-    outputs = tuple({"path": f.name, "sha256": _sha256(f), "bytes": f.stat().st_size} for f in files)
-    manifest = RunManifest(
-        scenario=config,
-        versions={
-            "berglab": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
-        # compute: the numerics alone; write: the files, report.json and their hashes
-        timings_s={
-            "parse": t1 - t0,
-            "compute": t2 - t1 - write_s,
-            "write": write_s + time.perf_counter() - t2,
-        },
-        outputs=outputs,
-    )
-    _write_json(outdir / "manifest.json", asdict(manifest))
+    try:
+        # overflow is refused where it matters: by the sigma_min checks and the writers
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, files = pipeline(sc)
+        t2 = time.perf_counter()
+        _remove_outputs(outdir)
+        paths = [outdir / name for name in (*names, "report.json")]
+        for (writer, data), path in zip(files, paths[:-1], strict=True):
+            writer(data, path)
+        _write_json(paths[-1], report)
+        outputs = tuple(
+            {"path": f.name, "sha256": _sha256(f), "bytes": f.stat().st_size} for f in paths
+        )
+        manifest = RunManifest(
+            scenario=config,
+            versions={
+                "berglab": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "python": sys.version.split()[0],
+            },
+            # compute: the pipeline alone; write: the files, report.json and their hashes
+            timings_s={"parse": t1 - t0, "compute": t2 - t1, "write": time.perf_counter() - t2},
+            outputs=outputs,
+        )
+        _write_json(outdir / "manifest.json", asdict(manifest))
+    except BaseException:
+        _remove_outputs(outdir)
+        raise
     return manifest
 
 
@@ -487,10 +469,10 @@ def _cmd_example35(args) -> int:
         schedule = [int(x) for x in args.schedule.split(",")]
     except ValueError as exc:
         raise ConfigError("--schedule must be comma-separated integers") from exc
-    sc = parse_scenario(
-        {"name": f"example35-t{args.t:g}", "kind": "example_3_5", "t": args.t, "schedule": schedule}
-    )
-    report, *_ = _emit(sc, Path(args.output_dir))
+    config = {"name": f"example35-t{args.t:g}", "kind": "example_3_5", "t": args.t,
+              "schedule": schedule}
+    run_scenario(config, args.output_dir)
+    report = json.loads((Path(args.output_dir) / "report.json").read_text())
     print(
         f"t={args.t:g}  grid_min={report['grid_min']:.6g}  "
         f"bound={report['modulus_bound']:.6g}  bounds_hold={report['bounds_hold']}  "

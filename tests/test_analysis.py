@@ -12,7 +12,6 @@ from berglab import analysis, lapack
 from berglab.analysis import (
     DRIFT_THRESHOLD,
     InvertibilityReport,
-    VerdictConfig,
     adjoint_mix,
     bounded_below_trend,
     check_schedule,
@@ -578,8 +577,8 @@ class TestInvertibilityVerdict:
         assert report.verdict == "invertible_likely"
 
     def test_inconclusive_when_drift_gate_is_strict(self):
-        config = VerdictConfig(sizes=(16, 32, 64), drift_threshold=1e-6)
-        report = invertibility_verdict(HarmonicSymbol(1.0, 0.0, TWO_PLUS_Z), config)
+        phi = HarmonicSymbol(1.0, 0.0, TWO_PLUS_Z)
+        report = invertibility_verdict(phi, (16, 32, 64), drift=1e-6)
         assert report.verdict == "inconclusive"
 
     def test_rational_symbol(self):
@@ -871,6 +870,14 @@ class TestBandedSigmaMin:
         workload = pencil_symbol(*PENCIL_CASES["workload"])
         trend, calls = self._dense_calls(monkeypatch, workload, (1, 2, 4))
         assert calls == [2, 4] and trend.sigma_min[0] == 1.0 * 0.5 + 0.25 * 0.5
+
+    def test_constant_symbol_overflow_is_refused(self):
+        # sigma_min overflows on either route: the closed form of degree 0 is scaled and
+        # refused like the dense route of degree 1, not reported as inf with a NaN drift
+        for coeffs in ([1e10], [1e10, 1.0]):
+            phi = HarmonicSymbol(1e300, 1e300, polynomial_symbol(coeffs))
+            with pytest.raises(NumericalError, match="sigma_min inf at N = 4; refusing"):
+                bounded_below_trend(phi, (4, 8, 16))
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         # no module imports scipy.special: the Gauss-Legendre rule is numpy's

@@ -326,6 +326,13 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="output_dir"):
             run_scenario(path)
 
+    def test_parsed_config_runs_like_its_file(self, tmp_path):
+        config = invertibility_config()
+        from_dict = run_scenario(config, str(tmp_path / "a"))
+        from_file = run_scenario(write_config(tmp_path, config), str(tmp_path / "b"))
+        assert from_dict.scenario == config
+        assert from_dict.outputs == from_file.outputs
+
 
 SYMBOL = {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0]}}
 GRID = {"radii": [0.0, 0.5], "angles": 8}
@@ -696,11 +703,16 @@ class TestSchemaRefusals:
             pytest.param(grid_config("harmonic_closed_form", symbol={
                 "c": 1e300, "d": 1e300, "g": {"type": "polynomial", "coeffs": [1e300, 1.0]}}),
                          id="berezin_grid"),
-            # a finite matrix, written before normality_defect overflows to inf - inf
+            # a finite matrix whose normality_defect overflows to inf - inf: report.json
+            # refuses the NaN, and the matrix files written before it are removed
             pytest.param({"name": "b", "kind": "toeplitz_build", "builder": "closed_form", "n": 4,
                           "symbol": {"c": 1e200, "d": 0.0,
                                      "g": {"type": "polynomial", "coeffs": [1.0, 1.0]}}},
                          id="toeplitz_build"),
+            # infinite entries: the dense sigma_min refuses them before any file is written
+            pytest.param(build_config({"c": 1e300, "d": 0.0,
+                                       "g": {"type": "polynomial", "coeffs": [1e10, 1.0]}}, 4),
+                         id="toeplitz_build-infinite-entries"),
         ],
     )
     def test_non_finite_result_exits_3(self, tmp_path, capsys, config):
@@ -859,6 +871,26 @@ def test_validate_passes_iff_run_succeeds_or_refuses(tmp_path, case):
     assert (validated == 0) == (ran in (0, 3)), config
 
 
+PIPELINE_CONFIGS = [
+    build_config(SYMBOL, 8),
+    grid_config("harmonic_closed_form"),
+    invertibility_config(),
+    mix_config("3.1"),
+    {"name": "e", "kind": "example_3_5", "t": 1.0, "schedule": [8, 16, 32]},
+]
+
+
+@pytest.mark.parametrize("config", PIPELINE_CONFIGS, ids=lambda c: c["kind"])
+def test_pipelines_return_their_files_and_write_nothing(tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    pipeline, names = cli._PIPELINES[config["kind"]]
+    report, files = pipeline(parse_scenario(config))
+    assert list(tmp_path.iterdir()) == []
+    assert report["kind"] == config["kind"]
+    # one (writer, data) pair per declared name, in order: matrix.json by matrix_to_json
+    assert [writer.__name__ for writer, _ in files] == [n.replace(".", "_to_") for n in names]
+
+
 class TestExample35Command:
     def test_writes_report_with_exact_factorization(self, tmp_path, capsys):
         args = ["example35", "--t", "1.0", "--schedule", "16,32,64",
@@ -869,6 +901,18 @@ class TestExample35Command:
         assert max(report["residuals"]) <= 1e-12
         assert report["grid_min"] >= report["modulus_bound"]
         assert "grid_min" in capsys.readouterr().out
+
+    def test_writes_a_manifest_like_run(self, tmp_path):
+        args = ["example35", "--t", "1", "--schedule", "8,16,32", "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["scenario"] == {"name": "example35-t1", "kind": "example_3_5", "t": 1.0,
+                                        "schedule": [8, 16, 32]}
+        data = (tmp_path / "report.json").read_bytes()
+        assert manifest["outputs"] == [{"path": "report.json",
+                                        "sha256": hashlib.sha256(data).hexdigest(),
+                                        "bytes": len(data)}]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "report.json"]
 
     def test_bad_schedule(self, tmp_path):
         args = ["example35", "--t", "1.0", "--schedule", "16;32",

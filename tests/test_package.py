@@ -20,7 +20,7 @@ PUBLIC = [
     "BerezinSample", "berezin_integral", "berezin_matrix", "berezin_harmonic", "berezin_grid",
     "grid_to_csv", "grid_to_json",
     "SIGMA_POSITIVE_TOL", "INF_POSITIVE_TOL", "DRIFT_THRESHOLD", "TrendReport",
-    "InvertibilityReport", "VerdictConfig", "MixBoundCheck", "MixSandwichCheck",
+    "InvertibilityReport", "MixBoundCheck", "MixSandwichCheck",
     "MixTransferCheck", "ShiftWindowDemo", "PowerStudyReport", "smallest_singular_value",
     "check_schedule", "check_mix_s", "check_shift_window", "bounded_below_trend",
     "normality_defect", "adjoint_mix", "mix_bound_check", "mix_sandwich_check",
