@@ -33,14 +33,13 @@ mix check's ``passed`` and ``margin``, is not a field and stays out of it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lapack
 from .disc import PowerSeries
-from .errors import NumericalError
+from .errors import NumericalError, _at_least
 from .symbols import (
     DiscGrid,
     HarmonicSymbol,
@@ -109,14 +108,23 @@ _NOTES = (
 
 
 def _as_matrix(t) -> np.ndarray:
-    """``t``'s matrix: a float64 array as it is, anything else as complex128."""
+    """``t``'s matrix (float64 as it is, else complex128): a section or a window of its
+    columns; a wider matrix is refused, as its sigma_min is not inf ||M x|| / ||x||."""
     if isinstance(t, TruncatedOperator):
         return t.matrix
     arr = np.asarray(t)
     arr = arr if arr.dtype == np.float64 else np.asarray(arr, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
+    if arr.ndim != 2 or not 0 < arr.shape[1] <= arr.shape[0]:
+        raise ValueError("expected a nonempty matrix with no more columns than rows")
     return arr
+
+
+def _as_square(t) -> np.ndarray:
+    """``t``'s matrix by :func:`_as_matrix`, refused unless square."""
+    m = _as_matrix(t)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
+    return m
 
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
@@ -126,8 +134,9 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 
 
 def smallest_singular_value(t) -> float:
-    """sigma_min via full SVD; equals sigma_min of the adjoint exactly.  A failed SVD or
-    a non-finite sigma_min, which an infinite or NaN entry gives, is refused."""
+    """sigma_min via full SVD, the package's only one: inf ||M x|| / ||x|| over a section,
+    equal to the adjoint's exactly, or over a window of its columns.  A failed SVD or a
+    non-finite sigma_min, which an infinite or NaN entry gives, is refused."""
     m = _real_if_exact(_as_matrix(t))
     try:
         sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
@@ -225,13 +234,13 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
 
 def normality_defect(t) -> float:
     """Frobenius norm of T^*T - TT^*; zero exactly for normal matrices."""
-    m = _real_if_exact(_as_matrix(t))
+    m = _real_if_exact(_as_square(t))
     return float(np.linalg.norm(m.conj().T @ m - m @ m.conj().T))
 
 
 def adjoint_mix(t, s: complex) -> np.ndarray:
     """The combination s T + T^*."""
-    m = _as_matrix(t)
+    m = _as_square(t)
     return s * m + m.conj().T
 
 
@@ -276,11 +285,9 @@ def check_schedule(sizes) -> tuple[int, ...]:
     The verdict machinery reads the last relative step of a trend as
     its stabilization signal, which needs three sizes.
     """
-    sizes = tuple(map(operator.index, sizes))
+    sizes = tuple(_at_least(n, 1, "schedule sizes") for n in sizes)
     if len(sizes) < 3:
         raise ValueError("schedule needs at least 3 sizes")
-    if min(sizes) < 1:
-        raise ValueError("schedule sizes must be at least 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("schedule must be strictly increasing")
     return sizes
@@ -306,10 +313,7 @@ def check_mix_s(s, side: str) -> complex:
 
 def check_shift_window(n: int) -> int:
     """The shift truncation size of :func:`shift_window_demo`, an integer at least 8."""
-    n = operator.index(n)
-    if n < 8:
-        raise ValueError("n must be at least 8")
-    return n
+    return _at_least(n, 8, "n")
 
 
 def bounded_below_trend(
@@ -408,9 +412,7 @@ def mix_sandwich_check(t, s: complex, trials: int = 1000, rng=None) -> MixSandwi
     normal T the kernel of T^* agrees, so the sandwich is trivially
     0 <= 0 there), and a sample with no other vector is refused.
     """
-    trials = operator.index(trials)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _at_least(trials, 1, "trials")
     m, mix, shared, alike = _mix_core(t, s, ">")
     rng = np.random.default_rng(rng)
     h = rng.normal(size=(len(m), trials)) + 1j * rng.normal(size=(len(m), trials))
@@ -499,23 +501,17 @@ def shift_window_demo(n: int, s: complex) -> ShiftWindowDemo:
     n = check_shift_window(n)
     s = check_mix_s(s, ">")
     a = toeplitz_analytic([0.0, 1.0], n).matrix
-    mix = s * a + a.conj().T
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    adjoint_witness = float(np.linalg.norm(a.conj().T @ e0))
-    mix_witness = float(np.linalg.norm(mix @ e0))
-    # windowed minima: restrict inputs to the first n-1 coordinates
-    window_adjoint = float(
-        np.linalg.svd(_real_if_exact(a.conj().T[:, : n - 1]), compute_uv=False)[-1]
-    )
-    window_mix = float(np.linalg.svd(_real_if_exact(mix[:, : n - 1]), compute_uv=False)[-1])
+    mix = adjoint_mix(a, s)
+    # A^* enters as the view A^T and its witness A^* e_0 as the row A[0]: conjugation
+    # moves no norm and no singular value, and no N x N conjugate outlives adjoint_mix
     return ShiftWindowDemo(
         n=n,
         s=s,
-        witness_adjoint_norm=adjoint_witness,
-        witness_mix_norm=mix_witness,
-        window_ratio_adjoint=window_adjoint,
-        window_ratio_mix=window_mix,
+        witness_adjoint_norm=float(np.linalg.norm(a[0])),
+        witness_mix_norm=float(np.linalg.norm(mix[:, 0])),
+        # windowed minima: inputs restricted to the first n - 1 coordinates
+        window_ratio_adjoint=smallest_singular_value(a.T[:, : n - 1]),
+        window_ratio_mix=smallest_singular_value(mix[:, : n - 1]),
     )
 
 
@@ -538,7 +534,8 @@ class InvertibilityReport:
 
     ``inf_estimate`` and ``argmin`` come from the grid scan of |phi|,
     ``sizes`` to ``stabilized`` from the sigma_min trend, and ``s`` is
-    the coanalytic ratio c/d (None if d = 0).
+    the coanalytic ratio c/d (None if d = 0 or if c/d is not finite, and
+    ``sandwich`` with it).
     """
 
     verdict: str
@@ -564,9 +561,9 @@ def _sandwich_on_grid(phi: HarmonicSymbol, grid: DiscGrid) -> dict | None:
     ||s| - 1| inf|g| <= inf|s g + conj(g)| <= (|s| + 1) inf|g| holds
     pointwise by the triangle inequality; evaluated on the shared grid.
     """
-    if phi.case_tag != "general_s":
-        return None
     s = phi.coanalytic_ratio
+    if phi.case_tag != "general_s" or s is None:
+        return None
     nodes = phi.g(grid.nodes().ravel())
     gabs = np.abs(nodes)
     combo = np.abs(s * nodes + np.conj(nodes))

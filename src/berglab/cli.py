@@ -49,7 +49,7 @@ from .analysis import (
 )
 from .berezin import berezin_grid, grid_to_csv, grid_to_json
 from .disc import QuadratureSpec
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _at_least
 from .symbols import (
     DiscGrid,
     HarmonicSymbol,
@@ -110,10 +110,11 @@ def _as_int(v, where: str) -> int:
     return v
 
 
-def _at_least(n: int, least: int) -> int:
-    if n < least:
-        raise ValueError(f"must be at least {least}")
-    return n
+def _int_at_least(least: int):
+    """Parser: an integer of at least ``least``; an error names the field's path and name."""
+    return lambda v, where: _checked(
+        _at_least, where, _as_int(v, where), least, where.rpartition(".")[2]
+    )
 
 
 def _name(v, where: str) -> str:
@@ -189,9 +190,9 @@ _QUADRATURE = _object({"radial": _as_int, "angular": _as_int}, QuadratureSpec)
 _THRESHOLDS = _object({key: _as_float for key in ("inf_positive", "sigma_positive", "drift")})
 _SCHEDULE = _then(_list(_as_int), check_schedule)
 _SIZE = _then(_as_int, check_size)
-_COUNT = _then(_as_int, _at_least, 1)
+_COUNT = _int_at_least(1)
 #: required by every kind that has it; ``invertibility`` and ``shift_demo`` only echo it
-_SEED = _then(_as_int, _at_least, 0)
+_SEED = _int_at_least(0)
 
 
 def _mix(side: str) -> dict:

@@ -19,7 +19,6 @@ closed forms against honest integrals.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Number
@@ -28,7 +27,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError
+from .errors import DomainError, _at_least
 
 __all__ = [
     "PowerSeries",
@@ -94,9 +93,6 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "PowerSeries":
-        return (-1.0) * self
-
     def mul(self, other: "PowerSeries", degree: int) -> "PowerSeries":
         """Cauchy product truncated to the declared ``degree``.
 
@@ -104,8 +100,7 @@ class PowerSeries:
         are trusted that far, since c_k of the product only involves
         factor coefficients of index <= k.
         """
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
+        degree = _at_least(degree, 0, "degree")
         full = np.convolve(self.coeffs, other.coeffs)
         return PowerSeries(full[: degree + 1]).padded(degree + 1)
 
@@ -171,8 +166,7 @@ def normalized_kernel_coeffs(z: complex, n: int) -> np.ndarray:
     ||k_z|| = 1.  The truncated vector has norm strictly below 1; the
     deficit is the tail mass that callers can bound explicitly.
     """
-    if operator.index(n) < 1:
-        raise ValueError("n must be positive")
+    n = _at_least(n, 1, "n")
     z = complex(z)
     _inside_disc(z, "z")
     m = np.arange(n)
@@ -193,13 +187,8 @@ class QuadratureSpec:
     angular_nodes: int = 128
 
     def __post_init__(self):
-        # a float size would build angles that are not equispaced, or fail inside numpy
-        for name in ("radial_nodes", "angular_nodes"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.radial_nodes < 2:
-            raise ValueError("radial_nodes must be at least 2")
-        if self.angular_nodes < 4:
-            raise ValueError("angular_nodes must be at least 4")
+        for name, least in (("radial_nodes", 2), ("angular_nodes", 4)):
+            object.__setattr__(self, name, _at_least(getattr(self, name), least, name))
 
     def doubled(self) -> "QuadratureSpec":
         return QuadratureSpec(2 * self.radial_nodes, 2 * self.angular_nodes)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule every integer size obeys."""
+
+import operator
 
 __all__ = ["DomainError", "ConfigError", "NumericalError"]
 
@@ -13,3 +15,13 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation could not meet its accuracy or conditioning budget."""
+
+
+def _at_least(n, least: int, name: str) -> int:
+    """``n`` as an int, the rule of every integer size and count in the package: a float
+    (no equispaced grid, or a failure deep in numpy) raises TypeError, a value below
+    ``least`` ValueError."""
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return n

@@ -18,14 +18,13 @@ downstream says so.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .disc import PowerSeries, _eval_on_nodes
-from .errors import DomainError
+from .errors import DomainError, _at_least
 
 #: (-i)^k at index k % 4, exact; numpy's ``(-1j) ** k`` is off by up to 1.7e-13 at k < 1024
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
@@ -216,10 +215,11 @@ class HarmonicSymbol:
 
     @property
     def coanalytic_ratio(self) -> complex | None:
-        """The ratio s = c/d steering phi = d (s g + conj(g)); None if d = 0."""
+        """The ratio s = c/d steering phi = d (s g + conj(g)); None if d = 0 or c/d overflows."""
         if self.d == 0:
             return None
-        return complex(self.c / self.d)
+        s = complex(self.c / self.d)
+        return s if np.isfinite(s) else None
 
     @property
     def case_tag(self) -> str:
@@ -227,7 +227,8 @@ class HarmonicSymbol:
             return "analytic"
         if self.c == 0:
             return "coanalytic"
-        if abs(abs(self.c / self.d) - 1.0) <= 1e-12:
+        # |s| = 1 up to 1e-12, without the division that can overflow
+        if abs(abs(self.c) - abs(self.d)) <= 1e-12 * abs(self.d):
             return "normal_s_unimodular"
         return "general_s"
 
@@ -256,10 +257,9 @@ class DiscGrid:
             raise ValueError("radii must be strictly ascending")
         if not (0.0 <= r[0] and r[-1] < 1.0):
             raise ValueError("radii must lie in [0, 1)")
-        # a float count would build angles that are not equispaced
-        object.__setattr__(self, "angles_per_radius", operator.index(self.angles_per_radius))
-        if self.angles_per_radius < 4:
-            raise ValueError("angles_per_radius must be at least 4")
+        object.__setattr__(
+            self, "angles_per_radius", _at_least(self.angles_per_radius, 4, "angles_per_radius")
+        )
         object.__setattr__(self, "radii", r)
 
     def nodes(self) -> np.ndarray:

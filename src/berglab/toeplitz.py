@@ -19,7 +19,6 @@ N x N corner sees only part of the operator.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .disc import QuadratureSpec, _coeff_vector, _eval_on_nodes
-from .errors import NumericalError
+from .errors import NumericalError, _at_least
 from .symbols import AnalyticSymbol, HarmonicSymbol
 
 __all__ = [
@@ -111,9 +110,7 @@ def _analytic_matrix(g, n: int, mix: tuple[complex, complex] | None = None) -> n
 
 def check_size(n: int) -> int:
     """The truncation size of every builder, an integer at least 1."""
-    if operator.index(n) < 1:
-        raise ValueError("n must be at least 1")
-    return n
+    return _at_least(n, 1, "n")
 
 
 def toeplitz_analytic(g, n: int, tag: str | None = None) -> TruncatedOperator:

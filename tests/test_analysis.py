@@ -85,8 +85,40 @@ class TestSmallestSingularValue:
         with pytest.raises(NumericalError, match="non-finite"), np.errstate(invalid="ignore"):
             smallest_singular_value(np.diag([bad, 1.0]).astype(dtype))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_tall_windows_match_the_svd(self, dtype):
+        # a window of a section's columns: sigma_min is inf ||M x|| / ||x|| over it
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(9, 9)).astype(dtype)
+        if dtype is complex:
+            m += 1j * rng.normal(size=(9, 9))
+        for k in (1, 5, 8, 9):
+            window = m[:, :k]
+            assert smallest_singular_value(window) == np.linalg.svd(window, compute_uv=False)[-1]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_tall_window_refuses_non_finite(self, bad, dtype):
+        window = np.eye(3, 2, dtype=dtype)
+        window[2, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"), np.errstate(invalid="ignore"):
+            smallest_singular_value(window)
+
+    def test_rejects_an_empty_window(self):
+        with pytest.raises(ValueError):
+            smallest_singular_value(np.zeros((3, 0)))
+
 
 class TestNormalityDefect:
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 1)])
+    @pytest.mark.parametrize("run", [normality_defect, lambda t: adjoint_mix(t, 2.0)],
+                             ids=["normality_defect", "adjoint_mix"])
+    def test_rejects_tall_matrices(self, run, shape):
+        # smallest_singular_value takes windows; these need T square, and a (3, 1)
+        # column would broadcast against its (1, 3) adjoint
+        with pytest.raises(ValueError, match="square"):
+            run(np.ones(shape))
+
     def test_hermitian_is_normal(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
@@ -464,6 +496,13 @@ class TestMixCore:
         with pytest.raises(ValueError, match="not normal"), np.errstate(invalid="ignore"):
             run(np.diag([bad, 1.0]), s)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 1)])
+    @pytest.mark.parametrize("check", MIX_CHECKS)
+    def test_refuses_tall_matrices(self, check, shape):
+        run, s = MIX_CHECKS[check]
+        with pytest.raises(ValueError, match="square"):
+            run(np.ones(shape), s)
+
     @pytest.mark.parametrize("check", MIX_CHECKS)
     def test_passed_and_margin_are_not_fields(self, check):
         run, s = MIX_CHECKS[check]
@@ -489,6 +528,18 @@ class TestShiftWindowDemo:
         shift_floor = np.linalg.svd(a[:, :15], compute_uv=False)[-1]
         assert shift_floor >= np.sqrt(0.5) - 1e-12
         assert demo.window_ratio_mix >= shift_floor - 1e-12
+
+    def test_windows_take_the_shared_svd(self, monkeypatch):
+        # both window minima go through smallest_singular_value, which makes the only SVDs
+        shapes, svds = [], []
+        ssv, svd = analysis.smallest_singular_value, np.linalg.svd
+        monkeypatch.setattr(
+            analysis, "smallest_singular_value", lambda t: shapes.append(t.shape) or ssv(t)
+        )
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+        shift_window_demo(16, 2.0)
+        assert shapes == [(16, 15), (16, 15)]
+        assert len(svds) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -587,6 +587,18 @@ class TestExitCodes:
         assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 3
         assert "tail" in capsys.readouterr().err
 
+    def test_overflowing_coanalytic_ratio_is_left_out(self, tmp_path):
+        # c/d = 1e310 overflows while phi and every sigma_min are finite: the run exited 3,
+        # "report.json holds non-finite values"
+        config = invertibility_config()
+        config["symbol"].update(c=1e300, d=1e-10)
+        outdir = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, config)), "--output-dir", str(outdir)]) == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["s"] is None and report["sandwich"] is None
+        assert report["case_tag"] == "general_s"
+        assert all(1e300 < x < 1.1e300 for x in report["sigma_min"])
+
     def test_example35_refuses_extreme_t(self, tmp_path):
         args = ["example35", "--t", "25", "--schedule", "16,32,64",
                 "--output-dir", str(tmp_path)]

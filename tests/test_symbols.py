@@ -141,6 +141,13 @@ class TestHarmonicSymbol:
         assert HarmonicSymbol(1.0, 0.5, g).coanalytic_ratio == pytest.approx(2.0)
         assert HarmonicSymbol(1.0, 0.0, g).coanalytic_ratio is None
 
+    def test_overflowing_ratio(self):
+        # phi is finite, c/d is not: no ratio, and the tag compares |c| with |d| undivided
+        phi = HarmonicSymbol(1e300, 1e-10, polynomial_symbol([2.0, 1.0]))
+        assert phi.coanalytic_ratio is None
+        assert phi.case_tag == "general_s"
+        assert HarmonicSymbol(1e300, 1e300j, phi.g).case_tag == "normal_s_unimodular"
+
 
 class TestDiscGrid:
     def test_validation(self):
