@@ -12,12 +12,14 @@ infinite phenomena like the shift.
 import numpy as np
 
 from berglab import (
+    adjoint_mix,
     mix_bound_check,
     mix_sandwich_check,
     mix_transfer_check,
     normality_defect,
     random_normal_matrix,
     shift_window_demo,
+    smallest_singular_value,
     toeplitz_analytic,
 )
 
@@ -52,7 +54,6 @@ print(f"window ratios: adjoint {demo.window_ratio_adjoint:.1e}, "
 # on the circle the mix of the shift is normal, but its symbol 2 Re z
 # vanishes inside the disc: the smallest singular value sinks slowly
 # toward zero instead of stabilizing
-a = toeplitz_analytic([0.0, 1.0], 64)
-mix = 1.0 * a.matrix + a.adjoint_matrix()
+mix = adjoint_mix(toeplitz_analytic([0.0, 1.0], 64), 1.0)
 print(f"\n|s| = 1 shift mix: normality defect {normality_defect(mix):.1e}, "
-      f"smallest singular value {np.linalg.svd(mix, compute_uv=False)[-1]:.2e}")
+      f"smallest singular value {smallest_singular_value(mix):.2e}")

@@ -32,7 +32,7 @@ print(f"\nclosed form vs quadrature: max diff {np.max(np.abs(shift.matrix - quad
 phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0]))
 op = toeplitz_harmonic(phi, 6)
 print(f"\nharmonic truncation Hermitian error (real symbol would be 0): "
-      f"{np.max(np.abs(op.matrix - op.adjoint_matrix())):.3f}")
+      f"{np.max(np.abs(op.matrix - op.matrix.conj().T)):.3f}")
 
 # hyponormality on the window where the truncation acts exactly:
 # ||A f|| >= ||A* f|| for every f supported on low degrees

@@ -535,7 +535,7 @@ class InvertibilityReport:
     ``inf_estimate`` and ``argmin`` come from the grid scan of |phi|,
     ``sizes`` to ``stabilized`` from the sigma_min trend, and ``s`` is
     the coanalytic ratio c/d (None if d = 0 or if c/d is not finite, and
-    ``sandwich`` with it).
+    ``sandwich`` with it, and also when one of its values overflows).
     """
 
     verdict: str
@@ -560,6 +560,7 @@ def _sandwich_on_grid(phi: HarmonicSymbol, grid: DiscGrid) -> dict | None:
     For phi = d (s g + conj(g)) with |s| != 1,
     ||s| - 1| inf|g| <= inf|s g + conj(g)| <= (|s| + 1) inf|g| holds
     pointwise by the triangle inequality; evaluated on the shared grid.
+    None unless the case is ``general_s`` and every value is finite.
     """
     s = phi.coanalytic_ratio
     if phi.case_tag != "general_s" or s is None:
@@ -571,6 +572,8 @@ def _sandwich_on_grid(phi: HarmonicSymbol, grid: DiscGrid) -> dict | None:
     inf_combo = float(combo.min())
     lower = abs(abs(s) - 1.0) * inf_g
     upper = (abs(s) + 1.0) * inf_g
+    if not all(map(math.isfinite, (lower, upper, inf_combo))):
+        return None
     return {
         "s_modulus": abs(s),
         "inf_g": inf_g,
@@ -665,8 +668,8 @@ def _factor_residual(minus, ratio, plus, n: int) -> float:
     sqrt((j+1)/(m+1)) r_{m-j} with r the first N coefficients of minus * ratio - plus;
     the l-th subdiagonal peaks at its last entry, sqrt((N-l)/N) |r_l|.
     """
-    r = minus.series(n - 1).mul(ratio.series(n - 1), n - 1) - plus.series(n - 1)
-    return float(np.max(np.sqrt(np.arange(n, 0.0, -1.0) / n) * np.abs(r.coeffs)))  # NaN propagates
+    r = minus.series(n - 1).mul(ratio.series(n - 1), n - 1).coeffs - plus.series(n - 1).coeffs
+    return float(np.max(np.sqrt(np.arange(n, 0.0, -1.0) / n) * np.abs(r)))  # NaN propagates
 
 
 def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Number
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -45,8 +44,8 @@ class PowerSeries:
 
     The declared degree is ``len(coeffs) - 1``.  Trailing zeros are
     meaningful: they declare how far the truncation is trusted.
-    Arithmetic never grows the degree silently; products require an
-    explicit target degree via :meth:`mul`.
+    The one product is :meth:`mul`, which takes an explicit target
+    degree, so the degree never grows silently.
 
     Examples
     --------
@@ -73,25 +72,6 @@ class PowerSeries:
 
     def __call__(self, z):
         return npoly.polyval(z, self.coeffs)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PowerSeries(self.padded(n).coeffs + other.padded(n).coeffs)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, PowerSeries):
-            raise TypeError(
-                "series * series would grow the degree silently; "
-                "use PowerSeries.mul(other, degree) instead"
-            )
-        if not isinstance(scalar, Number):
-            return NotImplemented
-        return PowerSeries(self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
     def mul(self, other: "PowerSeries", degree: int) -> "PowerSeries":
         """Cauchy product truncated to the declared ``degree``.

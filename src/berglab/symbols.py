@@ -49,11 +49,9 @@ __all__ = [
 class AnalyticSymbol:
     """Bounded analytic function on the open unit disc.
 
-    Subclasses supply ``kind``, vectorized evaluation and an exact
-    truncated Taylor series.
+    Subclasses supply vectorized evaluation, an exact truncated Taylor
+    series and a tag.
     """
-
-    kind: str = "abstract"
 
     def __call__(self, z):
         raise NotImplementedError
@@ -67,8 +65,6 @@ class AnalyticSymbol:
 
 
 class PolynomialSymbol(AnalyticSymbol):
-    kind = "polynomial"
-
     def __init__(self, coeffs):
         self._series = coeffs if isinstance(coeffs, PowerSeries) else PowerSeries(coeffs)
 
@@ -88,8 +84,6 @@ class RationalSymbol(AnalyticSymbol):
     Construction refuses, with :class:`DomainError`, a q with a zero of
     modulus at most 1.
     """
-
-    kind = "rational"
 
     def __init__(self, p, q):
         self.p = p if isinstance(p, PowerSeries) else PowerSeries(p)
@@ -142,8 +136,6 @@ class PrincipalPowerSymbol(AnalyticSymbol):
     principal logarithm is analytic and the symbol is zero-free with
     modulus between e^{-(|a|+|b|) pi / 2} and e^{(|a|+|b|) pi / 2}.
     """
-
-    kind = "principal_power"
 
     def __init__(self, plus_exponent: float, minus_exponent: float):
         self.plus_exponent = float(plus_exponent)
@@ -266,13 +258,6 @@ class DiscGrid:
         """Complex nodes, shape (len(radii), angles_per_radius)."""
         theta = 2.0 * np.pi * np.arange(self.angles_per_radius) / self.angles_per_radius
         return np.asarray(self.radii)[:, None] * np.exp(1j * theta)[None, :]
-
-    def refined(self) -> "DiscGrid":
-        """Insert radial midpoints and double the angles; supersets the nodes."""
-        r = list(self.radii)
-        mids = [0.5 * (a + b) for a, b in zip(r, r[1:])]
-        merged = tuple(sorted(set(r + mids)))
-        return DiscGrid(merged, 2 * self.angles_per_radius)
 
 
 def default_modulus_grid() -> DiscGrid:

@@ -79,9 +79,6 @@ class TruncatedOperator:
             )
         )
 
-    def adjoint_matrix(self) -> np.ndarray:
-        return self.matrix.conj().T
-
 
 #: rows per block of :func:`_analytic_matrix`; temporaries 6 % of the output at N = 1024
 _BLOCK = 16
@@ -113,7 +110,7 @@ def check_size(n: int) -> int:
     return _at_least(n, 1, "n")
 
 
-def toeplitz_analytic(g, n: int, tag: str | None = None) -> TruncatedOperator:
+def toeplitz_analytic(g, n: int) -> TruncatedOperator:
     """Truncation of T_g for analytic g given by Taylor coefficients.
 
     Parameters
@@ -135,7 +132,7 @@ def toeplitz_analytic(g, n: int, tag: str | None = None) -> TruncatedOperator:
     check_size(n)
     coeffs = _coeff_vector(g)
     return TruncatedOperator(
-        _analytic_matrix(coeffs, n), tag or f"analytic(deg={len(coeffs) - 1})", "closed_form", True
+        _analytic_matrix(coeffs, n), f"analytic(deg={len(coeffs) - 1})", "closed_form", True
     )
 
 
@@ -244,14 +241,13 @@ def matrix_to_json(op: TruncatedOperator, path) -> None:
 
 
 def matrix_from_json(path) -> TruncatedOperator:
+    """The operator :func:`matrix_to_json` wrote, bit for bit; ``data`` of any shape but
+    N rows of N [re, im] pairs is refused."""
     with open(path) as fh:
         payload = json.load(fh)
     n = payload["N"]
-    data = payload["data"]
-    mat = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(data):
-        for j, (re, im) in enumerate(row):
-            mat[i, j] = complex(re, im)
-    return TruncatedOperator(
-        matrix=mat, symbol_tag=payload["symbol_tag"], builder=payload["builder"]
-    )
+    data = np.array(payload.pop("data"), dtype=np.float64)  # a ragged list raises ValueError
+    if data.shape != (n, n, 2):
+        raise ValueError(f"data has shape {data.shape}, expected ({n}, {n}, 2)")
+    mat = data.view(np.complex128)[..., 0]
+    return TruncatedOperator(mat, payload["symbol_tag"], payload["builder"])

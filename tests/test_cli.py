@@ -15,7 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from berglab import cli
 from berglab.cli import SCHEMA, _write_json, main, parse_scenario, run_scenario
 from berglab.errors import ConfigError
-from berglab.symbols import HarmonicSymbol, polynomial_symbol
+from berglab.symbols import (
+    HarmonicSymbol,
+    PrincipalPowerSymbol,
+    RationalSymbol,
+    polynomial_symbol,
+)
 from berglab.toeplitz import matrix_from_json, toeplitz_harmonic
 
 
@@ -117,13 +122,13 @@ class TestParseScenario:
     def test_rational_and_power_symbols_parse(self):
         config = invertibility_config()
         config["symbol"]["g"] = {"type": "rational", "num": [1.0], "den": [1.0, -0.5]}
-        assert parse_scenario(config).symbol.g.kind == "rational"
+        assert isinstance(parse_scenario(config).symbol.g, RationalSymbol)
         config["symbol"]["g"] = {
             "type": "principal_power",
             "plus_exponent": 1.0,
             "minus_exponent": -1.0,
         }
-        assert parse_scenario(config).symbol.g.kind == "principal_power"
+        assert isinstance(parse_scenario(config).symbol.g, PrincipalPowerSymbol)
 
     def test_rational_pole_in_disc_is_a_config_error(self):
         config = invertibility_config()
@@ -598,6 +603,18 @@ class TestExitCodes:
         assert report["s"] is None and report["sandwich"] is None
         assert report["case_tag"] == "general_s"
         assert all(1e300 < x < 1.1e300 for x in report["sigma_min"])
+
+    def test_overflowing_sandwich_is_left_out(self, tmp_path):
+        # s = 1e308 is finite but (|s| + 1) inf|g| overflows: the run exited 3, "report.json
+        # holds non-finite values"; inf|phi| >= (|c| - |d|) inf|g| > 0, so T_phi is invertible
+        config = invertibility_config()
+        config["symbol"].update(c=1e300, d=1e-8, g={"type": "polynomial", "coeffs": [5.0, 1.0]})
+        config["grid"] = {"radii": [0.0, 0.5, 0.9], "angles": 32}
+        outdir = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, config)), "--output-dir", str(outdir)]) == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["s"] == [1e308, 0.0] and report["sandwich"] is None
+        assert report["verdict"] == "invertible_likely"
 
     def test_example35_refuses_extreme_t(self, tmp_path):
         args = ["example35", "--t", "25", "--schedule", "16,32,64",

@@ -64,3 +64,20 @@ def test_lapack_is_the_only_module_that_knows_the_abi():
     assert not {".lapack", "berglab.lapack"} & imports["toeplitz.py"]
     assert set(lapack._LAPACK_PROTOTYPES) == {"dgbbrd", "dsbgvx", "dstebz", "zgbbrd", "zhbgvx"}
     assert berglab.__all__ == PUBLIC
+
+
+def test_smallest_singular_value_holds_the_only_svd():
+    """Every call whose callee names an SVD, with the innermost function around it."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so an inner function overwrites its outer
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        calls += [
+            (path.name, owner.get(node), ast.unparse(node.func))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "svd" in ast.unparse(node.func)
+        ]
+    assert calls == [("analysis.py", "smallest_singular_value", "np.linalg.svd")]

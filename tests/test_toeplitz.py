@@ -239,7 +239,7 @@ class TestQuadratureBuilder:
             p = PowerSeries(coeffs)
             a = toeplitz_analytic(p, 6)
             q = toeplitz_quadrature(lambda w: np.conj(p(w)), 6)
-            assert np.max(np.abs(a.adjoint_matrix() - q.matrix)) < 1e-9
+            assert np.max(np.abs(a.matrix.conj().T - q.matrix)) < 1e-9
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_gemm_matches_einsum_expression(self, n):
@@ -418,6 +418,23 @@ class TestExports:
         back = matrix_from_json(tmp_path / "m.json")
         assert np.array_equal(back.matrix.view(float), op.matrix.view(float))
         assert back.symbol_tag == EXPORT_TAG
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[[1.0, 0.0]], [[2.0, 0.0]]],  # too short: loaded with uninitialized padding
+            [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 2 + [[[1.0, 0.0]]],  # ragged
+            [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 3,  # rows too long: IndexError
+            [[[1.0, 0.0, 0.0]] * 3] * 3,  # a triple where a pair belongs
+        ],
+        ids=["short", "ragged", "long", "triples"],
+    )
+    def test_json_wrong_data_shape_refused(self, tmp_path, data):
+        path = tmp_path / "m.json"
+        payload = {"N": 3, "symbol_tag": "x", "builder": "closed_form", "data": data}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            matrix_from_json(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("writer", [matrix_to_json, matrix_to_csv])
