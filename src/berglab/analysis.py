@@ -646,6 +646,8 @@ class PowerStudyReport:
     (lower triangular structure).  ``residuals`` records the max-abs
     defect of that factorization per size; machine-scale values are the
     expected outcome, and growth would flag a coefficient-route bug.
+    ``modulus_bound`` = e^{-|t| pi} is a valid lower bound for the quotient's
+    modulus, not its infimum, which is e^{-|t| pi / 2}, the value of ``factor_bound``.
     """
 
     t: float

@@ -43,6 +43,8 @@ from .disc import (
     QuadratureSpec,
     _eval_on_nodes,
     _inside_disc,
+    _radial_rule,
+    disc_quadrature,
     kernel_eval,
     normalized_kernel_coeffs,
 )
@@ -98,19 +100,16 @@ def berezin_integral(
     """
     z = complex(z)
     _inside_disc(z, "z")
-    v1 = _kernel_weighted_integral(phi, z, spec)
-    v2 = _kernel_weighted_integral(phi, z, spec.doubled())
+    pref = (1.0 - abs(z) ** 2) ** 2
+
+    def weighted(w):
+        return pref * np.abs(kernel_eval(z, w)) ** 2 * _eval_on_nodes(phi, w)
+
+    v1 = disc_quadrature(weighted, spec)
+    v2 = disc_quadrature(weighted, spec.doubled())
     return BerezinSample(
         z=z, value=v1, route="integral", error_estimate=abs(v1 - v2)
     )
-
-
-def _kernel_weighted_integral(phi, z: complex, spec: QuadratureSpec) -> complex:
-    nodes, weights = spec.points()
-    pref = (1.0 - abs(z) ** 2) ** 2
-    kern = pref * np.abs(kernel_eval(z, nodes)) ** 2
-    vals = _eval_on_nodes(phi, nodes)
-    return complex(np.sum(weights * kern * vals))
 
 
 def berezin_matrix(
@@ -200,13 +199,9 @@ def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:
     ring's convolution (see the module docstring).
     """
     m = spec.angular_nodes
-    nodes, weights = spec.points()
-    # copies, so that the full node and weight arrays can be freed early
-    r = nodes[::m].real.copy()  # the node at angle 0 of each radial ring
-    w = weights[::m].copy()  # constant along a ring: it scales the kernel spectrum
-    del weights
-    vals = _eval_on_nodes(phi, nodes).reshape(-1, m)
-    del nodes
+    r, mass = _radial_rule(spec.radial_nodes)
+    w = mass / m  # the ring weight, constant along a ring: it scales the kernel spectrum
+    vals = _eval_on_nodes(phi, spec.points()[0]).reshape(-1, m)
     # complex spectrum as (re, im) pairs, so the real kernel multiplies it
     # without being cast to complex
     spectrum = np.fft.fft(vals, axis=1).view(np.float64).reshape(len(r), m, 2)

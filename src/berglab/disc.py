@@ -178,10 +178,7 @@ class QuadratureSpec:
         r, mass = _radial_rule(self.radial_nodes)
         theta = 2.0 * np.pi * np.arange(self.angular_nodes) / self.angular_nodes
         z = r[:, None] * np.exp(1j * theta)[None, :]
-        w = np.broadcast_to(
-            (mass / self.angular_nodes)[:, None], z.shape
-        )
-        return z.ravel(), w.ravel().copy()
+        return z.ravel(), np.repeat(mass / self.angular_nodes, self.angular_nodes)
 
 
 @lru_cache(maxsize=32)
@@ -199,10 +196,9 @@ def _radial_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 def disc_quadrature(integrand, spec: QuadratureSpec = QuadratureSpec()) -> complex:
     """Integrate a callable over the disc against normalized area measure.
 
-    ``integrand`` is called with a complex ndarray of nodes and should
-    return values of matching shape; a callable that only accepts
-    scalars is handled elementwise as a fallback.  Node and summation
-    order are fixed by the spec, so results are deterministic.
+    ``integrand`` is called once with a complex ndarray of nodes and
+    must return one value per node.  Node and summation order are fixed
+    by the spec, so results are deterministic.
 
     Examples
     --------
@@ -215,12 +211,8 @@ def disc_quadrature(integrand, spec: QuadratureSpec = QuadratureSpec()) -> compl
 
 
 def _eval_on_nodes(f, z: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(z), dtype=np.complex128)
-        if vals.shape == z.shape:
-            return vals
-        if vals.ndim == 0:  # constant callable collapsed the array
-            return np.full(z.shape, complex(vals))
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(p) for p in z], dtype=np.complex128)
+    """``f`` called once on the node array; anything but one value per node is refused."""
+    vals = np.asarray(f(z), dtype=np.complex128)
+    if vals.shape != z.shape:
+        raise TypeError(f"evaluator returned shape {vals.shape} for nodes of shape {z.shape}")
+    return vals

@@ -49,24 +49,24 @@ __all__ = [
 class AnalyticSymbol:
     """Bounded analytic function on the open unit disc.
 
-    Subclasses supply vectorized evaluation, an exact truncated Taylor
-    series and a tag.
+    Each family supplies ``__call__``, called once on a complex ndarray
+    of nodes and returning one value per node; ``series(degree)``, the
+    Taylor coefficients a_0 .. a_degree, exact for the family; and
+    ``tag()``.  Construction refuses non-finite data with ValueError.
     """
 
-    def __call__(self, z):
-        raise NotImplementedError
 
-    def series(self, degree: int) -> PowerSeries:
-        """Taylor coefficients a_0 .. a_degree, exact for this family."""
-        raise NotImplementedError
-
-    def tag(self) -> str:
-        raise NotImplementedError
+def _check_finite_fields(**data) -> None:
+    """Refuse symbol data holding a NaN or an infinity, by the name of the field."""
+    for name, values in data.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {values}")
 
 
 class PolynomialSymbol(AnalyticSymbol):
     def __init__(self, coeffs):
         self._series = coeffs if isinstance(coeffs, PowerSeries) else PowerSeries(coeffs)
+        _check_finite_fields(coeffs=self._series.coeffs)
 
     def __call__(self, z):
         return self._series(z)
@@ -88,6 +88,7 @@ class RationalSymbol(AnalyticSymbol):
     def __init__(self, p, q):
         self.p = p if isinstance(p, PowerSeries) else PowerSeries(p)
         self.q = q if isinstance(q, PowerSeries) else PowerSeries(q)
+        _check_finite_fields(num=self.p.coeffs, den=self.q.coeffs)
         if self.q.coeffs[0] == 0:
             raise ValueError("denominator must not vanish at the origin")
         nearest = self._nearest_pole()
@@ -133,13 +134,16 @@ class PrincipalPowerSymbol(AnalyticSymbol):
     """(1 + z)^{i a} (1 - z)^{i b} with real exponents, principal branch.
 
     Both 1 + z and 1 - z map the disc into the right half plane, so the
-    principal logarithm is analytic and the symbol is zero-free with
-    modulus between e^{-(|a|+|b|) pi / 2} and e^{(|a|+|b|) pi / 2}.
+    principal logarithm is analytic and the symbol is zero-free.  Its
+    modulus e^{-(a arg(1+z) + b arg(1-z))} has the sharp bounds
+    e^{-max(|a|,|b|) pi / 2} and e^{max(|a|,|b|) pi / 2}, neither attained:
+    on the disc the two arguments fill the square |arg(1+z)| + |arg(1-z)| < pi / 2.
     """
 
     def __init__(self, plus_exponent: float, minus_exponent: float):
         self.plus_exponent = float(plus_exponent)
         self.minus_exponent = float(minus_exponent)
+        _check_finite_fields(plus_exponent=self.plus_exponent, minus_exponent=self.minus_exponent)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=np.complex128)
@@ -186,8 +190,8 @@ def principal_power_symbol(plus_exponent: float, minus_exponent: float) -> Princ
 def power_symbol(t: float) -> PrincipalPowerSymbol:
     """The symbol ((1 + z) / (1 - z))^{i t}, principal branch.
 
-    Zero-free on the disc with infimum of the modulus at least
-    e^{-|t| pi}, yet its boundary values oscillate through every phase;
+    Zero-free on the disc with infimum of the modulus e^{-|t| pi / 2},
+    not attained, yet its boundary values oscillate through every phase;
     the classic stress test for invertibility diagnostics.
     """
     return PrincipalPowerSymbol(t, -t)
@@ -200,6 +204,9 @@ class HarmonicSymbol:
     c: complex
     d: complex
     g: AnalyticSymbol
+
+    def __post_init__(self):
+        _check_finite_fields(c=self.c, d=self.d)
 
     def __call__(self, z):
         gz = self.g(z)

@@ -246,6 +246,9 @@ def matrix_from_json(path) -> TruncatedOperator:
     with open(path) as fh:
         payload = json.load(fh)
     n = payload["N"]
+    if type(n) is not int:  # JSON's true and 2.0 compare equal to sizes, but are none
+        raise ValueError(f"header N must be an integer, got {n!r}")
+    n = check_size(n)
     data = np.array(payload.pop("data"), dtype=np.float64)  # a ragged list raises ValueError
     if data.shape != (n, n, 2):
         raise ValueError(f"data has shape {data.shape}, expected ({n}, {n}, 2)")

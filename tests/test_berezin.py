@@ -16,15 +16,18 @@ from berglab.berezin import (
     grid_to_csv,
     grid_to_json,
 )
+from berglab.disc import disc_quadrature
 from berglab.symbols import (
     DiscGrid,
     HarmonicSymbol,
+    inf_modulus,
     polynomial_symbol,
     principal_power_symbol,
 )
-from berglab.toeplitz import toeplitz_analytic, toeplitz_harmonic
+from berglab.toeplitz import toeplitz_analytic, toeplitz_harmonic, toeplitz_quadrature
 
 BOOSTED = QuadratureSpec(96, 384)  # boundary-capable integral spec
+SMALL = QuadratureSpec(8, 16)
 
 
 def random_point(rng, rmax):
@@ -183,20 +186,29 @@ class TestRingRoute:
         phi = HarmonicSymbol(1.0, 0.25, principal_power_symbol(1.0, -1.0))
         assert_matches_per_node(phi, DiscGrid((0.0, 0.5, 0.8), 16), QuadratureSpec(32, 128))
 
-    def test_scalar_only_callable_evaluated_once_per_rule_node(self):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda phi: berezin_grid(phi, DiscGrid((0.2, 0.6), 8), "integral", SMALL),
+            # 12 angles do not divide the rule's 16: the per-node route
+            lambda phi: berezin_grid(phi, DiscGrid((0.2, 0.6), 12), "integral", SMALL),
+            lambda phi: inf_modulus(phi, DiscGrid((0.2, 0.6), 8)),
+            lambda phi: toeplitz_quadrature(phi, 4, SMALL),
+            lambda phi: disc_quadrature(phi, SMALL),
+        ],
+        ids=["ring", "per_node", "inf_modulus", "toeplitz_quadrature", "disc_quadrature"],
+    )
+    def test_scalar_only_callable_raises_its_own_error_after_one_call(self, run):
         calls = []
 
         def phi(w):
             calls.append(1)
             return cmath.exp(0.5 * complex(w).conjugate())  # arrays raise TypeError
 
-        spec = QuadratureSpec(8, 16)
-        grid = DiscGrid((0.2, 0.6), 8)
-        assert_matches_per_node(phi, grid, spec)
-        calls.clear()
-        berezin_grid(phi, grid, "integral", spec)
-        # one failed array call, then the scalar loop, per rule
-        assert len(calls) == (1 + 8 * 16) + (1 + 16 * 32)
+        with pytest.raises(TypeError) as exc:
+            run(phi)
+        assert exc.traceback[-1].name == "phi"  # the evaluator's own error, not a refusal
+        assert len(calls) == 1  # the node array, and no per-point retry
 
     def test_ring_at_origin(self):
         phi = HarmonicSymbol(1.0, 2.0, polynomial_symbol([0.5, 1.0, -0.25]))

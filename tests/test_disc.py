@@ -230,9 +230,17 @@ class TestQuadrature:
                 expected = 1.0 / (a + 1.0) if a == b else 0.0
                 assert abs(val - expected) < QUAD_TOL
 
-    def test_scalar_only_callable_fallback(self):
+    def test_builtin_abs_evaluator_on_the_node_array(self):
         val = disc_quadrature(lambda w: abs(w) ** 2, QuadratureSpec(16, 32))
         assert val == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "f", [lambda w: 2.0, lambda w: w[:-1], lambda w: w.reshape(-1, 2)],
+        ids=["scalar", "short", "reshaped"],
+    )
+    def test_one_value_per_node_or_refused(self, f):
+        with pytest.raises(TypeError, match=r"returned shape .* for nodes of shape \(512,\)"):
+            disc_quadrature(f, QuadratureSpec(16, 32))
 
     def test_deterministic(self):
         f = lambda w: np.exp(w) / (1.3 - w)

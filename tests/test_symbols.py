@@ -43,6 +43,24 @@ class TestAnalyticFamilies:
         with pytest.raises(ValueError):
             rational_symbol([1.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: HarmonicSymbol(np.nan, 0.5, polynomial_symbol([2.0, 1.0])), "c"),
+            (lambda: polynomial_symbol([np.nan, 1.0]), "coeffs"),
+            (lambda: polynomial_symbol([np.inf, 1.0]), "coeffs"),
+            (lambda: rational_symbol([np.inf], [2.0, 1.0]), "num"),
+            # before the pole search, whose np.roots would raise LinAlgError
+            (lambda: rational_symbol([1.0], [1.0, np.nan]), "den"),
+            (lambda: principal_power_symbol(np.nan, 0.0), "plus_exponent"),
+            (lambda: principal_power_symbol(np.inf, 0.0), "plus_exponent"),
+        ],
+        ids=["harmonic-c", "poly-nan", "poly-inf", "num-inf", "den-nan", "power-nan", "power-inf"],
+    )
+    def test_non_finite_data_refused_at_construction(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build()
+
     def test_principal_power_binomial_coeffs(self):
         g = principal_power_symbol(1.0, 0.0)  # (1+z)^i
         np.testing.assert_allclose(
@@ -218,6 +236,17 @@ class TestInfModulus:
             ):
                 scan = inf_modulus(sym)
                 assert scan.minimum >= np.exp(-abs(t) * np.pi / 2) - 1e-12
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.7, -0.3), (0.7, 0.3), (-0.2, 1.1), (1, 0), (0.5, 0.5), (1, -1), (3, -3)]
+    )
+    def test_principal_power_sharp_infimum(self, a, b):
+        # (arg(1+z), arg(1-z)) fills |alpha| + |beta| < pi/2, so inf |g| = e^{-max(|a|,|b|) pi/2};
+        # the grid reaches to radius 1 - 2^-14 and approaches it from above
+        grid = DiscGrid(tuple(1.0 - 2.0 ** -np.linspace(0.0, 14.0, 64)), 4096)
+        sharp = np.exp(-max(abs(a), abs(b)) * np.pi / 2)
+        minimum = inf_modulus(principal_power_symbol(a, b), grid).minimum
+        assert sharp * (1 - 1e-12) <= minimum <= 1.02 * sharp
 
     def test_power_ratio_lower_bound(self):
         for t in (0.5, 1.0, 2.0):

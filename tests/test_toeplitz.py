@@ -436,6 +436,17 @@ class TestExports:
         with pytest.raises(ValueError):
             matrix_from_json(path)
 
+    @pytest.mark.parametrize("n, size", [(2.0, 2), (True, 1)], ids=["float", "bool"])
+    def test_json_header_n_must_be_an_integer(self, tmp_path, n, size):
+        # data of the matching shape: Python calls (2.0, 2.0, 2) equal to (2, 2, 2)
+        # and (True, True, 2) equal to (1, 1, 2)
+        data = [[[1.0, 0.0]] * size] * size
+        path = tmp_path / "m.json"
+        payload = {"N": n, "symbol_tag": "x", "builder": "closed_form", "data": data}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="header N must be an integer"):
+            matrix_from_json(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("writer", [matrix_to_json, matrix_to_csv])
     def test_non_finite_refused_without_a_file(self, tmp_path, bad, writer):
