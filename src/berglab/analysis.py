@@ -98,6 +98,9 @@ _NORMAL_TOL = 1e-10
 #: ratio, their bidiagonal route breaking even with the dense SVD near N / (2m + 1) = 8
 _BAND_RATIO_REAL = 16
 _BAND_RATIO_COMPLEX = 64
+#: a real matrix with at least this many columns takes :func:`lapack.dense_band_sigma`,
+#: which breaks even with the dense SVD near N = 700 (1 BLAS thread; DECISIONS.md entry 14)
+_BAND_REDUCTION_CUT = 768
 #: the denominator of a polynomial
 _ONE = np.ones(1)
 
@@ -134,12 +137,17 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 
 
 def smallest_singular_value(t) -> float:
-    """sigma_min via full SVD, the package's only one: inf ||M x|| / ||x|| over a section,
-    equal to the adjoint's exactly, or over a window of its columns.  A failed SVD or a
-    non-finite sigma_min, which an infinite or NaN entry gives, is refused."""
+    """sigma_min of a dense matrix: inf ||M x|| / ||x|| over a section, equal to the
+    adjoint's exactly, or over a window of its columns.  A real matrix of at least
+    ``_BAND_REDUCTION_CUT`` columns takes :func:`lapack.dense_band_sigma`, any other the
+    package's only SVD.  A failed SVD or a non-finite sigma_min, which an infinite or
+    NaN entry gives, is refused alike on both."""
     m = _real_if_exact(_as_matrix(t))
     try:
-        sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
+        if m.dtype == np.float64 and m.shape[1] >= _BAND_REDUCTION_CUT:
+            sigma = lapack.dense_band_sigma(m)
+        else:
+            sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
     except np.linalg.LinAlgError:  # the real SVD reports a NaN entry as no convergence
         sigma = math.nan
     if not math.isfinite(sigma):

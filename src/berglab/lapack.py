@@ -2,7 +2,9 @@
 
 The sigma_min trend's banded routes: :func:`pencil_sigma` for a rational g
 (``DECISIONS.md`` entry 5), :func:`bidiagonal_sigma` for a polynomial (entry 7).
-Neither scales its input; the capsules load on first use, without ``scipy.linalg``.
+Neither scales its input; :func:`dense_band_sigma`, for a large real matrix, reduces
+it to a band first and scales it (entry 14).  The capsules load on first use,
+without ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,18 @@ import numpy as np
 
 from .errors import NumericalError
 
-#: C prototypes of the LAPACK routines the banded routes call through ctypes, as
+#: C prototypes of the LAPACK routines the routes call through ctypes, as
 #: scipy.linalg.cython_lapack names their capsules once Cython's type prefixes are
 #: stripped: ``d`` is a double, ``double_complex`` two, and every integer a C int
 _LAPACK_PROTOTYPES = {
     "dgbbrd": "void (char *, int *, int *, int *, int *, int *, d *, int *, d *, d *, d *, "
     "int *, d *, int *, d *, int *, d *, int *)",
+    "dgelqf": "void (int *, int *, d *, int *, d *, d *, int *, int *)",
+    "dgeqrf": "void (int *, int *, d *, int *, d *, d *, int *, int *)",
+    "dormlq": "void (char *, char *, int *, int *, int *, d *, int *, d *, d *, int *, d *, "
+    "int *, int *)",
+    "dormqr": "void (char *, char *, int *, int *, int *, d *, int *, d *, d *, int *, d *, "
+    "int *, int *)",
     "dsbgvx": "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, "
     "d *, int *, d *, d *, int *, int *, d *, int *, d *, d *, int *, d *, int *, int *, int *)",
     "dstebz": "void (char *, char *, int *, d *, d *, int *, int *, d *, d *, d *, int *, "
@@ -42,6 +50,12 @@ _POINTER_DTYPES = {"int *": np.intc, "d *": np.float64, "double_complex *": np.c
 _CYTHON_TYPE_PREFIX = re.compile(r"__pyx_t_(?:\w*?cython_lapack_)?")
 #: twice the safe minimum: the tightest bisection tolerance, which LAPACK advises
 _ABSTOL = 2 * np.finfo(float).tiny
+#: the upper bandwidth :func:`dense_band_sigma` reduces to: above 32, as ``dormqr`` and
+#: ``dormlq`` apply 32 reflectors or fewer unblocked; a wider band slows ``dgbbrd``
+#: (``DECISIONS.md`` entry 14)
+_DENSE_BAND = 40
+#: ``dormqr`` and ``dormlq`` block at most 64 reflectors, with a 65 x 64 triangular factor
+_ORM_BLOCK = 64
 
 
 def _check_prototype(name: str, signature: str) -> str:
@@ -207,24 +221,33 @@ def pencil_sigma(c, d, p: np.ndarray, q: np.ndarray, n: int) -> float:
 
 def bidiagonal_sigma(c, d, p: np.ndarray, n: int) -> float:
     """sigma_min of T = c A + d A^*, A the N x N truncation of the polynomial p of degree
-    m < N (float64 or complex128 coefficients); NaN if none is found.
+    m < N (float64 or complex128 coefficients), by :func:`_band_sigma` on T's band
+    (:func:`_harmonic_band`), O(N^2 m) for half-bandwidth m; NaN if none is found."""
+    m = len(p) - 1
+    return _band_sigma(_harmonic_band(c, d, p, n), m, m)
 
-    LAPACK's ``dgbbrd`` (real) or ``zgbbrd`` reduces T's band (:func:`_harmonic_band`)
-    to an upper bidiagonal B = Q^* T P with real diagonal d_i and superdiagonal e_i by
-    orthogonal transforms of T itself, O(N^2 m) for half-bandwidth m.  The Golub-Kahan
-    tridiagonal of B, zero diagonal and off-diagonal d_1, e_1, d_2, ..., d_N, has the
-    eigenvalues +-sigma_i(T); ``dstebz`` bisects for the one at ascending index N + 1,
-    which it resolves to high relative accuracy.
+
+def _band_sigma(ab: np.ndarray, kl: int, ku: int) -> float:
+    """sigma_min of the N x N matrix T whose general band storage, ``kl`` subdiagonals
+    and ``ku`` superdiagonals, is the (kl + ku + 1) x N Fortran-ordered ``ab`` (float64
+    or complex128, overwritten); NaN if none is found.
+
+    LAPACK's ``dgbbrd`` (real) or ``zgbbrd`` reduces the band to an upper bidiagonal
+    B = Q^* T P with real diagonal d_i and superdiagonal e_i by orthogonal transforms of
+    T itself.  The Golub-Kahan tridiagonal of B, zero diagonal and off-diagonal d_1, e_1,
+    d_2, ..., d_N, has the eigenvalues +-sigma_i(T); ``dstebz`` bisects for the one at
+    ascending index N + 1, which it resolves to high relative accuracy.
     """
-    ab = _harmonic_band(c, d, p, n)
-    m, two_n = len(p) - 1, 2 * n
+    n = ab.shape[1]
+    two_n = 2 * n
     diag, off = np.zeros(n), np.zeros(max(n - 1, 1))
     real = np.isrealobj(ab)
     unused = np.zeros(1, ab.dtype)  # Q, P^T and C: not referenced for vect = 'N', ncc = 0
     work = [np.zeros(2 * n)] if real else [np.zeros(n, ab.dtype), np.zeros(n)]
     _call_lapack(
         "dgbbrd" if real else "zgbbrd",
-        b"N", n, n, 0, m, m, ab, 2 * m + 1, diag, off, unused, 1, unused, 1, unused, 1, *work,
+        b"N", n, n, 0, kl, ku, ab, kl + ku + 1, diag, off, unused, 1, unused, 1, unused, 1,
+        *work,
     )
     tridiagonal = np.zeros(two_n - 1)
     tridiagonal[::2], tridiagonal[1::2] = diag, off[: n - 1]
@@ -236,3 +259,66 @@ def bidiagonal_sigma(c, d, p: np.ndarray, n: int) -> float:
         np.zeros(4 * two_n), np.zeros(3 * two_n, np.intc),
     )
     return w[0] if found == 1 else math.nan
+
+
+def _block(flat: np.ndarray, lda: int, i: int, j: int, rows: int, cols: int) -> np.ndarray:
+    """The block ``a[i : i + rows, j : j + cols]`` of the Fortran-ordered matrix ``a`` with
+    ``lda`` rows whose 1-D view is ``flat``, as LAPACK reads it with leading dimension
+    ``lda``: the view from the block's first entry on.  A block that does not lie inside
+    ``a`` is refused, as LAPACK would read and write past it."""
+    if not (0 <= i and i + rows <= lda and 0 <= j and (j + cols) * lda <= flat.size):
+        raise ValueError(
+            f"block of {rows} x {cols} at ({i}, {j}) outside a matrix of {lda} x "
+            f"{flat.size // lda}"
+        )
+    return flat[i + j * lda :]
+
+
+def dense_band_sigma(m: np.ndarray) -> float:
+    """sigma_min of a real float64 matrix M with no more columns than rows; NaN for a
+    non-finite entry, inf for a sigma beyond the float range.
+
+    A Fortran-ordered copy of M, brought to a largest modulus in [1/2, 1) by an exact
+    power of two, is reduced in place to an upper band of width b = ``_DENSE_BAND`` by
+    orthogonal transforms, one panel of b columns at a time (Grosser & Lang 1999):
+    ``dgeqrf`` and ``dormqr`` clear the panel below its diagonal, then ``dgelqf`` and
+    ``dormlq`` clear the panel's rows beyond the band.  Everything but the panels runs
+    in blocked, matrix-matrix form, where ``dgebrd`` (inside the dense SVD) spends half
+    its work in matrix-vector products.  :func:`_band_sigma` finishes on the band's
+    N x N top, and sigma is scaled back (``DECISIONS.md`` entry 14).
+    """
+    rows, n = m.shape
+    top = max(m.max(), -m.min())  # NaN propagates, and no |M| is formed
+    if not math.isfinite(top):
+        return math.nan
+    exp = math.frexp(top)[1]
+    a = np.empty((rows, n), order="F")
+    np.ldexp(m, -exp, out=a)  # exact unless an entry underflows
+    flat = a.reshape(-1, order="F")  # a view: every block is a suffix of it
+    tau, work = np.zeros(_DENSE_BAND), np.zeros((rows + _ORM_BLOCK + 1) * _ORM_BLOCK)
+    lwork = work.size
+    for k in range(0, n, _DENSE_BAND):
+        nb, rest = min(_DENSE_BAND, n - k), max(n - k - _DENSE_BAND, 0)
+        panel = _block(flat, rows, k, k, rows - k, nb)
+        _call_lapack("dgeqrf", rows - k, nb, panel, rows, tau, work, lwork)
+        if rest:
+            right = _block(flat, rows, k, k + nb, rows - k, rest)
+            _call_lapack(
+                "dormqr", b"L", b"T", rows - k, rest, nb, panel, rows, tau, right, rows,
+                work, lwork,
+            )
+            _call_lapack("dgelqf", nb, rest, right, rows, tau, work, lwork)
+            _call_lapack(
+                "dormlq", b"R", b"T", rows - k - nb, rest, min(nb, rest), right, rows, tau,
+                _block(flat, rows, k + nb, k + nb, rows - k - nb, rest), rows, work, lwork,
+            )
+    ku = min(_DENSE_BAND, n - 1)
+    ab = np.zeros((ku + 1, n), order="F")
+    for s in range(ku + 1):
+        ab[ku - s, s:] = a.diagonal(s)  # a[i, i + s]
+    # bisection can return a rounding-level value just below zero
+    sigma = abs(_band_sigma(ab, 0, ku))
+    try:
+        return math.ldexp(sigma, exp)
+    except OverflowError:
+        return math.inf

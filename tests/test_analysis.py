@@ -28,6 +28,7 @@ from berglab.analysis import (
 )
 from berglab.errors import NumericalError
 from berglab.symbols import (
+    _MINUS_I_POWERS,
     HarmonicSymbol,
     PrincipalPowerSymbol,
     polynomial_symbol,
@@ -1006,7 +1007,158 @@ class TestBidiagonalSigmaMin:
         routines = lapack_calls(monkeypatch)
         for case in ("real", "complex", "workload", "complex p, q"):
             bounded_below_trend(pencil_symbol(*PENCIL_CASES[case]), (448, 512, 1024))
+        # the power symbol's rotated real section reaches the band reduction
+        bounded_below_trend(HarmonicSymbol(1.0, 0.0, power_symbol(1.0)), (256, 512, CUT))
         assert set(routines) == set(lapack._LAPACK_PROTOTYPES)
+
+
+CUT = analysis._BAND_REDUCTION_CUT
+
+
+def band_reduction_calls(n):
+    """The LAPACK calls of the band reduction route on N columns, in order: a QR and an
+    LQ step per panel of b columns, a QR of the last panel, then the band's steps."""
+    panels = -(-n // lapack._DENSE_BAND)
+    return ["dgeqrf", "dormqr", "dgelqf", "dormlq"] * (panels - 1) + [
+        "dgeqrf", "dgbbrd", "dstebz"
+    ]
+
+
+def rotated_section(t, c, d, n):
+    """D^* T D = c R + d R^T, D = diag(i^m), for T the section of c g + d conj(g),
+    g = power_symbol(t): the real matrix the trend hands to the dense route."""
+    r = power_symbol(t).series(n - 1).coeffs * _MINUS_I_POWERS[np.arange(n) % 4]
+    assert not r.imag.any()
+    return _analytic_matrix(r.real, n, (c, d))
+
+
+def gaussian(n):
+    return np.random.default_rng(n).normal(size=(n, n))
+
+
+def with_zero_column(n):
+    m = gaussian(n)
+    m[:, n // 3] = 0.0
+    return m
+
+
+#: name -> the real matrix at size N (N columns)
+DENSE_CASES = {
+    "power t=1 d=0": lambda n: rotated_section(1.0, 1.0, 0.0, n),
+    "power t=1 d=0.4": lambda n: rotated_section(1.0, 1.0, 0.4, n),
+    "power t=3 d=0": lambda n: rotated_section(3.0, 1.0, 0.0, n),
+    "gaussian": gaussian,
+    "degree 40 real": lambda n: _analytic_matrix(
+        np.random.default_rng(40).normal(size=41), n, (1.0, 0.5)
+    ),
+    "zero column": with_zero_column,
+    # the first N columns of a larger rotated section
+    "tall window": lambda n: rotated_section(1.0, 1.0, 0.4, n + 96)[:, :n],
+}
+
+
+def assert_matches_svd(sigma, m, allowance=16):
+    svals = np.linalg.svd(m, compute_uv=False)
+    err = abs(sigma - svals[-1])
+    assert err <= 1e-12 and err <= allowance * UNIT_ROUNDOFF * svals[0], (sigma, svals[-1])
+
+
+class TestDenseBandSigma:
+    """The band reduction route of large real matrices against the dense SVD."""
+
+    @pytest.mark.parametrize("n", [CUT, 1024])
+    @pytest.mark.parametrize("case", sorted(DENSE_CASES))
+    def test_matches_dense_svd(self, monkeypatch, case, n):
+        m = DENSE_CASES[case](n)
+        assert m.dtype == np.float64 and m.shape[1] == n
+        routines = lapack_calls(monkeypatch)
+        sigma = smallest_singular_value(m)
+        assert routines == band_reduction_calls(n)
+        assert_matches_svd(sigma, m)
+
+    def test_power_symbol_keeps_the_theorem_bound(self, monkeypatch):
+        # d = 0: sigma_min(A_N) never increases with N and never falls below
+        # inf |g| = e^(-pi/2) for g = ((1 + z) / (1 - z))^i
+        routines = lapack_calls(monkeypatch)
+        _, s512, s1024 = bounded_below_trend(
+            HarmonicSymbol(1.0, 0.0, power_symbol(1.0)), (256, 512, 1024)
+        ).sigma_min
+        assert routines == band_reduction_calls(1024)
+        assert np.exp(-np.pi / 2) * (1 - 1e-12) <= s1024 <= s512 * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**900, 2.0**-900, 1e300], ids=["2^900", "2^-900", "1e300"]
+    )
+    def test_scaled_matrix_matches_the_scaled_svd(self, scale):
+        # unscaled, dstebz refuses the Gaussian matrix times 1e300 (info 4)
+        m = gaussian(CUT)
+        svals = np.linalg.svd(m, compute_uv=False)
+        sigma = smallest_singular_value(scale * m)
+        assert abs(sigma - scale * svals[-1]) <= 16 * UNIT_ROUNDOFF * scale * svals[0]
+
+    @staticmethod
+    def _sylvester_hadamard(n):
+        h = np.ones((1, 1))
+        while len(h) < n:
+            h = np.block([[h, h], [h, -h]])
+        return h
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+    def test_refusals_match_the_dense_svd(self, monkeypatch, bad):
+        if bad == "overflow":
+            # every singular value of 1e308 H, H a Hadamard matrix, is 1e308 sqrt(N)
+            m = 1e308 * self._sylvester_hadamard(1024)
+        else:
+            m = gaussian(CUT)
+            m[3, 5] = float(bad)
+        with pytest.raises(NumericalError) as band:
+            smallest_singular_value(m)
+        monkeypatch.setattr(analysis, "_BAND_REDUCTION_CUT", m.shape[1] + 1)
+        with pytest.raises(NumericalError) as dense, np.errstate(invalid="ignore"):
+            smallest_singular_value(m)
+        assert str(band.value) == str(dense.value)
+        assert "refusing a non-finite or failed result" in str(band.value)
+
+    @pytest.mark.parametrize(
+        "shape, dtype, routed",
+        [
+            ((CUT - 1, CUT - 1), float, False),
+            ((CUT, CUT), float, True),
+            ((CUT + 64, CUT - 1), float, False),
+            ((CUT + 64, CUT), float, True),
+            ((CUT, CUT), complex, False),
+            ((CUT - 1, CUT - 1), complex, False),
+        ],
+        ids=["real below", "real at", "window below", "window at", "complex at",
+             "complex below"],
+    )
+    def test_route_follows_the_columns_and_the_dtype(self, monkeypatch, shape, dtype, routed):
+        m = np.random.default_rng(9).normal(size=shape).astype(dtype)
+        if dtype is complex:
+            m += 1j * np.eye(*shape)
+        svd_shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, **kw: svd_shapes.append(a.shape) or svd(a, **kw)
+        )
+        routines = lapack_calls(monkeypatch)
+        smallest_singular_value(m)
+        expected = (band_reduction_calls(shape[1]), []) if routed else ([], [shape])
+        assert (routines, svd_shapes) == expected
+
+    def test_exactly_real_complex_matrix_is_routed(self, monkeypatch):
+        m = gaussian(CUT).astype(complex)
+        routines = lapack_calls(monkeypatch)
+        sigma = smallest_singular_value(m)
+        assert routines == band_reduction_calls(CUT)
+        assert sigma == lapack.dense_band_sigma(m.real.copy())
+
+    def test_blocks_outside_the_matrix_are_refused(self):
+        flat = np.zeros(4 * 5)  # a 4 x 5 matrix
+        assert lapack._block(flat, 4, 1, 2, 3, 3).size == flat.size - (1 + 2 * 4)
+        for i, j, rows, cols in [(2, 0, 3, 1), (0, 3, 1, 3), (-1, 0, 1, 1), (0, -1, 1, 1)]:
+            with pytest.raises(ValueError, match="outside a matrix of 4 x 5"):
+                lapack._block(flat, 4, i, j, rows, cols)
 
 
 class TestLapackCapsules:

@@ -62,7 +62,9 @@ def test_lapack_is_the_only_module_that_knows_the_abi():
     }
     assert abi == {"lapack.py"}
     assert not {".lapack", "berglab.lapack"} & imports["toeplitz.py"]
-    assert set(lapack._LAPACK_PROTOTYPES) == {"dgbbrd", "dsbgvx", "dstebz", "zgbbrd", "zhbgvx"}
+    assert set(lapack._LAPACK_PROTOTYPES) == {
+        "dgbbrd", "dgelqf", "dgeqrf", "dormlq", "dormqr", "dsbgvx", "dstebz", "zgbbrd", "zhbgvx"
+    }
     assert berglab.__all__ == PUBLIC
 
 
