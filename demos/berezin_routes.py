@@ -13,15 +13,15 @@ import numpy as np
 from berglab import (
     HarmonicSymbol,
     NumericalError,
+    PolynomialSymbol,
     QuadratureSpec,
     berezin_harmonic,
     berezin_integral,
     berezin_matrix,
-    polynomial_symbol,
     toeplitz_harmonic,
 )
 
-phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0]))
+phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))
 op = toeplitz_harmonic(phi, 128)
 spec = QuadratureSpec(96, 384)
 

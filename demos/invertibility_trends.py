@@ -10,17 +10,17 @@ away from zero.
 
 from berglab import (
     HarmonicSymbol,
+    PolynomialSymbol,
     bounded_below_trend,
     inf_modulus,
     invertibility_verdict,
-    polynomial_symbol,
 )
 
 cases = [
-    ("phi = 2 + z                ", HarmonicSymbol(1.0, 0.0, polynomial_symbol([2.0, 1.0]))),
-    ("phi = 2Re(2 + z)           ", HarmonicSymbol(1.0, 1.0, polynomial_symbol([2.0, 1.0]))),
-    ("phi = z + 2 conj(z)        ", HarmonicSymbol(1.0, 2.0, polynomial_symbol([0.0, 1.0]))),
-    ("phi = (2+z) + 0.5 conj(2+z)", HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0]))),
+    ("phi = 2 + z                ", HarmonicSymbol(1.0, 0.0, PolynomialSymbol([2.0, 1.0]))),
+    ("phi = 2Re(2 + z)           ", HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0]))),
+    ("phi = z + 2 conj(z)        ", HarmonicSymbol(1.0, 2.0, PolynomialSymbol([0.0, 1.0]))),
+    ("phi = (2+z) + 0.5 conj(2+z)", HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))),
 ]
 
 print("sigma_min over N = 16 .. 256:")

@@ -11,8 +11,8 @@ import numpy as np
 
 from berglab import (
     HarmonicSymbol,
+    PolynomialSymbol,
     QuadratureSpec,
-    polynomial_symbol,
     toeplitz_analytic,
     toeplitz_harmonic,
     toeplitz_quadrature,
@@ -24,12 +24,12 @@ print("truncated shift (real part):")
 print(np.round(shift.matrix.real, 4))
 
 # same operator from quadrature, entry by entry
-g = polynomial_symbol([0.0, 1.0])
+g = PolynomialSymbol([0.0, 1.0])
 quad = toeplitz_quadrature(g, 5, QuadratureSpec(64, 128), g.tag())
 print(f"\nclosed form vs quadrature: max diff {np.max(np.abs(shift.matrix - quad.matrix)):.2e}")
 
 # harmonic symbol phi = c g + d conj(g): the compression is c A + d A^*
-phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0]))
+phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))
 op = toeplitz_harmonic(phi, 6)
 print(f"\nharmonic truncation Hermitian error (real symbol would be 0): "
       f"{np.max(np.abs(op.matrix - op.matrix.conj().T)):.3f}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lapack
-from .disc import PowerSeries
+from .disc import PowerSeries, _eval_on_nodes
 from .errors import NumericalError, _at_least
 from .symbols import (
     DiscGrid,
@@ -573,7 +573,7 @@ def _sandwich_on_grid(phi: HarmonicSymbol, grid: DiscGrid) -> dict | None:
     s = phi.coanalytic_ratio
     if phi.case_tag != "general_s" or s is None:
         return None
-    nodes = phi.g(grid.nodes().ravel())
+    nodes = _eval_on_nodes(phi.g, grid.nodes().ravel())
     gabs = np.abs(nodes)
     combo = np.abs(s * nodes + np.conj(nodes))
     inf_g = float(gabs.min())

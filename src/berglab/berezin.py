@@ -83,7 +83,9 @@ class BerezinSample:
     def __post_init__(self):
         if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
-        if not self.error_estimate >= 0:
+        if np.isnan(self.error_estimate):
+            raise NumericalError("error_estimate is NaN: the value overflowed")
+        if self.error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
 
 
@@ -130,7 +132,7 @@ def berezin_matrix(
     x = abs(z) ** 2
     tail = x**n * ((n + 1) * (1.0 - x) + x)
     estimate = op.norm_proxy * tail
-    if estimate > tail_tol:
+    if not estimate <= tail_tol:  # an overflowed norm proxy times a zero tail is NaN
         raise NumericalError(
             f"kernel tail estimate {estimate:.3e} exceeds {tail_tol:.1e} "
             f"at |z| = {abs(z):.4f} with N = {n}; use the integral route"
@@ -181,7 +183,6 @@ def berezin_grid(
     if route == "integral":
         if spec.angular_nodes % grid.angles_per_radius:
             return [berezin_integral(phi, z, spec) for z in nodes]
-        _inside_disc(nodes, "z")
         v1 = _ring_integrals(phi, grid, spec).ravel().tolist()
         v2 = _ring_integrals(phi, grid, spec.doubled()).ravel().tolist()
         return [

@@ -53,9 +53,9 @@ from .errors import ConfigError, NumericalError, _at_least
 from .symbols import (
     DiscGrid,
     HarmonicSymbol,
-    polynomial_symbol,
-    principal_power_symbol,
-    rational_symbol,
+    PolynomialSymbol,
+    PrincipalPowerSymbol,
+    RationalSymbol,
 )
 from .toeplitz import (
     check_size,
@@ -171,10 +171,10 @@ _COEFFS = _list(_as_complex)
 
 #: symbol.g by its ``type``
 _ANALYTIC = {
-    "polynomial": _object({"coeffs": _COEFFS}, polynomial_symbol),
-    "rational": _object({"num": _COEFFS, "den": _COEFFS}, rational_symbol),
+    "polynomial": _object({"coeffs": _COEFFS}, PolynomialSymbol),
+    "rational": _object({"num": _COEFFS, "den": _COEFFS}, RationalSymbol),
     "principal_power": _object(
-        {"plus_exponent": _as_float, "minus_exponent": _as_float}, principal_power_symbol
+        {"plus_exponent": _as_float, "minus_exponent": _as_float}, PrincipalPowerSymbol
     ),
 }
 
@@ -293,8 +293,8 @@ def _run_toeplitz_build(sc: Scenario) -> tuple[dict, tuple]:
         "n": op.n,
         "builder": op.builder,
         "symbol_tag": op.symbol_tag,
-        # the dense SVD: loading SciPy's LAPACK for the banded route adds more peak memory
-        # than an N = 512 build allocates itself (DECISIONS.md 4)
+        # not the trend's banded route (its capsules outweigh an N = 512 build): the dense
+        # SVD, or from 768 real columns the band reduction, which loads them (DECISIONS.md 4, 14)
         "sigma_min": smallest_singular_value(op),
         "normality_defect": normality_defect(op),
     }

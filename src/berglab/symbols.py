@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .disc import PowerSeries, _eval_on_nodes
+from .disc import PowerSeries, _eval_on_nodes, _inside_disc
 from .errors import DomainError, _at_least
 
 #: (-i)^k at index k % 4, exact; numpy's ``(-1j) ** k`` is off by up to 1.7e-13 at k < 1024
@@ -37,9 +37,6 @@ __all__ = [
     "HarmonicSymbol",
     "DiscGrid",
     "ModulusScan",
-    "polynomial_symbol",
-    "rational_symbol",
-    "principal_power_symbol",
     "power_symbol",
     "inf_modulus",
     "default_modulus_grid",
@@ -175,18 +172,6 @@ def _binomial_power_coeffs(exponent: float, degree: int, sign: int) -> np.ndarra
     return out
 
 
-def polynomial_symbol(coeffs) -> PolynomialSymbol:
-    return PolynomialSymbol(coeffs)
-
-
-def rational_symbol(p, q) -> RationalSymbol:
-    return RationalSymbol(p, q)
-
-
-def principal_power_symbol(plus_exponent: float, minus_exponent: float) -> PrincipalPowerSymbol:
-    return PrincipalPowerSymbol(plus_exponent, minus_exponent)
-
-
 def power_symbol(t: float) -> PrincipalPowerSymbol:
     """The symbol ((1 + z) / (1 - z))^{i t}, principal branch.
 
@@ -239,7 +224,8 @@ class HarmonicSymbol:
 class DiscGrid:
     """Polar sampling grid: per-radius rings of equally spaced angles.
 
-    Radii must be ascending and stay strictly inside the disc.  Node
+    Radii must be nonnegative and ascending, and every node strictly
+    inside the disc: r e^{i theta} can round onto the circle for r < 1.  Node
     order is row major, radius first then angle, and is part of the
     contract (exports and argmin reporting rely on it).
     """
@@ -254,12 +240,13 @@ class DiscGrid:
         # both checks are written so that a NaN radius fails them
         if not all(a < b for a, b in zip(r, r[1:])):
             raise ValueError("radii must be strictly ascending")
-        if not (0.0 <= r[0] and r[-1] < 1.0):
-            raise ValueError("radii must lie in [0, 1)")
+        if not 0.0 <= r[0]:
+            raise ValueError("radii must be nonnegative")
         object.__setattr__(
             self, "angles_per_radius", _at_least(self.angles_per_radius, 4, "angles_per_radius")
         )
         object.__setattr__(self, "radii", r)
+        _inside_disc(self.nodes(), "every grid node")
 
     def nodes(self) -> np.ndarray:
         """Complex nodes, shape (len(radii), angles_per_radius)."""

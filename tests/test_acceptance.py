@@ -31,11 +31,11 @@ from berglab.disc import QuadratureSpec
 from berglab.symbols import (
     DiscGrid,
     HarmonicSymbol,
+    PolynomialSymbol,
     PrincipalPowerSymbol,
+    RationalSymbol,
     inf_modulus,
-    polynomial_symbol,
     power_symbol,
-    rational_symbol,
 )
 from berglab.toeplitz import toeplitz_analytic, toeplitz_harmonic, toeplitz_quadrature
 
@@ -43,10 +43,10 @@ BOOSTED = QuadratureSpec(96, 384)
 SHARED_GRID = DiscGrid((0.0, 0.3, 0.6, 0.8, 0.9), 32)
 
 SUITE = [
-    ("(1,0,2+z)", HarmonicSymbol(1.0, 0.0, polynomial_symbol([2.0, 1.0])), True),
-    ("(1,1,2+z)", HarmonicSymbol(1.0, 1.0, polynomial_symbol([2.0, 1.0])), True),
-    ("(1,2,z)", HarmonicSymbol(1.0, 2.0, polynomial_symbol([0.0, 1.0])), False),
-    ("(1,0.5,2+z)", HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])), True),
+    ("(1,0,2+z)", HarmonicSymbol(1.0, 0.0, PolynomialSymbol([2.0, 1.0])), True),
+    ("(1,1,2+z)", HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0])), True),
+    ("(1,2,z)", HarmonicSymbol(1.0, 2.0, PolynomialSymbol([0.0, 1.0])), False),
+    ("(1,0.5,2+z)", HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0])), True),
 ]
 
 
@@ -57,10 +57,10 @@ def _line(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_builder_oracle_agreement():
     spec = QuadratureSpec(64, 128)
     symbols = [
-        polynomial_symbol([0.0, 1.0]),
-        polynomial_symbol([0.0, 0.0, 1.0]),
-        polynomial_symbol([2.0, 1.0]),
-        rational_symbol([1.0], [1.0, -0.5]),
+        PolynomialSymbol([0.0, 1.0]),
+        PolynomialSymbol([0.0, 0.0, 1.0]),
+        PolynomialSymbol([2.0, 1.0]),
+        RationalSymbol([1.0], [1.0, -0.5]),
     ]
     worst = 0.0
     for g in symbols:
@@ -81,7 +81,7 @@ def test_criterion_02_berezin_three_route_agreement():
         phi = HarmonicSymbol(
             complex(rng.normal(), rng.normal()),
             complex(rng.normal(), rng.normal()),
-            polynomial_symbol(coeffs),
+            PolynomialSymbol(coeffs),
         )
         op = toeplitz_harmonic(phi, 256)
         for _ in range(50):
@@ -90,7 +90,7 @@ def test_criterion_02_berezin_three_route_agreement():
             vm = berezin_matrix(op, z).value
             vh = berezin_harmonic(phi, z).value
             worst = max(worst, abs(vi - vm), abs(vi - vh), abs(vm - vh))
-    const = HarmonicSymbol(0.3 - 0.2j, 0.55 + 0.15j, polynomial_symbol([1.0]))
+    const = HarmonicSymbol(0.3 - 0.2j, 0.55 + 0.15j, PolynomialSymbol([1.0]))
     const_op = toeplitz_harmonic(const, 256)
     const_worst = 0.0
     for _ in range(10):
@@ -124,14 +124,14 @@ def test_criterion_03_transform_preserves_grid_minimum():
 
 def test_criterion_04_sigma_trend_separation():
     sizes = (16, 32, 64, 128, 256)
-    stab_a = bounded_below_trend(HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])), sizes)
-    stab_b = bounded_below_trend(HarmonicSymbol(1.0, 1.0, polynomial_symbol([2.0, 1.0])), sizes)
+    stab_a = bounded_below_trend(HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0])), sizes)
+    stab_b = bounded_below_trend(HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0])), sizes)
     ok_stab = all(
         t.stabilized and t.drift < 0.05 and t.sigma_min[-1] > 1e-2
         for t in (stab_a, stab_b)
     )
 
-    collapse = bounded_below_trend(HarmonicSymbol(1.0, 0.5, polynomial_symbol([0.0, 1.0])), sizes)
+    collapse = bounded_below_trend(HarmonicSymbol(1.0, 0.5, PolynomialSymbol([0.0, 1.0])), sizes)
     target = 0.1 * collapse.sigma_min[0]
     sig = collapse.sigma_min
     # decreasing until crossing the 0.1 x sigma(16) mark, then staying below

@@ -30,11 +30,10 @@ from berglab.errors import NumericalError
 from berglab.symbols import (
     _MINUS_I_POWERS,
     HarmonicSymbol,
+    PolynomialSymbol,
     PrincipalPowerSymbol,
-    polynomial_symbol,
+    RationalSymbol,
     power_symbol,
-    principal_power_symbol,
-    rational_symbol,
 )
 from berglab.toeplitz import (
     _analytic_matrix,
@@ -44,8 +43,8 @@ from berglab.toeplitz import (
 
 EXACT = 1e-14
 
-SHIFT = HarmonicSymbol(1.0, 0.0, polynomial_symbol([0.0, 1.0]))
-TWO_PLUS_Z = polynomial_symbol([2.0, 1.0])
+SHIFT = HarmonicSymbol(1.0, 0.0, PolynomialSymbol([0.0, 1.0]))
+TWO_PLUS_Z = PolynomialSymbol([2.0, 1.0])
 
 
 class TestSmallestSingularValue:
@@ -164,10 +163,10 @@ def complex_svd(m):
 
 #: real truncations: c, d and the Taylor coefficients of g real
 REAL_SYMBOLS = {
-    "rational": HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5])),
-    "polynomial": HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0, 0.3])),
+    "rational": HarmonicSymbol(1.0, 0.25, RationalSymbol([1.0, 0.5], [2.0, -0.5])),
+    "polynomial": HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3])),
     "wide band": HarmonicSymbol(
-        1.0, 0.5, polynomial_symbol(np.random.default_rng(41).normal(size=41))
+        1.0, 0.5, PolynomialSymbol(np.random.default_rng(41).normal(size=41))
     ),
 }
 
@@ -261,9 +260,9 @@ class TestRotatedRoute:
         "phi",
         [
             HarmonicSymbol(1.0 + 0.5j, 0.4, power_symbol(1.0)),
-            HarmonicSymbol(1.0, 0.0, principal_power_symbol(0.7, -0.3)),
+            HarmonicSymbol(1.0, 0.0, PrincipalPowerSymbol(0.7, -0.3)),
             # real Taylor coefficients: real already, and not rotated
-            HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5])),
+            HarmonicSymbol(1.0, 0.25, RationalSymbol([1.0, 0.5], [2.0, -0.5])),
         ],
         ids=["complex c", "other exponents", "real rational"],
     )
@@ -284,7 +283,7 @@ class TestRotatedRoute:
 
 class TestBoundedBelowTrend:
     def test_constant_symbol_is_flat(self):
-        phi = HarmonicSymbol(3.0, 0.0, polynomial_symbol([1.0]))
+        phi = HarmonicSymbol(3.0, 0.0, PolynomialSymbol([1.0]))
         trend = bounded_below_trend(phi, (4, 8, 16))
         assert trend.sigma_min == (3.0, 3.0, 3.0)
         assert trend.stabilized
@@ -300,7 +299,7 @@ class TestBoundedBelowTrend:
         assert all(b < a for a, b in zip(trend.sigma_min, trend.sigma_min[1:]))
 
     def test_vanishing_symbol_collapses(self):
-        phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([0.0, 1.0]))
+        phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([0.0, 1.0]))
         trend = bounded_below_trend(phi)
         assert not trend.stabilized
         assert trend.sigma_min[-1] <= 1e-12
@@ -605,7 +604,7 @@ class TestInvertibilityVerdict:
         assert report.sandwich is None
 
     def test_vanishing_symbol(self):
-        phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([0.0, 1.0]))
+        phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([0.0, 1.0]))
         report = invertibility_verdict(phi)
         assert report.verdict == "not_invertible_likely"
         assert report.inf_estimate <= 1e-12
@@ -634,7 +633,7 @@ class TestInvertibilityVerdict:
         assert report.verdict == "inconclusive"
 
     def test_rational_symbol(self):
-        phi = HarmonicSymbol(1.0, 0.25, rational_symbol([1.0], [1.0, -0.5]))
+        phi = HarmonicSymbol(1.0, 0.25, RationalSymbol([1.0], [1.0, -0.5]))
         report = invertibility_verdict(phi)
         assert report.verdict == "invertible_likely"
 
@@ -705,7 +704,7 @@ class TestPowerSymbolStudy:
         # every subdiagonal, so a wrong weight on r_l shows far above rounding
         rng = np.random.default_rng(n)
         minus, ratio, plus = (
-            polynomial_symbol(rng.integers(-3, 4, size=5) + 1j * rng.integers(-3, 4, size=5))
+            PolynomialSymbol(rng.integers(-3, 4, size=5) + 1j * rng.integers(-3, 4, size=5))
             for _ in range(3)
         )
         residual = analysis._factor_residual(minus, ratio, plus, n)
@@ -779,7 +778,7 @@ def bidiagonal_sigma_min(c, d, p, n):
 
 
 def pencil_symbol(c, d, p, q):
-    return HarmonicSymbol(c, d, polynomial_symbol(p) if q == [1.0] else rational_symbol(p, q))
+    return HarmonicSymbol(c, d, PolynomialSymbol(p) if q == [1.0] else RationalSymbol(p, q))
 
 
 def dense_svals(phi, n):
@@ -801,7 +800,7 @@ BAND_CASES = {
     "trailing zeros": (1.0, 0.5, [2.0, 1.0, 0.0, 0.0]),
 }
 WORKLOAD_P, WORKLOAD_Q = [1.0, 0.5], [2.0, -0.5]
-WORKLOAD_RATIONAL = HarmonicSymbol(1.0, 0.25, rational_symbol(WORKLOAD_P, WORKLOAD_Q))
+WORKLOAD_RATIONAL = HarmonicSymbol(1.0, 0.25, RationalSymbol(WORKLOAD_P, WORKLOAD_Q))
 #: (c, d, p, q): polynomials are q = [1]
 PENCIL_CASES = {
     **{case: (c, d, coeffs, [1.0]) for case, (c, d, coeffs) in BAND_CASES.items()},
@@ -883,7 +882,7 @@ class TestBandedSigmaMin:
         for phi in (
             pencil_symbol(*PENCIL_CASES["real"]),
             # trailing zeros are trimmed: degree 1, not 31
-            HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0] + [0.0] * 30)),
+            HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0] + [0.0] * 30)),
         ):
             trend, calls = self._dense_calls(monkeypatch, phi, sizes)
             assert calls == []
@@ -892,7 +891,7 @@ class TestBandedSigmaMin:
 
     def test_wide_bands_take_the_dense_route(self, monkeypatch):
         coeffs = np.random.default_rng(41).normal(size=41)
-        wide = HarmonicSymbol(1.0, 0.5, polynomial_symbol(coeffs))
+        wide = HarmonicSymbol(1.0, 0.5, PolynomialSymbol(coeffs))
         _, calls = self._dense_calls(monkeypatch, wide, (64, 128, 256))
         assert calls == [64, 128, 256]
         # a complex band of degree 3 pays from N = 7 * 16 on, as a real one does
@@ -910,12 +909,12 @@ class TestBandedSigmaMin:
             assert_matches_dense(s, phi, n)
 
     def test_constant_symbol_uses_the_closed_form(self, monkeypatch):
-        phi = HarmonicSymbol(1.0 + 2j, 0.5, polynomial_symbol([2.0, 0.0, 0.0]))
+        phi = HarmonicSymbol(1.0 + 2j, 0.5, PolynomialSymbol([2.0, 0.0, 0.0]))
         trend, calls = self._dense_calls(monkeypatch, phi, (1, 2, 700))
         assert calls == []
         assert trend.sigma_min == (abs((1.0 + 2j) * 2.0 + 0.5 * 2.0),) * 3
         # a rational g = p/q of degree 0, and any g at N = 1: a_0 = p_0 / q_0
-        phi = HarmonicSymbol(1.0 + 2j, 0.5, rational_symbol([3.0, 0.0], [0.7]))
+        phi = HarmonicSymbol(1.0 + 2j, 0.5, RationalSymbol([3.0, 0.0], [0.7]))
         trend, calls = self._dense_calls(monkeypatch, phi, (1, 2, 700))
         a0 = 3.0 / 0.7
         assert calls == [] and trend.sigma_min == (abs((1.0 + 2j) * a0 + 0.5 * a0),) * 3
@@ -927,7 +926,7 @@ class TestBandedSigmaMin:
         # sigma_min overflows on either route: the closed form of degree 0 is scaled and
         # refused like the dense route of degree 1, not reported as inf with a NaN drift
         for coeffs in ([1e10], [1e10, 1.0]):
-            phi = HarmonicSymbol(1e300, 1e300, polynomial_symbol(coeffs))
+            phi = HarmonicSymbol(1e300, 1e300, PolynomialSymbol(coeffs))
             with pytest.raises(NumericalError, match="sigma_min inf at N = 4; refusing"):
                 bounded_below_trend(phi, (4, 8, 16))
 
@@ -957,7 +956,7 @@ class TestBidiagonalSigmaMin:
         # a_0 .. a_{N-1} alone
         real = not (np.imag([c, d]).any() or np.imag(coeffs[:n]).any())
         assert routines == ["dgbbrd" if real else "zgbbrd", "dstebz"]
-        assert_matches_dense(sigma, HarmonicSymbol(c, d, polynomial_symbol(coeffs)), n)
+        assert_matches_dense(sigma, HarmonicSymbol(c, d, PolynomialSymbol(coeffs)), n)
 
     @pytest.mark.parametrize("n", [512, 1024])
     def test_collapsing_symbol_is_nonnegative_noise(self, n):
@@ -973,7 +972,7 @@ class TestBidiagonalSigmaMin:
         c, d, coeffs = BAND_CASES["degree 8 complex"]
         n, m = 12, len(coeffs) - 1
         ab = lapack._harmonic_band(c, d, np.asarray(coeffs), n)
-        t = toeplitz_harmonic(HarmonicSymbol(c, d, polynomial_symbol(coeffs)), n).matrix
+        t = toeplitz_harmonic(HarmonicSymbol(c, d, PolynomialSymbol(coeffs)), n).matrix
         assert ab.shape == (2 * m + 1, n) and ab.flags.f_contiguous
         for i in range(n):
             for j in range(n):
@@ -1179,7 +1178,7 @@ class TestLapackCapsules:
         code = """
 import ctypes, sys
 from berglab import analysis, lapack
-from berglab.symbols import HarmonicSymbol, polynomial_symbol, rational_symbol
+from berglab.symbols import HarmonicSymbol, PolynomialSymbol, RationalSymbol
 
 get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
@@ -1188,9 +1187,9 @@ def pointers(module):
     return [get(c, lapack._capsule_name(c)) for c in capsules]
 
 symbols = [
-    HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5], [2.0, -0.5])),
-    HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0, 0.3])),
-    HarmonicSymbol(1.0, 0.0, polynomial_symbol([0.5, 1.0, 0.3j])),
+    HarmonicSymbol(1.0, 0.25, RationalSymbol([1.0, 0.5], [2.0, -0.5])),
+    HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3])),
+    HarmonicSymbol(1.0, 0.0, PolynomialSymbol([0.5, 1.0, 0.3j])),
 ]
 trends = [analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in symbols]
 analysis.power_symbol_study(1.0, sizes=(16, 32, 64))
@@ -1268,10 +1267,10 @@ print([analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in 
 
 #: (c, d, g, N): rational g whose diagonals past a narrow band weigh below u ||T||
 CUT_CASES = {
-    "real": (1.0, 0.5, rational_symbol([1.0, 0.5], [1.0, -0.05]), 512),
-    "real d=0": (2.0, 0.0, rational_symbol([1.0, 0.5], [1.0, -0.05]), 512),
-    "real c=0": (0.0, 1.5, rational_symbol([1.0, 0.5], [1.0, -0.05]), 512),
-    "complex": (1.0 - 0.5j, 0.3j, rational_symbol([1.0, 0.5j], [1.0, -1e-6j]), 512),
+    "real": (1.0, 0.5, RationalSymbol([1.0, 0.5], [1.0, -0.05]), 512),
+    "real d=0": (2.0, 0.0, RationalSymbol([1.0, 0.5], [1.0, -0.05]), 512),
+    "real c=0": (0.0, 1.5, RationalSymbol([1.0, 0.5], [1.0, -0.05]), 512),
+    "complex": (1.0 - 0.5j, 0.3j, RationalSymbol([1.0, 0.5j], [1.0, -1e-6j]), 512),
 }
 
 
@@ -1303,7 +1302,7 @@ class TestTailCut:
 
     def test_pole_near_the_circle_goes_banded(self, monkeypatch):
         # a_k = 0.99^k: no coefficient tail is negligible within N = 256
-        phi = HarmonicSymbol(1.0, 0.5, rational_symbol([1.0], [1.0, -0.99]))
+        phi = HarmonicSymbol(1.0, 0.5, RationalSymbol([1.0], [1.0, -0.99]))
         sizes = (64, 128, 256)
         trend, calls = TestBandedSigmaMin._dense_calls(monkeypatch, phi, sizes)
         assert calls == []
@@ -1316,12 +1315,12 @@ class TestTailCut:
         [
             # |a_k|^2 overflows: the pencil scales p, q, c and d by powers of two first
             (
-                HarmonicSymbol(1.0, 0.25, rational_symbol([1e200, 5e199], [2.0, -0.5])),
+                HarmonicSymbol(1.0, 0.25, RationalSymbol([1e200, 5e199], [2.0, -0.5])),
                 WORKLOAD_RATIONAL,
             ),
             (
-                HarmonicSymbol(1.0, 0.5, polynomial_symbol([1e200, 1e200])),
-                HarmonicSymbol(1.0, 0.5, polynomial_symbol([1.0, 1.0])),
+                HarmonicSymbol(1.0, 0.5, PolynomialSymbol([1e200, 1e200])),
+                HarmonicSymbol(1.0, 0.5, PolynomialSymbol([1.0, 1.0])),
             ),
             # huge c and d: sigma_min is homogeneous in (c, d)
             (
@@ -1342,8 +1341,8 @@ class TestTailCut:
         # route below the pencil's crossover divides the scaled p and q instead, and
         # answers as the pencil does above it
         q = [1.0, -0.5, 0.3]
-        phi = HarmonicSymbol(1.0, 0.0, rational_symbol([1.7e308, 1.7e308], q))
-        unit = HarmonicSymbol(1.0, 0.0, rational_symbol([1.7e308 * 2.0**-1023] * 2, q))
+        phi = HarmonicSymbol(1.0, 0.0, RationalSymbol([1.7e308, 1.7e308], q))
+        unit = HarmonicSymbol(1.0, 0.0, RationalSymbol([1.7e308 * 2.0**-1023] * 2, q))
         sizes = (4, 8, 16)
         got = bounded_below_trend(phi, sizes).sigma_min
         assert got == tuple(np.ldexp(bounded_below_trend(unit, sizes).sigma_min, 1023))
@@ -1351,8 +1350,8 @@ class TestTailCut:
     def test_overflowing_series_has_a_finite_pencil_answer(self):
         # the same symbol from N = 5 * 16 on: the pencil reads p and q, not the series
         q = [1.0, -0.5, 0.3]
-        phi = HarmonicSymbol(1.0, 0.0, rational_symbol([1.7e308, 1.7e308], q))
-        unit = HarmonicSymbol(1.0, 0.0, rational_symbol([1.7e308 * 2.0**-1023] * 2, q))
+        phi = HarmonicSymbol(1.0, 0.0, RationalSymbol([1.7e308, 1.7e308], q))
+        unit = HarmonicSymbol(1.0, 0.0, RationalSymbol([1.7e308 * 2.0**-1023] * 2, q))
         sizes = (80, 128, 512)
         got = bounded_below_trend(phi, sizes).sigma_min
         expected = bounded_below_trend(unit, sizes).sigma_min
@@ -1364,6 +1363,6 @@ class TestTailCut:
 
     def test_overflowing_sigma_is_refused(self):
         # sigma_min near 1e308 * 1e308 * 0.6: beyond the float range on every route
-        phi = HarmonicSymbol(1e308, 0.0, rational_symbol([1e308, 1e308], [1.0, -0.5]))
+        phi = HarmonicSymbol(1e308, 0.0, RationalSymbol([1e308, 1e308], [1.0, -0.5]))
         with pytest.raises(NumericalError, match="non-finite"):
             bounded_below_trend(phi, (64, 128, 256))

@@ -17,9 +17,9 @@ from berglab.cli import SCHEMA, _write_json, main, parse_scenario, run_scenario
 from berglab.errors import ConfigError
 from berglab.symbols import (
     HarmonicSymbol,
+    PolynomialSymbol,
     PrincipalPowerSymbol,
     RationalSymbol,
-    polynomial_symbol,
 )
 from berglab.toeplitz import matrix_from_json, toeplitz_harmonic
 
@@ -174,7 +174,7 @@ class TestRunScenario:
         run_scenario(write_config(tmp_path, config), str(outdir))
         op = matrix_from_json(outdir / "matrix.json")
         expected = toeplitz_harmonic(
-            HarmonicSymbol(1.0, 0.0, polynomial_symbol([0.0, 1.0])), 8
+            HarmonicSymbol(1.0, 0.0, PolynomialSymbol([0.0, 1.0])), 8
         )
         np.testing.assert_array_equal(op.matrix, expected.matrix)
         report = json.loads((outdir / "report.json").read_text())
@@ -642,6 +642,15 @@ def grid_config(route, **overrides):
     return config
 
 
+#: each berezin_grid route with its own fields
+ROUTE_FIELDS = {
+    "integral": {"quadrature": QUADRATURE},
+    "matrix": {"n": 16, "tail_tol": 1e-6},
+    "harmonic_closed_form": {},
+}
+EDGE_GRID = {"radii": [0.5, 1 - 2**-53], "angles": 8}
+
+
 def with_symbol(**fields):
     config = invertibility_config()
     config["symbol"] = {**SYMBOL, **fields}
@@ -688,6 +697,11 @@ class TestSchemaRefusals:
                          "'quadrature'", id="closed-quadrature"),
             pytest.param(invertibility_config(grid={"radii": [0.0, float("nan")], "angles": 8}),
                          "config.grid.radii[1]", id="nan-radius"),
+            # 1 - 2^-53 < 1, but the node at angle pi / 4 rounds onto the circle
+            pytest.param(invertibility_config(grid=EDGE_GRID), "config.grid",
+                         id="edge-invertibility"),
+            *(pytest.param(grid_config(route, grid=EDGE_GRID, **fields), "config.grid",
+                           id=f"edge-{route}") for route, fields in ROUTE_FIELDS.items()),
             pytest.param(invertibility_config(thresholds={"inf_positive": float("nan"),
                                                           "sigma_positive": 1e-6, "drift": 0.05}),
                          "config.thresholds.inf_positive", id="nan-threshold"),
@@ -749,6 +763,21 @@ class TestSchemaRefusals:
         assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
         assert "non-finite" in capsys.readouterr().err
         assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize(
+        "route, c, message",
+        [
+            # at z = 0 the norm proxy is inf and the kernel tail 0, so the estimate is NaN
+            pytest.param("matrix", 1e300, "kernel tail estimate nan", id="matrix"),
+            # the two rules' values are both inf, and abs(inf - inf) is NaN
+            pytest.param("integral", 1e308, "error_estimate is NaN", id="integral"),
+        ],
+    )
+    def test_berezin_overflow_exits_3(self, tmp_path, capsys, route, c, message):
+        # an overflow is a numerical refusal (3), not a fault of the config (2)
+        config = grid_config(route, symbol={**SYMBOL, "c": c}, **ROUTE_FIELDS[route])
+        assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
+        assert message in capsys.readouterr().err
 
     def test_failed_run_removes_earlier_manifest(self, tmp_path):
         # a refused rerun into the same directory must not leave the first

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from berglab.analysis import invertibility_verdict
-from berglab.symbols import HarmonicSymbol, polynomial_symbol, power_symbol, rational_symbol
+from berglab.symbols import HarmonicSymbol, PolynomialSymbol, RationalSymbol, power_symbol
 
 SIZES = (16, 32, 64, 128, 256)
 #: half an angle step of the 256-angle grid
@@ -34,7 +34,7 @@ def blaschke(*zeros):
     for a in zeros:
         p = np.convolve(p, [-a, 1.0])
         q = np.convolve(q, [1.0, -np.conj(a)])
-    return rational_symbol(p, q)
+    return RationalSymbol(p, q)
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class Entry:
     inf_g: float | None = None
 
 
-P = polynomial_symbol
+P = PolynomialSymbol
 GALLERY = [
     # zeros of g inside the disc, with |c| != |d|, are zeros of phi
     Entry("zero at 0.5", 1, 0, P([-0.5, 1]), False),
@@ -70,7 +70,7 @@ GALLERY = [
     Entry("Blaschke 0.7, d = 0.5", 1, 0.5, blaschke(0.7), False),
     Entry("Blaschke 0.5, -0.3i, d = 0.25", 1, 0.25, blaschke(0.5, -0.3j), False),
     # |(1 + 0.5 z) / (2 - 0.5 z)| is least at z = -1
-    Entry("(1 + 0.5z)/(2 - 0.5z)", 1, 0, rational_symbol([1, 0.5], [2, -0.5]), True, inf_g=0.2),
+    Entry("(1 + 0.5z)/(2 - 0.5z)", 1, 0, RationalSymbol([1, 0.5], [2, -0.5]), True, inf_g=0.2),
     # |c| = |d|: |phi| = 2 |c| |Re(e^{-i theta/2} g)|, zero where that real part changes sign
     Entry("c = d, 2 + z", 1, 1, P([2, 1]), True),
     Entry("c = d, 0.05 + z^2", 1, 1, P([0.05, 0, 1]), False),

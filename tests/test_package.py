@@ -13,8 +13,8 @@ PUBLIC = [
     "normalized_kernel_coeffs", "disc_quadrature",
     "DomainError", "ConfigError", "NumericalError",
     "AnalyticSymbol", "PolynomialSymbol", "RationalSymbol", "PrincipalPowerSymbol",
-    "HarmonicSymbol", "DiscGrid", "ModulusScan", "polynomial_symbol", "rational_symbol",
-    "principal_power_symbol", "power_symbol", "inf_modulus", "default_modulus_grid",
+    "HarmonicSymbol", "DiscGrid", "ModulusScan", "power_symbol", "inf_modulus",
+    "default_modulus_grid",
     "TruncatedOperator", "check_size", "toeplitz_analytic", "toeplitz_harmonic",
     "toeplitz_quadrature", "matrix_to_csv", "matrix_to_json", "matrix_from_json",
     "BerezinSample", "berezin_integral", "berezin_matrix", "berezin_harmonic", "berezin_grid",
@@ -83,3 +83,27 @@ def test_smallest_singular_value_holds_the_only_svd():
             if isinstance(node, ast.Call) and "svd" in ast.unparse(node.func)
         ]
     assert calls == [("analysis.py", "smallest_singular_value", "np.linalg.svd")]
+
+
+def test_no_public_function_only_calls_a_public_class():
+    """A public function whose body, past its docstring, is ``return C(...)`` with C a public
+    class and its own parameters passed through unchanged is a second name for C."""
+    classes = {name for name in berglab.__all__ if isinstance(getattr(berglab, name), type)}
+    aliases = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.parse(path.read_text()).body:
+            if not isinstance(func, ast.FunctionDef) or func.name not in berglab.__all__:
+                continue
+            body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if not (isinstance(call, ast.Call) and ast.unparse(call.func) in classes):
+                continue
+            passed = call.args + [kw.value for kw in call.keywords]
+            params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+            if all(isinstance(a, ast.Name) for a in passed) and sorted(
+                a.id for a in passed
+            ) == sorted(p.arg for p in params):
+                aliases.append(func.name)
+    assert aliases == []

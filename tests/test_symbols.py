@@ -8,13 +8,13 @@ from berglab.disc import PowerSeries
 from berglab.symbols import (
     DiscGrid,
     HarmonicSymbol,
+    PolynomialSymbol,
+    PrincipalPowerSymbol,
+    RationalSymbol,
     _binomial_power_coeffs,
     default_modulus_grid,
     inf_modulus,
-    polynomial_symbol,
     power_symbol,
-    principal_power_symbol,
-    rational_symbol,
 )
 
 MACHINE = 1e-13
@@ -22,12 +22,12 @@ MACHINE = 1e-13
 
 class TestAnalyticFamilies:
     def test_polynomial_eval_and_series(self):
-        g = polynomial_symbol([2.0, 1.0])
+        g = PolynomialSymbol([2.0, 1.0])
         assert g(0.5 + 0.5j) == pytest.approx(2.5 + 0.5j)
         np.testing.assert_allclose(g.series(3).coeffs, [2, 1, 0, 0])
 
     def test_rational_geometric_series(self):
-        g = rational_symbol([1.0], [1.0, -0.5])
+        g = RationalSymbol([1.0], [1.0, -0.5])
         np.testing.assert_allclose(g.series(3).coeffs, [1.0, 0.5, 0.25, 0.125])
         assert g(0.5) == pytest.approx(4.0 / 3.0)
 
@@ -37,23 +37,23 @@ class TestAnalyticFamilies:
     def test_rational_rejects_pole_in_closed_disc(self, den):
         # poles at 0.5, 1, +-0.5i and +-1
         with pytest.raises(DomainError, match="closed unit disc"):
-            rational_symbol([1.0], den)
+            RationalSymbol([1.0], den)
 
     def test_rational_rejects_vanishing_origin(self):
         with pytest.raises(ValueError):
-            rational_symbol([1.0], [0.0, 1.0])
+            RationalSymbol([1.0], [0.0, 1.0])
 
     @pytest.mark.parametrize(
         "build, name",
         [
-            (lambda: HarmonicSymbol(np.nan, 0.5, polynomial_symbol([2.0, 1.0])), "c"),
-            (lambda: polynomial_symbol([np.nan, 1.0]), "coeffs"),
-            (lambda: polynomial_symbol([np.inf, 1.0]), "coeffs"),
-            (lambda: rational_symbol([np.inf], [2.0, 1.0]), "num"),
+            (lambda: HarmonicSymbol(np.nan, 0.5, PolynomialSymbol([2.0, 1.0])), "c"),
+            (lambda: PolynomialSymbol([np.nan, 1.0]), "coeffs"),
+            (lambda: PolynomialSymbol([np.inf, 1.0]), "coeffs"),
+            (lambda: RationalSymbol([np.inf], [2.0, 1.0]), "num"),
             # before the pole search, whose np.roots would raise LinAlgError
-            (lambda: rational_symbol([1.0], [1.0, np.nan]), "den"),
-            (lambda: principal_power_symbol(np.nan, 0.0), "plus_exponent"),
-            (lambda: principal_power_symbol(np.inf, 0.0), "plus_exponent"),
+            (lambda: RationalSymbol([1.0], [1.0, np.nan]), "den"),
+            (lambda: PrincipalPowerSymbol(np.nan, 0.0), "plus_exponent"),
+            (lambda: PrincipalPowerSymbol(np.inf, 0.0), "plus_exponent"),
         ],
         ids=["harmonic-c", "poly-nan", "poly-inf", "num-inf", "den-nan", "power-nan", "power-inf"],
     )
@@ -62,13 +62,13 @@ class TestAnalyticFamilies:
             build()
 
     def test_principal_power_binomial_coeffs(self):
-        g = principal_power_symbol(1.0, 0.0)  # (1+z)^i
+        g = PrincipalPowerSymbol(1.0, 0.0)  # (1+z)^i
         np.testing.assert_allclose(
             g.series(2).coeffs, [1.0, 1j, (-1.0 - 1j) / 2.0], atol=MACHINE
         )
 
     def test_principal_power_eval_matches_log_form(self):
-        g = principal_power_symbol(0.7, -0.3)
+        g = PrincipalPowerSymbol(0.7, -0.3)
         z = np.array([0.2 + 0.4j, -0.5, 0.1j])
         expected = np.exp(1j * (0.7 * np.log(1 + z) - 0.3 * np.log(1 - z)))
         np.testing.assert_allclose(g(z), expected, atol=MACHINE)
@@ -82,9 +82,9 @@ class TestAnalyticFamilies:
     @pytest.mark.parametrize(
         "g",
         [
-            polynomial_symbol([2.0, 1.0 - 0.5j, 0.3j]),
+            PolynomialSymbol([2.0, 1.0 - 0.5j, 0.3j]),
             # complex denominator with its pole at 2 + 2i
-            rational_symbol([1.0, 0.5j], [2.0, -0.5 + 0.5j]),
+            RationalSymbol([1.0, 0.5j], [2.0, -0.5 + 0.5j]),
             power_symbol(1.0),
         ],
         ids=["polynomial", "rational", "principal_power"],
@@ -126,14 +126,14 @@ class TestPowerSymbolSeries:
         assert np.max(np.abs(coeffs - product_route(t, -t, 1023))) <= 1e-15
 
     def test_other_exponent_pairs_keep_the_product(self):
-        coeffs = principal_power_symbol(0.7, -0.3).series(255).coeffs
+        coeffs = PrincipalPowerSymbol(0.7, -0.3).series(255).coeffs
         assert (coeffs * minus_i_powers(256)).imag.any()
         np.testing.assert_array_equal(coeffs, product_route(0.7, -0.3, 255))
 
 
 class TestHarmonicSymbol:
     def test_eval(self):
-        phi = HarmonicSymbol(1.0, 1.0, polynomial_symbol([2.0, 1.0]))
+        phi = HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0]))
         assert phi(-0.9) == pytest.approx(2.2)
         assert phi(0.3j) == pytest.approx(4.0)  # 4 + 2 Re z on the imaginary axis
 
@@ -141,27 +141,27 @@ class TestHarmonicSymbol:
         rng = np.random.default_rng(5)
         for _ in range(100):
             c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
-            g = polynomial_symbol(rng.normal(size=4) + 1j * rng.normal(size=4))
+            g = PolynomialSymbol(rng.normal(size=4) + 1j * rng.normal(size=4))
             z = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             lhs = HarmonicSymbol(c, d, g)(z)
             rhs = np.conj(HarmonicSymbol(np.conj(d), np.conj(c), g)(z))
             assert abs(lhs - rhs) < MACHINE * max(1.0, abs(lhs))
 
     def test_case_tags(self):
-        g = polynomial_symbol([2.0, 1.0])
+        g = PolynomialSymbol([2.0, 1.0])
         assert HarmonicSymbol(1.0, 0.0, g).case_tag == "analytic"
         assert HarmonicSymbol(0.0, 1.0, g).case_tag == "coanalytic"
         assert HarmonicSymbol(1.0, 1j, g).case_tag == "normal_s_unimodular"
         assert HarmonicSymbol(1.0, 0.5, g).case_tag == "general_s"
 
     def test_coanalytic_ratio(self):
-        g = polynomial_symbol([0.0, 1.0])
+        g = PolynomialSymbol([0.0, 1.0])
         assert HarmonicSymbol(1.0, 0.5, g).coanalytic_ratio == pytest.approx(2.0)
         assert HarmonicSymbol(1.0, 0.0, g).coanalytic_ratio is None
 
     def test_overflowing_ratio(self):
         # phi is finite, c/d is not: no ratio, and the tag compares |c| with |d| undivided
-        phi = HarmonicSymbol(1e300, 1e-10, polynomial_symbol([2.0, 1.0]))
+        phi = HarmonicSymbol(1e300, 1e-10, PolynomialSymbol([2.0, 1.0]))
         assert phi.coanalytic_ratio is None
         assert phi.case_tag == "general_s"
         assert HarmonicSymbol(1e300, 1e300j, phi.g).case_tag == "normal_s_unimodular"
@@ -175,6 +175,11 @@ class TestDiscGrid:
             DiscGrid((0.0, 1.0), 16)
         with pytest.raises(ValueError):
             DiscGrid((0.0, 0.5), 2)
+
+    def test_node_rounding_onto_the_circle_refused(self):
+        # 1 - 2^-53 < 1, yet (1 - 2^-53) e^{i pi / 4} rounds to modulus 1
+        with pytest.raises(DomainError, match="grid node"):
+            DiscGrid((0.5, 1 - 2**-53), 8)
 
     @pytest.mark.parametrize(
         "radii", [(0.0, np.nan), (np.nan,), (0.0, np.nan, 0.5)], ids=["last", "only", "middle"]
@@ -202,25 +207,25 @@ class TestDiscGrid:
 
 class TestInfModulus:
     def test_shifted_constant(self):
-        scan = inf_modulus(polynomial_symbol([2.0, 1.0]))
+        scan = inf_modulus(PolynomialSymbol([2.0, 1.0]))
         assert scan.minimum == pytest.approx(1.0, abs=2e-2)
         assert scan.argmin.real < -0.99  # minimum sits near z = -1
 
     def test_exact_at_interior_zero(self):
-        phi = HarmonicSymbol(1.0, 2.0, polynomial_symbol([0.0, 1.0]))
+        phi = HarmonicSymbol(1.0, 2.0, PolynomialSymbol([0.0, 1.0]))
         scan = inf_modulus(phi)
         assert scan.minimum == pytest.approx(0.0, abs=1e-12)
 
     def test_real_harmonic_floor(self):
-        phi = HarmonicSymbol(1.0, 1.0, polynomial_symbol([2.0, 1.0]))
+        phi = HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0]))
         scan = inf_modulus(phi)
         assert scan.minimum == pytest.approx(2.0, abs=2e-2)
         assert scan.minimum >= 2.0  # grid minimum is an upper bound for inf = 2
 
     def test_refinement_never_raises_minimum(self):
         for sym in (
-            polynomial_symbol([2.0, 1.0]),
-            HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])),
+            PolynomialSymbol([2.0, 1.0]),
+            HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0])),
             power_symbol(1.0),
         ):
             coarse = inf_modulus(sym, DiscGrid((0.0, 0.5, 0.75, 0.9), 32))
@@ -231,8 +236,8 @@ class TestInfModulus:
         # |(1 +/- z)^{it}| >= e^{-|t| pi / 2} on the closed disc
         for t in (0.5, 1.0, 2.0):
             for sym in (
-                principal_power_symbol(t, 0.0),
-                principal_power_symbol(0.0, t),
+                PrincipalPowerSymbol(t, 0.0),
+                PrincipalPowerSymbol(0.0, t),
             ):
                 scan = inf_modulus(sym)
                 assert scan.minimum >= np.exp(-abs(t) * np.pi / 2) - 1e-12
@@ -245,7 +250,7 @@ class TestInfModulus:
         # the grid reaches to radius 1 - 2^-14 and approaches it from above
         grid = DiscGrid(tuple(1.0 - 2.0 ** -np.linspace(0.0, 14.0, 64)), 4096)
         sharp = np.exp(-max(abs(a), abs(b)) * np.pi / 2)
-        minimum = inf_modulus(principal_power_symbol(a, b), grid).minimum
+        minimum = inf_modulus(PrincipalPowerSymbol(a, b), grid).minimum
         assert sharp * (1 - 1e-12) <= minimum <= 1.02 * sharp
 
     def test_power_ratio_lower_bound(self):
@@ -259,5 +264,5 @@ class TestInfModulus:
             2j * np.pi * rng.uniform(size=10_000)
         )
         for t in (0.5, 1.0, 2.0):
-            vals = np.abs(principal_power_symbol(t, 0.0)(z))
+            vals = np.abs(PrincipalPowerSymbol(t, 0.0)(z))
             assert vals.min() >= np.exp(-t * np.pi / 2) - 1e-12

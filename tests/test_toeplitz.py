@@ -11,9 +11,9 @@ from berglab import PowerSeries, QuadratureSpec
 from berglab.errors import NumericalError
 from berglab.symbols import (
     HarmonicSymbol,
-    polynomial_symbol,
+    PolynomialSymbol,
+    RationalSymbol,
     power_symbol,
-    rational_symbol,
 )
 from berglab.lapack import _gram_band
 from berglab.toeplitz import (
@@ -95,7 +95,7 @@ class TestAnalyticBuilder:
         assert check_size(np.int64(4)) == 4
 
     @pytest.mark.parametrize(
-        "g", [polynomial_symbol([2.0, 1.0]), rational_symbol([1.0, 0.5], [2.0, -0.5])],
+        "g", [PolynomialSymbol([2.0, 1.0]), RationalSymbol([1.0, 0.5], [2.0, -0.5])],
         ids=["polynomial", "rational"],
     )
     def test_huge_size_refused_before_the_series(self, g):
@@ -118,25 +118,25 @@ class TestAnalyticBuilder:
 
 class TestHarmonicBuilder:
     def test_small_mixed_example(self):
-        phi = HarmonicSymbol(1.0, 2.0, polynomial_symbol([0.0, 1.0]))
+        phi = HarmonicSymbol(1.0, 2.0, PolynomialSymbol([0.0, 1.0]))
         m = toeplitz_harmonic(phi, 2).matrix
         np.testing.assert_allclose(m, [[0, 2 * HALF], [HALF, 0]], atol=MACHINE)
 
     def test_real_symbol_is_hermitian(self):
-        phi = HarmonicSymbol(1.0, 1.0, polynomial_symbol([2.0, 1.0, 0.5]))
+        phi = HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0, 0.5]))
         m = toeplitz_harmonic(phi, 8).matrix
         np.testing.assert_allclose(m, m.conj().T, atol=MACHINE)
 
     def test_pure_coanalytic_is_adjoint(self):
         a = toeplitz_analytic([0.0, 1.0], 5).matrix
-        phi = HarmonicSymbol(0.0, 1.0, polynomial_symbol([0.0, 1.0]))
+        phi = HarmonicSymbol(0.0, 1.0, PolynomialSymbol([0.0, 1.0]))
         np.testing.assert_allclose(
             toeplitz_harmonic(phi, 5).matrix, a.conj().T, atol=MACHINE
         )
 
     def test_linear_in_coefficients(self):
         rng = np.random.default_rng(23)
-        g = polynomial_symbol([0.3, 1.0, -0.2j])
+        g = PolynomialSymbol([0.3, 1.0, -0.2j])
         for _ in range(10):
             c1, d1, c2, d2 = rng.normal(size=4) + 1j * rng.normal(size=4)
             lhs = toeplitz_harmonic(HarmonicSymbol(c1 + c2, d1 + d2, g), 7).matrix
@@ -147,7 +147,7 @@ class TestHarmonicBuilder:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_matches_quadrature_oracle(self):
-        phi = HarmonicSymbol(1.0 + 0.5j, 0.75, polynomial_symbol([0.5, 1.0, 0.25]))
+        phi = HarmonicSymbol(1.0 + 0.5j, 0.75, PolynomialSymbol([0.5, 1.0, 0.25]))
         closed = toeplitz_harmonic(phi, 6)
         quad = toeplitz_quadrature(phi, 6, tag="oracle")
         assert np.max(np.abs(closed.matrix - quad.matrix)) < QUAD_TOL
@@ -170,8 +170,8 @@ class TestHarmonicBuilder:
     )
     def test_in_place_build_is_bit_identical(self, c, d):
         for g in (
-            polynomial_symbol([2.0, 1.0, 0.3]),
-            rational_symbol([1.0, 0.5j], [2.0, -0.5]),
+            PolynomialSymbol([2.0, 1.0, 0.3]),
+            RationalSymbol([1.0, 0.5j], [2.0, -0.5]),
         ):
             phi = HarmonicSymbol(c, d, g)
             a = toeplitz_analytic(g.series(47), 48).matrix
@@ -244,7 +244,7 @@ class TestQuadratureBuilder:
     @pytest.mark.parametrize("n", [8, 32])
     def test_gemm_matches_einsum_expression(self, n):
         # the scaled GEMM against the three-operand einsum it replaced
-        phi = HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0, 0.3]))
+        phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3]))
         spec = QuadratureSpec(32, 64)
         z, w = spec.points()
         powers = z[None, :] ** np.arange(n)[:, None]
@@ -297,10 +297,10 @@ class TestTruncatedOperator:
         [
             lambda n: toeplitz_analytic(PowerSeries([2.0, 1.0, 0.3]), n),
             lambda n: toeplitz_harmonic(
-                HarmonicSymbol(1.0, 0.25, rational_symbol([1.0, 0.5j], [2.0, -0.5])), n
+                HarmonicSymbol(1.0, 0.25, RationalSymbol([1.0, 0.5j], [2.0, -0.5])), n
             ),
             lambda n: toeplitz_quadrature(
-                HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])), n, QuadratureSpec(4, 8)
+                HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0])), n, QuadratureSpec(4, 8)
             ),
         ],
         ids=["analytic", "harmonic", "quadrature"],
@@ -317,7 +317,7 @@ class TestTruncatedOperator:
         assert peak <= 1.1 * op.matrix.nbytes
 
     def test_norm_proxy_computed_once(self):
-        op = toeplitz_harmonic(HarmonicSymbol(1.0, 0.5, polynomial_symbol([2.0, 1.0])), 16)
+        op = toeplitz_harmonic(HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0])), 16)
         m = op.matrix
         assert op.norm_proxy == float(
             np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
@@ -365,7 +365,7 @@ def _export_cases():
             yield pytest.param(m, id=f"n{n}-{kind}")
     # zero-rich inputs of the writers' fast path for +0.0, whose bit pattern is all zeros
     for c, kind in ((1.0, "real"), (1.0 - 0.5j, "complex")):
-        band = toeplitz_harmonic(HarmonicSymbol(c, 0.5, polynomial_symbol([2.0, 1.0, 0.3])), 12)
+        band = toeplitz_harmonic(HarmonicSymbol(c, 0.5, PolynomialSymbol([2.0, 1.0, 0.3])), 12)
         yield pytest.param(band.matrix, id=f"banded-{kind}")
     sparse = np.zeros((6, 6), dtype=np.complex128)
     sparse[1] = rng.normal(size=6) + 1j * rng.normal(size=6)  # a row with no zero
