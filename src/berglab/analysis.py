@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lapack
-from .disc import PowerSeries, _eval_on_nodes
+from .disc import _eval_on_nodes
 from .errors import NumericalError, _at_least
 from .symbols import (
     DiscGrid,
@@ -70,6 +70,7 @@ __all__ = [
     "PowerStudyReport",
     "smallest_singular_value",
     "check_schedule",
+    "check_threshold",
     "check_mix_s",
     "check_shift_window",
     "bounded_below_trend",
@@ -150,11 +151,13 @@ def smallest_singular_value(t) -> float:
             sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
     except np.linalg.LinAlgError:  # the real SVD reports a NaN entry as no convergence
         sigma = math.nan
+    return _finite_sigma(sigma, f"of a {m.shape[0]} x {m.shape[1]} matrix")
+
+
+def _finite_sigma(sigma: float, where: str) -> float:
+    """``sigma``, refused unless finite: every route's sigma_min, computed ``where``."""
     if not math.isfinite(sigma):
-        raise NumericalError(
-            f"sigma_min {sigma} of a {m.shape[0]} x {m.shape[1]} matrix; "
-            "refusing a non-finite or failed result"
-        )
+        raise NumericalError(f"sigma_min {sigma} {where}; refusing a non-finite or failed result")
     return sigma
 
 
@@ -176,17 +179,8 @@ def _scaled_sigma_min(route, c, d, *polys, n: int) -> float:
     if not any(x.imag.any() for x in parts):
         parts = [x.real for x in parts]
     (c, d), *polys = parts
-    sigma = route(c, d, *polys, n=n)
-    try:
-        # bisection can return a rounding-level value just below zero
-        sigma = math.ldexp(abs(float(sigma)), exps[0] + exps[1] - sum(exps[2:]))
-    except OverflowError:
-        sigma = math.inf
-    if not math.isfinite(sigma):
-        raise NumericalError(
-            f"sigma_min {sigma} at N = {n}; refusing a non-finite or failed result"
-        )
-    return sigma
+    sigma = lapack._scale_back(route(c, d, *polys, n=n), exps[0] + exps[1] - sum(exps[2:]))
+    return _finite_sigma(sigma, f"at N = {n}")
 
 
 def _dense_sigma_min(c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int):
@@ -194,7 +188,7 @@ def _dense_sigma_min(c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int
     coefficients, by :func:`smallest_singular_value`.  Real c, d with real coefficients,
     or coefficients exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD
     of T or of D^* T D = c R + d R^T with D = diag(i^m), built as float64."""
-    coeffs = p if q is None else _quotient_series(PowerSeries(p), PowerSeries(q), n - 1).coeffs
+    coeffs = p if q is None else _quotient_series(p, q, n - 1)
     real_cd = not np.imag([c, d]).any()
     rot = coeffs * _MINUS_I_POWERS[np.arange(n) % 4]
     real = [a.real for a in (coeffs, rot) if real_cd and not a.imag.any()]
@@ -228,16 +222,17 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
     rational = isinstance(g, RationalSymbol)
     num, den = (g.p.coeffs[:n], g.q.coeffs[:n]) if rational else (g.series(n - 1).coeffs, _ONE)
     p, q = (x[: max(1, len(np.trim_zeros(x, "b")))] for x in (num, den))
-    if len(p) == len(q) == 1:
-        return _scaled_sigma_min(_constant_sigma, c, d, p, q, n=n)
     complex_pencil = rational and (np.imag([c, d]).any() or p.imag.any() or q.imag.any())
     ratio = _BAND_RATIO_COMPLEX if complex_pencil else _BAND_RATIO_REAL
-    if (2 * max(len(p), len(q)) - 1) * ratio > n:
-        polys = (num, den) if rational else (num,)
-        return _scaled_sigma_min(_dense_sigma_min, c, d, *polys, n=n)
-    if rational:
-        return _scaled_sigma_min(lapack.pencil_sigma, c, d, p, q, n=n)
-    return _scaled_sigma_min(lapack.bidiagonal_sigma, c, d, p, n=n)
+    if len(p) == len(q) == 1:
+        route, polys = _constant_sigma, (p, q)
+    elif (2 * max(len(p), len(q)) - 1) * ratio > n:
+        route, polys = _dense_sigma_min, ((num, den) if rational else (num,))
+    elif rational:
+        route, polys = lapack.pencil_sigma, (p, q)
+    else:
+        route, polys = lapack.bidiagonal_sigma, (p,)
+    return _scaled_sigma_min(route, c, d, *polys, n=n)
 
 
 def normality_defect(t) -> float:
@@ -299,6 +294,14 @@ def check_schedule(sizes) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("schedule must be strictly increasing")
     return sizes
+
+
+def check_threshold(x, name: str):
+    """``x``, refused unless positive (a NaN too): the rule of each threshold of
+    :func:`invertibility_verdict`, which ``name`` names."""
+    if not x > 0:
+        raise ValueError(f"{name} must be positive, got {x}")
+    return x
 
 
 def check_mix_s(s, side: str) -> complex:
@@ -609,10 +612,14 @@ def invertibility_verdict(
     everything else stays ``inconclusive``.  The grid minimum only
     upper-bounds the infimum and finite sections only approximate the
     operator, so the verdict is evidence, not proof, and says so in its
-    notes.  The keywords default to the lab values; the three thresholds
-    are named as the keys of an ``invertibility`` scenario's
-    ``thresholds``, which the report echoes.
+    notes.  The keywords default to the lab values; the three thresholds,
+    each refused by :func:`check_threshold` unless positive, are named as
+    the keys of an ``invertibility`` scenario's ``thresholds``, which the
+    report echoes.
     """
+    thresholds = {"inf_positive": inf_positive, "sigma_positive": sigma_positive, "drift": drift}
+    for name, x in thresholds.items():
+        check_threshold(x, name)
     grid = grid or default_modulus_grid()
     scan = inf_modulus(phi, grid)
     trend = bounded_below_trend(phi, sizes, drift)
@@ -639,7 +646,7 @@ def invertibility_verdict(
         symbol_tag=phi.tag(),
         s=phi.coanalytic_ratio,
         sandwich=sandwich,
-        thresholds={"inf_positive": inf_positive, "sigma_positive": sigma_positive, "drift": drift},
+        thresholds=thresholds,
     )
 
 

@@ -152,9 +152,13 @@ def berezin_harmonic(phi: HarmonicSymbol, z: complex) -> BerezinSample:
     """
     z = complex(z)
     _inside_disc(z, "z")
-    return BerezinSample(
-        z=z, value=complex(phi(z)), route="harmonic_closed_form", error_estimate=0.0
-    )
+    return _closed_form_samples(phi, np.array([z]))[0]
+
+
+def _closed_form_samples(phi, nodes: np.ndarray) -> list[BerezinSample]:
+    """:func:`berezin_harmonic` at each node, phi called once on the node array."""
+    values = zip(nodes.tolist(), _eval_on_nodes(phi, nodes).tolist())
+    return [BerezinSample(z, v, "harmonic_closed_form", 0.0) for z, v in values]
 
 
 def berezin_grid(
@@ -189,7 +193,7 @@ def berezin_grid(
             BerezinSample(z=complex(z), value=a, route="integral", error_estimate=abs(a - b))
             for z, a, b in zip(nodes, v1, v2)
         ]
-    return [berezin_harmonic(phi, z) for z in nodes]
+    return _closed_form_samples(phi, nodes)
 
 
 def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:

@@ -37,6 +37,7 @@ from .analysis import (
     check_mix_s,
     check_schedule,
     check_shift_window,
+    check_threshold,
     invertibility_verdict,
     mix_bound_check,
     mix_sandwich_check,
@@ -187,7 +188,9 @@ def _analytic(d, where: str):
 _SYMBOL = _object({"c": _as_complex, "d": _as_complex, "g": _analytic}, HarmonicSymbol)
 _GRID = _object({"radii": _list(_as_float), "angles": _as_int}, DiscGrid)
 _QUADRATURE = _object({"radial": _as_int, "angular": _as_int}, QuadratureSpec)
-_THRESHOLDS = _object({key: _as_float for key in ("inf_positive", "sigma_positive", "drift")})
+_THRESHOLDS = _object(
+    {k: _then(_as_float, check_threshold, k) for k in ("inf_positive", "sigma_positive", "drift")}
+)
 _SCHEDULE = _then(_list(_as_int), check_schedule)
 _SIZE = _then(_as_int, check_size)
 _COUNT = _int_at_least(1)

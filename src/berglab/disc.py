@@ -42,6 +42,7 @@ __all__ = [
 class PowerSeries:
     """Truncated Taylor series sum_k c_k z^k with a declared degree.
 
+    ``coeffs``, a nonempty 1-d vector or a :class:`PowerSeries`, is checked here alone.
     The declared degree is ``len(coeffs) - 1``.  Trailing zeros are
     meaningful: they declare how far the truncation is trusted.
     The one product is :meth:`mul`, which takes an explicit target
@@ -59,7 +60,8 @@ class PowerSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
+        c = self.coeffs.coeffs if isinstance(self.coeffs, PowerSeries) else self.coeffs
+        arr = np.atleast_1d(np.asarray(c, dtype=np.complex128))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must form a nonempty 1-d vector")
         arr = arr.copy()
@@ -95,12 +97,6 @@ class PowerSeries:
         return PowerSeries(out)
 
 
-def _coeff_vector(f) -> np.ndarray:
-    if isinstance(f, PowerSeries):
-        return f.coeffs
-    return np.atleast_1d(np.asarray(f, dtype=np.complex128))
-
-
 def bergman_inner_product(f, g) -> complex:
     """Inner product of two coefficient vectors, linear in ``f``.
 
@@ -111,10 +107,10 @@ def bergman_inner_product(f, g) -> complex:
     Parameters
     ----------
     f, g : PowerSeries or array_like
-        Taylor coefficient vectors; lengths may differ (the shorter one
-        is zero-extended).
+        Taylor coefficient vectors, each refused as :class:`PowerSeries`
+        refuses it; lengths may differ (the shorter one is zero-extended).
     """
-    fc, gc = _coeff_vector(f), _coeff_vector(g)
+    fc, gc = PowerSeries(f).coeffs, PowerSeries(g).coeffs
     n = min(len(fc), len(gc))
     weights = 1.0 / (np.arange(n) + 1.0)
     return complex(np.sum(fc[:n] * np.conj(gc[:n]) * weights))

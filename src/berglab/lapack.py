@@ -316,9 +316,13 @@ def dense_band_sigma(m: np.ndarray) -> float:
     ab = np.zeros((ku + 1, n), order="F")
     for s in range(ku + 1):
         ab[ku - s, s:] = a.diagonal(s)  # a[i, i + s]
-    # bisection can return a rounding-level value just below zero
-    sigma = abs(_band_sigma(ab, 0, ku))
+    return _scale_back(_band_sigma(ab, 0, ku), exp)
+
+
+def _scale_back(sigma: float, exp: int) -> float:
+    """|sigma| 2^exp, inf beyond the float range: the sigma_min of input scaled by 2^-exp
+    (bisection can return a rounding-level value just below zero)."""
     try:
-        return math.ldexp(sigma, exp)
+        return math.ldexp(abs(float(sigma)), exp)
     except OverflowError:
         return math.inf

@@ -62,7 +62,7 @@ def _check_finite_fields(**data) -> None:
 
 class PolynomialSymbol(AnalyticSymbol):
     def __init__(self, coeffs):
-        self._series = coeffs if isinstance(coeffs, PowerSeries) else PowerSeries(coeffs)
+        self._series = PowerSeries(coeffs)
         _check_finite_fields(coeffs=self._series.coeffs)
 
     def __call__(self, z):
@@ -83,8 +83,7 @@ class RationalSymbol(AnalyticSymbol):
     """
 
     def __init__(self, p, q):
-        self.p = p if isinstance(p, PowerSeries) else PowerSeries(p)
-        self.q = q if isinstance(q, PowerSeries) else PowerSeries(q)
+        self.p, self.q = PowerSeries(p), PowerSeries(q)
         _check_finite_fields(num=self.p.coeffs, den=self.q.coeffs)
         if self.q.coeffs[0] == 0:
             raise ValueError("denominator must not vanish at the origin")
@@ -106,25 +105,25 @@ class RationalSymbol(AnalyticSymbol):
         return self.p(z) / self.q(z)
 
     def series(self, degree: int) -> PowerSeries:
-        return _quotient_series(self.p, self.q, degree)
+        return PowerSeries(_quotient_series(self.p.coeffs, self.q.coeffs, degree))
 
     def tag(self) -> str:
         return f"rational(deg_p={self.p.degree},deg_q={self.q.degree})"
 
 
-def _quotient_series(p: PowerSeries, q: PowerSeries, degree: int) -> PowerSeries:
-    """Taylor coefficients c_0 .. c_degree of p/q by long division:
-    c_k = (p_k - sum_{j>=1} q_j c_{k-j}) / q_0."""
-    pc = p.padded(degree + 1).coeffs
-    qc = q.padded(degree + 1).coeffs
+def _quotient_series(p: np.ndarray, q: np.ndarray, degree: int) -> np.ndarray:
+    """Taylor coefficients c_0 .. c_degree of p/q, for coefficient arrays of any
+    length, by long division: c_k = (p_k - sum_{j>=1} q_j c_{k-j}) / q_0."""
+    q = np.asarray(q, dtype=np.complex128)
     out = np.zeros(degree + 1, dtype=np.complex128)
+    out[: min(len(p), degree + 1)] = p[: degree + 1]
     for k in range(degree + 1):
-        acc = pc[k]
-        jmax = min(k, q.degree)
+        acc = out[k]
+        jmax = min(k, len(q) - 1)
         if jmax >= 1:
-            acc = acc - np.dot(qc[1 : jmax + 1], out[k - 1 :: -1][:jmax])
-        out[k] = acc / qc[0]
-    return PowerSeries(out)
+            acc = acc - np.dot(q[1 : jmax + 1], out[k - 1 :: -1][:jmax])
+        out[k] = acc / q[0]
+    return out
 
 
 class PrincipalPowerSymbol(AnalyticSymbol):

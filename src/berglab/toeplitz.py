@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .disc import QuadratureSpec, _coeff_vector, _eval_on_nodes
+from .disc import PowerSeries, QuadratureSpec, _eval_on_nodes
 from .errors import NumericalError, _at_least
 from .symbols import AnalyticSymbol, HarmonicSymbol
 
@@ -116,9 +116,9 @@ def toeplitz_analytic(g, n: int) -> TruncatedOperator:
     Parameters
     ----------
     g : PowerSeries or array_like
-        Coefficients a_0 .. a_K; entries beyond the declared degree are
-        treated as zero, which is exact for polynomials and the honest
-        truncation otherwise.
+        Coefficients a_0 .. a_K, a vector :class:`PowerSeries` accepts; entries
+        beyond the declared degree are treated as zero, which is exact for
+        polynomials and the honest truncation otherwise.
     n : int
         Truncation size, at least 1.
 
@@ -130,7 +130,7 @@ def toeplitz_analytic(g, n: int) -> TruncatedOperator:
            [0., 0., 1.]])
     """
     check_size(n)
-    coeffs = _coeff_vector(g)
+    coeffs = PowerSeries(g).coeffs
     return TruncatedOperator(
         _analytic_matrix(coeffs, n), f"analytic(deg={len(coeffs) - 1})", "closed_form", True
     )

@@ -637,6 +637,13 @@ class TestInvertibilityVerdict:
         report = invertibility_verdict(phi)
         assert report.verdict == "invertible_likely"
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("key", ["inf_positive", "sigma_positive", "drift"])
+    def test_non_positive_threshold_refused(self, key, value):
+        phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([0.0, 1.0]))
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            invertibility_verdict(phi, (16, 32, 64), **{key: value})
+
     def test_report_json_keys(self):
         report = invertibility_verdict(HarmonicSymbol(3.0, 1.0, TWO_PLUS_Z))
         d = asdict(report)

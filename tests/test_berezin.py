@@ -18,6 +18,7 @@ from berglab.berezin import (
 )
 from berglab.disc import disc_quadrature
 from berglab.symbols import (
+    AnalyticSymbol,
     DiscGrid,
     HarmonicSymbol,
     PolynomialSymbol,
@@ -121,6 +122,37 @@ class TestHarmonicRoute:
     def test_real_harmonic(self):
         phi = HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0]))
         assert berezin_harmonic(phi, -0.9).value == pytest.approx(2.2)
+
+
+class NodeArrayG(AnalyticSymbol):
+    """g(z) = z^2 on the node-array contract alone: it reads ``z.ndim``."""
+
+    def __call__(self, z):
+        if z.ndim != 1:
+            raise TypeError("expected a 1-d node array")
+        return z * z
+
+
+class TestClosedFormEvaluation:
+    GRID = DiscGrid((0.3, 0.6, 0.9), 32)
+
+    def test_node_array_symbol(self):
+        phi = HarmonicSymbol(1.0, 0.5, NodeArrayG())
+        z = 0.3 + 0.4j
+        assert berezin_harmonic(phi, z).value == pytest.approx(z * z + 0.5 * np.conj(z * z))
+        g = self.GRID.nodes().ravel() ** 2
+        sweep = berezin_grid(phi, self.GRID, "harmonic_closed_form")
+        assert [s.value for s in sweep] == pytest.approx((g + 0.5 * np.conj(g)).tolist())
+
+    @pytest.mark.parametrize(
+        "g", [NodeArrayG(), PolynomialSymbol([2.0, 1.0, 0.3]), PrincipalPowerSymbol(1.0, -1.0)],
+        ids=["node-array", "polynomial", "power"],
+    )
+    def test_sweep_equals_the_pointwise_transform_bit_for_bit(self, g):
+        phi = HarmonicSymbol(1.0, 0.5, g)
+        sweep = berezin_grid(phi, self.GRID, "harmonic_closed_form")
+        pointwise = [berezin_harmonic(phi, z) for z in self.GRID.nodes().ravel()]
+        assert sweep == pointwise
 
 
 class TestRouteAgreement:

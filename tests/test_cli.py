@@ -30,6 +30,9 @@ def write_config(tmp_path, payload, name="scenario.json"):
     return path
 
 
+THRESHOLDS = {"inf_positive": 1e-3, "sigma_positive": 1e-6, "drift": 0.05}
+
+
 def invertibility_config(**overrides):
     config = {
         "name": "inv",
@@ -37,7 +40,7 @@ def invertibility_config(**overrides):
         "symbol": {"c": 1.0, "d": 0.0, "g": {"type": "polynomial", "coeffs": [2.0, 1.0]}},
         "schedule": [16, 32, 64],
         "grid": {"radii": [0.0, 0.3, 0.6, 0.9], "angles": 64},
-        "thresholds": {"inf_positive": 1e-3, "sigma_positive": 1e-6, "drift": 0.05},
+        "thresholds": dict(THRESHOLDS),
         "seed": 7,
     }
     config.update(overrides)
@@ -219,8 +222,8 @@ class TestRunScenario:
             for name in ("grid.csv", "grid.json", "report.json")
         }
         assert digests == {
-            "grid.csv": "5702abab58cd4941951af9941766a942fae479ae0ade159ab36bddb59b558a63",
-            "grid.json": "a8a5c629f1eb256d89c059ae53e3a7d5e67809001107d243028474fee76e0c82",
+            "grid.csv": "2ae239cd904110f798e440c012cb5cb0d603c694ca2315654f8b02068ed5a3fe",
+            "grid.json": "3bd43d7c3b366da88eb11ff3a1a412e0248d0804f834931a9ce71a697aad8eec",
             "report.json": "37b540ae53ff74e1fee03c7ebb513bee475df88a50286212717614340f1de623",
         }
 
@@ -705,6 +708,9 @@ class TestSchemaRefusals:
             pytest.param(invertibility_config(thresholds={"inf_positive": float("nan"),
                                                           "sigma_positive": 1e-6, "drift": 0.05}),
                          "config.thresholds.inf_positive", id="nan-threshold"),
+            *(pytest.param(invertibility_config(thresholds={**THRESHOLDS, key: value}),
+                           f"config.thresholds.{key}", id=f"{key}-{value}")
+              for key in THRESHOLDS for value in (0.0, -1.0)),
             pytest.param(with_symbol(c=float("inf")), "config.symbol.c", id="inf-c"),
             pytest.param(with_symbol(d=[0.5, float("-inf")]), "config.symbol.d", id="inf-d-pair"),
             pytest.param(with_symbol(g={"type": "polynomial", "coeffs": [2.0, 10**400]}),

@@ -19,6 +19,8 @@ from berglab import (
     normalized_kernel_coeffs,
 )
 from berglab.disc import _radial_rule
+from berglab.symbols import PolynomialSymbol, RationalSymbol
+from berglab.toeplitz import toeplitz_analytic
 from test_analysis import subprocess_env
 
 EXACT = 1e-14
@@ -69,6 +71,23 @@ class TestPowerSeries:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PowerSeries([])
+
+
+@pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda c: bergman_inner_product(c, c),
+        lambda c: bergman_inner_product([1.0], c),
+        lambda c: toeplitz_analytic(c, 3),
+        PolynomialSymbol,
+        lambda c: RationalSymbol([1.0], c),
+    ],
+    ids=["inner-product", "inner-product-g", "toeplitz_analytic", "polynomial", "rational"],
+)
+def test_every_coefficient_input_is_checked_as_power_series(take, coeffs):
+    with pytest.raises(ValueError, match="nonempty 1-d vector"):
+        take(coeffs)
 
 
 class TestInnerProduct:

@@ -22,10 +22,10 @@ PUBLIC = [
     "SIGMA_POSITIVE_TOL", "INF_POSITIVE_TOL", "DRIFT_THRESHOLD", "TrendReport",
     "InvertibilityReport", "MixBoundCheck", "MixSandwichCheck",
     "MixTransferCheck", "ShiftWindowDemo", "PowerStudyReport", "smallest_singular_value",
-    "check_schedule", "check_mix_s", "check_shift_window", "bounded_below_trend",
-    "normality_defect", "adjoint_mix", "mix_bound_check", "mix_sandwich_check",
-    "mix_transfer_check", "shift_window_demo", "random_normal_matrix", "invertibility_verdict",
-    "power_symbol_study",
+    "check_schedule", "check_threshold", "check_mix_s", "check_shift_window",
+    "bounded_below_trend", "normality_defect", "adjoint_mix", "mix_bound_check",
+    "mix_sandwich_check", "mix_transfer_check", "shift_window_demo", "random_normal_matrix",
+    "invertibility_verdict", "power_symbol_study",
 ]
 
 
@@ -68,21 +68,52 @@ def test_lapack_is_the_only_module_that_knows_the_abi():
     assert berglab.__all__ == PUBLIC
 
 
-def test_smallest_singular_value_holds_the_only_svd():
-    """Every call whose callee names an SVD, with the innermost function around it."""
-    calls = []
+def _owned_nodes(kind):
+    """Every node of ``kind`` in the package, as (module file, innermost function, node)."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}
         for func in ast.walk(tree):  # breadth first, so an inner function overwrites its outer
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update(dict.fromkeys(ast.walk(func), func.name))
-        calls += [
-            (path.name, owner.get(node), ast.unparse(node.func))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "svd" in ast.unparse(node.func)
-        ]
-    assert calls == [("analysis.py", "smallest_singular_value", "np.linalg.svd")]
+        for node in ast.walk(tree):
+            if isinstance(node, kind):
+                yield path.name, owner.get(node), node
+
+
+def _calls(fragment):
+    """Every call whose callee's source holds ``fragment``, as (file, function, callee)."""
+    return [
+        (name, func, ast.unparse(node.func))
+        for name, func, node in _owned_nodes(ast.Call)
+        if fragment in ast.unparse(node.func)
+    ]
+
+
+def test_smallest_singular_value_holds_the_only_svd():
+    """Every call whose callee names an SVD, with the innermost function around it."""
+    assert _calls("svd") == [("analysis.py", "smallest_singular_value", "np.linalg.svd")]
+
+
+def test_one_gate_per_numerical_check():
+    """A coefficient vector is checked by PowerSeries alone, a sigma_min scaled back by
+    ``lapack._scale_back`` alone and refused as non-finite by ``analysis._finite_sigma``
+    alone, and the trend picks its route before one call to ``_scaled_sigma_min``."""
+    checks = [
+        (name, func)
+        for name, func, node in _owned_nodes(ast.Call)
+        if ast.unparse(node.func) == "isinstance" and "PowerSeries" in ast.unparse(node.args[1])
+    ]
+    assert checks == [("disc.py", "__post_init__")]
+    assert [c[:2] for c in _calls("math.ldexp")] == [("lapack.py", "_scale_back")]
+    refusals = [
+        (name, func)
+        for name, func, node in _owned_nodes(ast.Raise)
+        if node.exc is not None and "NumericalError(f'sigma_min" in ast.unparse(node.exc)
+    ]
+    assert refusals == [("analysis.py", "_finite_sigma")]
+    trend_calls = [c for c in _calls("_scaled_sigma_min") if c[1] == "_trend_sigma_min"]
+    assert len(trend_calls) == 1
 
 
 def test_no_public_function_only_calls_a_public_class():

@@ -12,6 +12,7 @@ from berglab.symbols import (
     PrincipalPowerSymbol,
     RationalSymbol,
     _binomial_power_coeffs,
+    _quotient_series,
     default_modulus_grid,
     inf_modulus,
     power_symbol,
@@ -30,6 +31,14 @@ class TestAnalyticFamilies:
         g = RationalSymbol([1.0], [1.0, -0.5])
         np.testing.assert_allclose(g.series(3).coeffs, [1.0, 0.5, 0.25, 0.125])
         assert g(0.5) == pytest.approx(4.0 / 3.0)
+
+    def test_quotient_series_divides_plain_arrays_of_any_length(self):
+        p = np.array([1.0, 2.0, 0.5, 0.25, -1.0, 3.0])
+        q = np.array([2.0, 0.5, 0.1, 0.0, 0.0, 0.01])  # |q| >= 1.39 on the closed disc
+        full = _quotient_series(p, q, 8)
+        assert np.array_equal(_quotient_series(p, q, 3), full[:4])
+        assert np.array_equal(RationalSymbol(p, q).series(8).coeffs, full)
+        np.testing.assert_allclose(np.convolve(full, q)[:9], np.r_[p, 0, 0, 0], atol=MACHINE)
 
     @pytest.mark.parametrize(
         "den", [[1.0, -2.0], [1.0, -1.0], [1.0, 0.0, 4.0], [2.0, 0.0, -2.0]]
