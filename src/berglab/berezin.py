@@ -34,7 +34,6 @@ tables from different routes compare line by line.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ from .disc import (
     _radial_rule,
     disc_quadrature,
     kernel_eval,
-    normalized_kernel_coeffs,
 )
 from .errors import NumericalError
 from .symbols import DiscGrid, HarmonicSymbol
@@ -128,18 +126,44 @@ def berezin_matrix(
     """
     z = complex(z)
     _inside_disc(z, "z")
+    return _matrix_samples(op, np.array([z]), tail_tol)[0]
+
+
+#: kernel vectors per ``T @ K`` product of the matrix route
+_MATRIX_BLOCK = 64
+
+
+def _matrix_samples(
+    op: TruncatedOperator, nodes: np.ndarray, tail_tol: float
+) -> list[BerezinSample]:
+    """:func:`berezin_matrix` at each node: every tail estimate first, refusing at the
+    first one over ``tail_tol`` before any product, then one ``T @ K`` product per block
+    of at most ``_MATRIX_BLOCK`` kernel vectors, kappa_m = (1 - |z|^2) sqrt(m+1) conj(z)^m."""
     n = op.n
-    x = abs(z) ** 2
-    tail = x**n * ((n + 1) * (1.0 - x) + x)
-    estimate = op.norm_proxy * tail
-    if not estimate <= tail_tol:  # an overflowed norm proxy times a zero tail is NaN
-        raise NumericalError(
-            f"kernel tail estimate {estimate:.3e} exceeds {tail_tol:.1e} "
-            f"at |z| = {abs(z):.4f} with N = {n}; use the integral route"
-        )
-    kappa = normalized_kernel_coeffs(z, n)
-    value = complex(np.vdot(kappa, op.matrix @ kappa))
-    return BerezinSample(z=z, value=value, route="matrix", error_estimate=estimate)
+    zs = nodes.tolist()
+    squares = [abs(z) ** 2 for z in zs]
+    estimates = []
+    for z, x in zip(zs, squares):
+        tail = x**n * ((n + 1) * (1.0 - x) + x)
+        estimate = op.norm_proxy * tail
+        if not estimate <= tail_tol:  # an overflowed norm proxy times a zero tail is NaN
+            raise NumericalError(
+                f"kernel tail estimate {estimate:.3e} exceeds {tail_tol:.1e} "
+                f"at |z| = {abs(z):.4f} with N = {n}; use the integral route"
+            )
+        estimates.append(estimate)
+    root = np.sqrt(np.arange(1.0, n + 1.0))[:, None]
+    pref = 1.0 - np.array(squares)
+    values = []
+    for start in range(0, len(zs), _MATRIX_BLOCK):
+        block = slice(start, start + _MATRIX_BLOCK)
+        kappa = np.empty((n, pref[block].size), dtype=np.complex128)
+        kappa[0] = 1.0
+        kappa[1:] = np.conj(nodes[block])
+        np.multiply.accumulate(kappa, axis=0, out=kappa)  # conj(z)^m down each column
+        kappa *= root * pref[block]
+        values += np.einsum("mj,mj->j", kappa.conj(), op.matrix @ kappa).tolist()
+    return [BerezinSample(z, v, "matrix", e) for z, v, e in zip(zs, values, estimates)]
 
 
 def berezin_harmonic(phi: HarmonicSymbol, z: complex) -> BerezinSample:
@@ -171,8 +195,9 @@ def berezin_grid(
 ) -> list[BerezinSample]:
     """Sweep the transform over a polar grid, row-major node order.
 
-    The matrix route builds one truncated operator of size ``n`` and
-    reuses it for every node.  The integral route evaluates phi once per
+    The matrix route builds one truncated operator of size ``n``, checks
+    every node's tail estimate before any product, and takes one
+    ``T @ K`` product per block of 64 kernel vectors.  The integral route evaluates phi once per
     rule and convolves ring by ring with FFTs when
     ``grid.angles_per_radius`` divides ``spec.angular_nodes`` (see the
     module docstring), matching per-node :func:`berezin_integral` up to
@@ -182,8 +207,7 @@ def berezin_grid(
         raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
     nodes = grid.nodes().ravel()
     if route == "matrix":
-        op = toeplitz_harmonic(phi, n)
-        return [berezin_matrix(op, z, tail_tol) for z in nodes]
+        return _matrix_samples(toeplitz_harmonic(phi, n), nodes, tail_tol)
     if route == "integral":
         if spec.angular_nodes % grid.angles_per_radius:
             return [berezin_integral(phi, z, spec) for z in nodes]
@@ -248,19 +272,25 @@ def grid_to_csv(samples: list[BerezinSample], path) -> None:
             )
 
 
+#: one grid.json row in the ``json.dump(rows, fh, indent=1)`` layout
+_JSON_GRID_ROW = (
+    ' {{\n  "re_z": {},\n  "im_z": {},\n  "re_val": {},\n  "im_val": {},\n'
+    '  "route": "{}",\n  "err": {}\n }}'
+)
+
+
 def grid_to_json(samples: list[BerezinSample], path) -> None:
+    """A list of {re_z, im_z, re_val, im_val, route, err} objects, byte-identical to
+    ``json.dump(rows, fh, indent=1)`` plus a newline; finite floats are written by
+    ``float.__repr__``, as ``json`` writes them, and routes need no escaping."""
     _check_grid(samples)
-    rows = [
-        {
-            "re_z": s.z.real,
-            "im_z": s.z.imag,
-            "re_val": s.value.real,
-            "im_val": s.value.imag,
-            "route": s.route,
-            "err": s.error_estimate,
-        }
+    rows = ",\n".join(
+        _JSON_GRID_ROW.format(
+            *map(float.__repr__, (s.z.real, s.z.imag, s.value.real, s.value.imag)),
+            s.route,
+            float.__repr__(s.error_estimate),
+        )
         for s in samples
-    ]
+    )
     with open(path, "w") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
+        fh.write(f"[\n{rows}\n]\n" if rows else "[]\n")

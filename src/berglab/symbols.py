@@ -142,9 +142,35 @@ class PrincipalPowerSymbol(AnalyticSymbol):
         _check_finite_fields(plus_exponent=self.plus_exponent, minus_exponent=self.minus_exponent)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
+        """Modulus e^{-(a atan2(y, 1+x) - b atan2(y, 1-x))} times e^{i phase}, with phase
+        (a log|1+z|^2 + b log|1-z|^2) / 2 for z = x + iy: real ufuncs, which numpy
+        vectorizes, where its complex log and exp run scalar loops (``DECISIONS.md``
+        entry 17).  Four real buffers the size of z, and the result."""
         a, b = self.plus_exponent, self.minus_exponent
-        return np.exp(1j * (a * np.log(1.0 + z) + b * np.log(1.0 - z)))
+        z = np.asarray(z, dtype=np.complex128)
+        flat = z.reshape(-1)
+        x, y = flat.real, flat.imag
+        plus, minus = 1.0 + x, 1.0 - x
+        modulus = np.arctan2(y, plus)
+        tmp = np.arctan2(y, minus)  # arg(1 - z) = -atan2(y, 1 - x)
+        modulus *= -a
+        tmp *= b
+        modulus += tmp
+        np.exp(modulus, out=modulus)
+        np.square(y, out=tmp)
+        for side, exponent in ((plus, a), (minus, b)):
+            np.square(side, out=side)
+            side += tmp
+            np.log(side, out=side)
+            side *= 0.5 * exponent
+        plus += minus  # the phase
+        del tmp, minus, side
+        out = np.empty_like(flat)
+        np.cos(plus, out=out.real)
+        np.sin(plus, out=out.imag)
+        out.real *= modulus
+        out.imag *= modulus
+        return out.reshape(z.shape)[()]
 
     def series(self, degree: int) -> PowerSeries:
         u = _binomial_power_coeffs(self.plus_exponent, degree, sign=+1)
@@ -276,7 +302,8 @@ def inf_modulus(f: Callable, grid: DiscGrid | None = None) -> ModulusScan:
 
     After the coarse pass the angular neighborhood of the argmin (one
     grid spacing to each side, 64 subsamples) is rescanned on the same
-    radius.  Refinement can only lower the reported minimum.
+    radius, skipping the points that round onto or past the circle.
+    Refinement can only lower the reported minimum.
     """
     grid = grid or default_modulus_grid()
     nodes = grid.nodes()
@@ -289,6 +316,7 @@ def inf_modulus(f: Callable, grid: DiscGrid | None = None) -> ModulusScan:
     spread = 2.0 * np.pi / grid.angles_per_radius
     window = theta + np.linspace(-spread, spread, 65)
     cand = r * np.exp(1j * window)
+    cand = cand[np.abs(cand) < 1.0]  # _inside_disc's rule; the argmin's own node stays
     cvals = np.abs(_eval_on_nodes(f, cand))
     k = int(np.argmin(cvals))
     if cvals[k] < best:

@@ -1,12 +1,13 @@
 """Berezin transform routes, their agreement, and grid exports."""
 
 import cmath
+import io
 import json
 
 import numpy as np
 import pytest
 
-from berglab import DomainError, NumericalError, QuadratureSpec
+from berglab import DomainError, NumericalError, QuadratureSpec, berezin
 from berglab.berezin import (
     BerezinSample,
     berezin_grid,
@@ -16,16 +17,22 @@ from berglab.berezin import (
     grid_to_csv,
     grid_to_json,
 )
-from berglab.disc import disc_quadrature
+from berglab.disc import disc_quadrature, normalized_kernel_coeffs
 from berglab.symbols import (
     AnalyticSymbol,
     DiscGrid,
     HarmonicSymbol,
     PolynomialSymbol,
     PrincipalPowerSymbol,
+    RationalSymbol,
     inf_modulus,
 )
-from berglab.toeplitz import toeplitz_analytic, toeplitz_harmonic, toeplitz_quadrature
+from berglab.toeplitz import (
+    TruncatedOperator,
+    toeplitz_analytic,
+    toeplitz_harmonic,
+    toeplitz_quadrature,
+)
 
 BOOSTED = QuadratureSpec(96, 384)  # boundary-capable integral spec
 SMALL = QuadratureSpec(8, 16)
@@ -106,6 +113,98 @@ class TestMatrixRoute:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             berezin_matrix(toeplitz_analytic([1.0], 8), 1.2)
+
+
+def per_node_matrix(op, nodes, tail_tol=1e-6):
+    """The per-node loop the block route replaced: one matrix-vector product per node."""
+    n = op.n
+    out = []
+    for z in nodes:
+        z = complex(z)
+        x = abs(z) ** 2
+        tail = x**n * ((n + 1) * (1.0 - x) + x)
+        estimate = op.norm_proxy * tail
+        if not estimate <= tail_tol:
+            raise NumericalError(
+                f"kernel tail estimate {estimate:.3e} exceeds {tail_tol:.1e} "
+                f"at |z| = {abs(z):.4f} with N = {n}; use the integral route"
+            )
+        kappa = normalized_kernel_coeffs(z, n)
+        value = complex(np.vdot(kappa, op.matrix @ kappa))
+        out.append(BerezinSample(z=z, value=value, route="matrix", error_estimate=estimate))
+    return out
+
+
+class CountingMatrix(np.ndarray):
+    """An operator matrix that counts its ``@`` products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+@pytest.fixture
+def counted_products(monkeypatch):
+    """Makes ``berezin_grid``'s operators count their products; yields the class."""
+
+    def build(phi, n):
+        op = toeplitz_harmonic(phi, n)
+        return TruncatedOperator(op.matrix.view(CountingMatrix), op.symbol_tag, op.builder, True)
+
+    monkeypatch.setattr(berezin, "toeplitz_harmonic", build)
+    monkeypatch.setattr(CountingMatrix, "products", 0)
+    return CountingMatrix
+
+
+CRITERION_3_GRID = DiscGrid((0.0, 0.3, 0.6, 0.8, 0.9), 32)
+WORKLOAD_PHI = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))
+
+
+class TestMatrixSweep:
+    """The block route of ``berezin_grid(..., "matrix")`` against the per-node loop."""
+
+    @pytest.mark.parametrize(
+        "phi, grid, n",
+        [
+            (WORKLOAD_PHI, CRITERION_3_GRID, 256),
+            (HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3])), CRITERION_3_GRID, 128),
+            # complex rational g; 100 angles make blocks that straddle rings
+            (HarmonicSymbol(1 - 0.5j, 0.3j, RationalSymbol([1.0, 0.5j], [2.0, -0.5 + 0.5j])),
+             DiscGrid((0.0, 0.45, 0.7), 100), 256),
+        ],
+        ids=["workload", "criterion-3", "rational"],
+    )
+    def test_matches_per_node_loop(self, phi, grid, n, counted_products):
+        sweep = berezin_grid(phi, grid, "matrix", n=n)
+        op = toeplitz_harmonic(phi, n)
+        oracle = per_node_matrix(op, grid.nodes().ravel())
+        scale = np.linalg.norm(op.matrix, 2)
+        assert len(sweep) == len(oracle)
+        for a, b in zip(sweep, oracle):
+            assert (a.z, a.route, a.error_estimate) == (b.z, b.route, b.error_estimate)
+            assert abs(a.value - b.value) <= 1e-13 * scale
+        # one product per block of at most 64 kernel vectors
+        assert counted_products.products == -(-len(sweep) // 64)
+
+    def test_point_api_is_the_one_node_case(self):
+        op = toeplitz_harmonic(WORKLOAD_PHI, 256)
+        nodes = [0.0, 0.3 + 0.4j, -0.85j, 0.96]
+        got = [berezin_matrix(op, z) for z in nodes]
+        for a, b in zip(got, per_node_matrix(op, nodes)):
+            assert (a.z, a.route, a.error_estimate) == (b.z, b.route, b.error_estimate)
+            assert abs(a.value - b.value) <= 1e-13 * np.linalg.norm(op.matrix, 2)
+
+    def test_refusal_text_and_no_product(self, counted_products):
+        # the matrix_refusal workload scenario: the first node of radius 0.95 refuses
+        grid = DiscGrid((0.0, 0.5, 0.95), 8)
+        with pytest.raises(NumericalError) as expected:
+            per_node_matrix(toeplitz_harmonic(WORKLOAD_PHI, 64), grid.nodes().ravel())
+        with pytest.raises(NumericalError) as got:
+            berezin_grid(WORKLOAD_PHI, grid, "matrix", n=64)
+        assert str(got.value) == str(expected.value)
+        assert counted_products.products == 0
 
 
 class TestHarmonicRoute:
@@ -313,3 +412,57 @@ class TestGridSweepAndExport:
         assert len(rows) == 8
         assert set(rows[0]) == {"re_z", "im_z", "re_val", "im_val", "route", "err"}
         assert rows[0]["re_val"] == pytest.approx(2.0)
+
+
+def json_dump_oracle(samples) -> str:
+    """The ``json.dump(rows, fh, indent=1)`` writer that the row template replaced."""
+    rows = [
+        {
+            "re_z": s.z.real,
+            "im_z": s.z.imag,
+            "re_val": s.value.real,
+            "im_val": s.value.imag,
+            "route": s.route,
+            "err": s.error_estimate,
+        }
+        for s in samples
+    ]
+    fh = io.StringIO()
+    json.dump(rows, fh, indent=1)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+class TestGridJsonBytes:
+    EDGE_SAMPLES = [
+        BerezinSample(complex(-0.0, 5e-324), complex(1e300, -0.0), "integral", 5e-324),
+        BerezinSample(complex(0.1, -0.0), complex(1e16, 0.1), "matrix", 1e16),
+        BerezinSample(0j, complex(-1e-300, 2.5), "harmonic_closed_form", 0.0),
+        BerezinSample(complex(0.3, 0.4), complex(1 / 3, -2 / 3), "integral", 1e300),
+    ]
+
+    @pytest.mark.parametrize(
+        "samples",
+        [EDGE_SAMPLES, EDGE_SAMPLES[1:2], []],
+        ids=["edge-values", "one-row", "empty"],
+    )
+    def test_equals_json_dump(self, tmp_path, samples):
+        path = tmp_path / "grid.json"
+        grid_to_json(samples, path)
+        assert path.read_text() == json_dump_oracle(samples)
+
+    @pytest.mark.parametrize("route", ["integral", "matrix", "harmonic_closed_form"])
+    def test_sweeps_equal_json_dump(self, tmp_path, route):
+        phi = HarmonicSymbol(1.0, 0.5, PrincipalPowerSymbol(1.0, -1.0))
+        samples = berezin_grid(phi, DiscGrid((0.0, 0.5), 4), route, SMALL, n=64)
+        path = tmp_path / "grid.json"
+        grid_to_json(samples, path)
+        assert path.read_text() == json_dump_oracle(samples)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_before_the_file_is_opened(self, tmp_path, bad):
+        samples = [self.EDGE_SAMPLES[0], BerezinSample(0.5j, complex(1.0, bad), "integral", 0.0)]
+        path = tmp_path / "missing-dir" / "grid.json"  # opening it would raise FileNotFoundError
+        with pytest.raises(NumericalError, match="non-finite"):
+            grid_to_json(samples, path)
+        assert not path.parent.exists()

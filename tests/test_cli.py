@@ -245,7 +245,7 @@ class TestRunScenario:
             for name in ("example35", "pencil")
         }
         assert digests == {
-            "example35": "041fd15672ef1f9772ca12b6af626f3d81c5bc2f49f17a86c5988794aff64cb7",
+            "example35": "3899f75714db98ac1728b17d709f241aafd0ab489ebc0519eb39490d79bf5509",
             "pencil": "625282360b3b52a356470c60fa0aa0c673071d2d1d02bbb10dfb0c3b4d1fa78a",
         }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from berglab import DomainError
-from berglab.disc import PowerSeries
+from berglab.disc import PowerSeries, QuadratureSpec
 from berglab.symbols import (
     DiscGrid,
     HarmonicSymbol,
@@ -19,6 +19,7 @@ from berglab.symbols import (
 )
 
 MACHINE = 1e-13
+EPS = np.finfo(float).eps
 
 
 class TestAnalyticFamilies:
@@ -107,6 +108,159 @@ class TestAnalyticFamilies:
     def test_power_symbol_at_origin(self):
         assert power_symbol(2.3)(0.0) == pytest.approx(1.0)
         assert power_symbol(0.0)(0.4 + 0.2j) == pytest.approx(1.0)
+
+
+#: four nodes of QuadratureSpec(96, 384), four of default_modulus_grid's outer ring
+#: (radius 1 - 2^-10) and four within 1e-12 of -1 or 1
+POWER_POINTS = np.array([
+    complex(0.9998447519416154, 0.0),
+    complex(-0.9997109106330068, 0.016359191499420174),
+    complex(-0.06539297552131788, 0.9977040075782289),
+    complex(0.3766442887176634, 0.04332943667368736),
+    complex(0.9990234375, 0.0),
+    complex(-0.9990234375, 1.2234508550075609e-16),
+    complex(-0.9987225503185713, 0.02451726247943292),
+    complex(0.19489980412353441, -0.9798274822778367),
+    complex(-0.999999999999, 0.0),
+    complex(0.999999999999, 0.0),
+    complex(-0.9999999999995, 5e-13),
+    complex(0.9999999999995, -5e-13),
+])
+#: (1 + z)^{ia} (1 - z)^{ib} at POWER_POINTS by mpmath at 40 digits, rounded to doubles
+POWER_MPMATH = {
+    (1.0, -1.0): [
+        complex(-0.9992482300378629, -0.03876821850689263),
+        complex(0.01958435631000316, 0.20894571310272952),
+        complex(0.20746613183221627, -0.013607795069114532),
+        complex(0.6360775519531758, 0.6424366008680586),
+        complex(0.22783249175477827, 0.9737003418407579),
+        complex(0.2278324917547497, -0.9737003418406359),
+        complex(-0.06656282684614784, 0.20582254638317746),
+        complex(4.712149607900142, 0.9435464882594529),
+        complex(-0.9987574203211738, 0.04983588419396391),
+        complex(-0.9987574203211738, -0.04983588419396391),
+        complex(-0.42060839542300194, 0.1760302095258529),
+        complex(-2.023147313453402, -0.8467140679175152),
+    ],
+    (0.7, -0.3): [
+        complex(-0.9996800210689646, 0.0252953647049115),
+        complex(-0.33583323510177904, -0.018393591952693338),
+        complex(0.44754622069993855, 0.04735651422525065),
+        complex(0.8948890792704076, 0.3421303405603397),
+        complex(-0.8379447400636956, 0.5457550848133123),
+        complex(0.34049087456250204, 0.9402478207044603),
+        complex(-0.3245360171371169, -0.11439959902137815),
+        complex(2.050714990729461, 0.4874470781644164),
+        complex(0.7647658426634886, -0.6443083158668715),
+        complex(-0.7959252347830829, 0.6053949294762011),
+        complex(0.33911685946003445, -0.46694637240104725),
+        complex(-1.0814534256383401, 0.6575662832771741),
+    ],
+    (-0.2, 1.1): [
+        complex(-0.9354130017708929, 0.35355694890352163),
+        complex(-0.019416743599524798, 1.3764731399148695),
+        complex(2.528579936116179, 0.9329155977555128),
+        complex(0.9077540025136484, -0.5963932581428876),
+        complex(0.0907060470393177, -0.9958777098773228),
+        complex(-0.5458662975005139, 0.8378722965065325),
+        complex(0.09269814978293174, 1.3702004680128634),
+        complex(0.3250077980883663, 0.05722651066816022),
+        complex(0.9999849561141969, 0.005485211508011426),
+        complex(0.634720516608478, 0.7727417846837757),
+        complex(1.1668077619414585, 0.08742468588191495),
+        complex(0.3695149645782065, 0.20282365268172595),
+    ],
+    (20.0, -20.0): [
+        complex(0.7140299722080546, 0.700115132523619),
+        complex(-8.070365260846862e-15, -2.624437678895176e-14),
+        complex(5.8757726194825955e-15, -2.201103019680701e-14),
+        complex(-0.1323628172963667, -0.013210365726065305),
+        complex(-0.11511226392326285, 0.9933524886436139),
+        complex(-0.11511226392297429, -0.9933524886411237),
+        complex(5.031455734401068e-14, -1.3850100003961999e-15),
+        complex(-29733395069125.54, -31288383133011.582),
+        complex(0.5427144919022497, -0.8399172460899246),
+        complex(0.5427144919022497, 0.8399172460899246),
+        complex(-1.1044775750798993e-08, -1.5043084183372657e-07),
+        complex(-485454.2355604298, 6611930.470550367),
+    ],
+    (0.0, 0.0): [
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+    ],
+}
+
+
+def complex_route(a, b, z):
+    """The complex-log evaluation that ``PrincipalPowerSymbol.__call__`` replaced."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.exp(1j * (a * np.log(1.0 + z) + b * np.log(1.0 - z)))
+
+
+def power_condition(a, b, z):
+    """1 + |a| (1 + |log|1+z|| + |arg(1+z)|) + |b| (1 + |log|1-z|| + |arg(1-z)|).
+
+    The phase and the modulus of the power are these logarithms and arguments times the
+    exponents, and 1 +- x rounds before the logarithm, so each logarithm carries an
+    absolute error of about eps even where it is small.
+    """
+    lp, lm = np.log(1.0 + z), np.log(1.0 - z)
+    return (1 + abs(a) * (1 + np.abs(lp.real) + np.abs(lp.imag))
+            + abs(b) * (1 + np.abs(lm.real) + np.abs(lm.imag)))
+
+
+EXPONENT_PAIRS = list(POWER_MPMATH)
+
+
+class TestPrincipalPowerEval:
+    """The real-arithmetic power against its two oracles."""
+
+    @pytest.mark.parametrize("a, b", EXPONENT_PAIRS)
+    def test_matches_mpmath(self, a, b):
+        got = PrincipalPowerSymbol(a, b)(POWER_POINTS)
+        exact = np.array(POWER_MPMATH[a, b])
+        rel = np.abs(got - exact) / np.abs(exact)
+        assert np.all(rel <= 4 * EPS * power_condition(a, b, POWER_POINTS))
+
+    @pytest.mark.parametrize("a, b", EXPONENT_PAIRS)
+    def test_matches_complex_route(self, a, b):
+        z = np.concatenate([
+            QuadratureSpec(96, 384).points()[0],
+            default_modulus_grid().nodes().ravel(),
+            POWER_POINTS,
+        ])
+        got = PrincipalPowerSymbol(a, b)(z)
+        old = complex_route(a, b, z)
+        rel = np.abs(got - old) / np.abs(old)
+        assert np.all(rel <= 8 * EPS * power_condition(a, b, z))
+
+    def test_zero_exponents_give_one(self):
+        assert np.all(PrincipalPowerSymbol(0.0, 0.0)(POWER_POINTS) == 1.0)
+
+    @pytest.mark.parametrize("a, b", EXPONENT_PAIRS)
+    def test_shapes(self, a, b):
+        g = PrincipalPowerSymbol(a, b)
+        flat = g(POWER_POINTS)
+        scalar = g(complex(POWER_POINTS[3]))
+        zero_d = g(np.asarray(POWER_POINTS[3]))
+        # a 0-d result is a numpy scalar, as the complex route returned
+        for value in (scalar, zero_d):
+            assert type(value) is type(complex_route(a, b, POWER_POINTS[3])) is np.complex128
+            assert value == flat[3]
+        grid = g(POWER_POINTS.reshape(3, 4))
+        assert grid.shape == (3, 4)
+        np.testing.assert_array_equal(grid.ravel(), flat)
+        np.testing.assert_array_equal(g(POWER_POINTS.reshape(4, 3).T).T.ravel(), flat)
 
 
 def minus_i_powers(n):
@@ -261,6 +415,23 @@ class TestInfModulus:
         sharp = np.exp(-max(abs(a), abs(b)) * np.pi / 2)
         minimum = inf_modulus(PrincipalPowerSymbol(a, b), grid).minimum
         assert sharp * (1 - 1e-12) <= minimum <= 1.02 * sharp
+
+    def test_refinement_stays_in_the_open_disc(self):
+        # every node of this grid is inside, yet (1 - 2^-53) e^{i w} rounds onto or past
+        # the circle for some w of the refinement window around the argmin, z = -(1 - 2^-53)
+        grid = DiscGrid((0.0, 1 - 2**-53), 4)
+        window = np.pi + np.linspace(-np.pi / 2, np.pi / 2, 65)
+        assert np.any(np.abs(grid.radii[-1] * np.exp(1j * window)) >= 1.0)
+        called = []
+
+        def f(z):
+            called.append(z)
+            return 2.0 + z
+
+        scan = inf_modulus(f, grid)
+        assert len(called) == 2
+        assert all(np.all(np.abs(z) < 1.0) for z in called)
+        assert scan.minimum <= 1.0 + 2**-53
 
     def test_power_ratio_lower_bound(self):
         for t in (0.5, 1.0, 2.0):
