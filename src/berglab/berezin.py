@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import check_threshold
 from .disc import (
     QuadratureSpec,
     _eval_on_nodes,
@@ -112,40 +113,36 @@ def berezin_integral(
     )
 
 
-def berezin_matrix(
-    op: TruncatedOperator, z: complex, tail_tol: float = DEFAULT_TAIL_TOL
-) -> BerezinSample:
-    """Transform of a truncated operator: <T kappa, kappa>.
-
-    The truncated kernel vector misses geometric tail mass
-    (1 - |z|^2)^2 sum_{n >= N} (n+1) |z|^{2n}; the error estimate is
-    that tail times a cheap operator-norm proxy sqrt(||T||_1 ||T||_inf).
-    When the estimate exceeds ``tail_tol`` the call refuses (raises
-    :class:`NumericalError`) rather than returning a value it cannot
-    trust; the integral route covers that regime.
-    """
-    z = complex(z)
-    _inside_disc(z, "z")
-    return _matrix_samples(op, np.array([z]), tail_tol)[0]
-
-
 #: kernel vectors per ``T @ K`` product of the matrix route
 _MATRIX_BLOCK = 64
 
 
-def _matrix_samples(
-    op: TruncatedOperator, nodes: np.ndarray, tail_tol: float
-) -> list[BerezinSample]:
-    """:func:`berezin_matrix` at each node: every tail estimate first, refusing at the
-    first one over ``tail_tol`` before any product, then one ``T @ K`` product per block
-    of at most ``_MATRIX_BLOCK`` kernel vectors, kappa_m = (1 - |z|^2) sqrt(m+1) conj(z)^m."""
+def berezin_matrix(
+    op: TruncatedOperator, z, tail_tol: float = DEFAULT_TAIL_TOL
+) -> BerezinSample | list[BerezinSample]:
+    """Transform of a truncated operator: <T kappa, kappa>, at a point or a node array.
+
+    The truncated kernel vector kappa_m = (1 - |z|^2) sqrt(m+1) conj(z)^m
+    misses geometric tail mass (1 - |z|^2)^2 sum_{n >= N} (n+1) |z|^{2n};
+    the error estimate is that tail times a cheap operator-norm proxy
+    sqrt(||T||_1 ||T||_inf).  Every estimate is checked before any product:
+    the first over ``tail_tol`` refuses (raises :class:`NumericalError`)
+    rather than return a value it cannot trust; the integral route covers
+    that regime.  Then one ``T @ K`` product per ``_MATRIX_BLOCK`` nodes.
+    A scalar ``z`` gives one sample, an array a list in ravelled order.
+    """
+    check_threshold(tail_tol, "tail_tol")
+    nodes = np.asarray(z, dtype=np.complex128)
+    _inside_disc(nodes, "z")
+    flat = nodes.ravel()
     n = op.n
-    zs = nodes.tolist()
+    zs = flat.tolist()
     squares = [abs(z) ** 2 for z in zs]
+    proxy = float(np.sqrt(np.linalg.norm(op.matrix, 1) * np.linalg.norm(op.matrix, np.inf)))
     estimates = []
     for z, x in zip(zs, squares):
         tail = x**n * ((n + 1) * (1.0 - x) + x)
-        estimate = op.norm_proxy * tail
+        estimate = proxy * tail
         if not estimate <= tail_tol:  # an overflowed norm proxy times a zero tail is NaN
             raise NumericalError(
                 f"kernel tail estimate {estimate:.3e} exceeds {tail_tol:.1e} "
@@ -159,30 +156,30 @@ def _matrix_samples(
         block = slice(start, start + _MATRIX_BLOCK)
         kappa = np.empty((n, pref[block].size), dtype=np.complex128)
         kappa[0] = 1.0
-        kappa[1:] = np.conj(nodes[block])
+        kappa[1:] = np.conj(flat[block])
         np.multiply.accumulate(kappa, axis=0, out=kappa)  # conj(z)^m down each column
         kappa *= root * pref[block]
         values += np.einsum("mj,mj->j", kappa.conj(), op.matrix @ kappa).tolist()
-    return [BerezinSample(z, v, "matrix", e) for z, v, e in zip(zs, values, estimates)]
+    samples = [BerezinSample(z, v, "matrix", e) for z, v, e in zip(zs, values, estimates)]
+    return samples if nodes.ndim else samples[0]
 
 
-def berezin_harmonic(phi: HarmonicSymbol, z: complex) -> BerezinSample:
+def berezin_harmonic(phi: HarmonicSymbol, z) -> BerezinSample | list[BerezinSample]:
     """Exact transform for harmonic symbols: the transform fixes them.
 
     For analytic g the reproducing property gives <g K_z, K_z> =
     g(z) ||K_z||^2, so g~ = g; conjugating shows the same for conj(g),
     and linearity extends it to phi = c g + d conj(g).  The error is
-    exactly zero, the one legitimate zero estimate in the module.
+    exactly zero, the one legitimate zero estimate in the module.  phi is
+    called once on the nodes; a scalar ``z`` gives one sample, an array a
+    list in ravelled order.
     """
-    z = complex(z)
-    _inside_disc(z, "z")
-    return _closed_form_samples(phi, np.array([z]))[0]
-
-
-def _closed_form_samples(phi, nodes: np.ndarray) -> list[BerezinSample]:
-    """:func:`berezin_harmonic` at each node, phi called once on the node array."""
-    values = zip(nodes.tolist(), _eval_on_nodes(phi, nodes).tolist())
-    return [BerezinSample(z, v, "harmonic_closed_form", 0.0) for z, v in values]
+    nodes = np.asarray(z, dtype=np.complex128)
+    _inside_disc(nodes, "z")
+    flat = nodes.ravel()
+    values = zip(flat.tolist(), _eval_on_nodes(phi, flat).tolist())
+    samples = [BerezinSample(z, v, "harmonic_closed_form", 0.0) for z, v in values]
+    return samples if nodes.ndim else samples[0]
 
 
 def berezin_grid(
@@ -195,10 +192,10 @@ def berezin_grid(
 ) -> list[BerezinSample]:
     """Sweep the transform over a polar grid, row-major node order.
 
-    The matrix route builds one truncated operator of size ``n``, checks
-    every node's tail estimate before any product, and takes one
-    ``T @ K`` product per block of 64 kernel vectors.  The integral route evaluates phi once per
-    rule and convolves ring by ring with FFTs when
+    The matrix route builds one truncated operator of size ``n`` and
+    hands :func:`berezin_matrix` every node, the closed-form route hands
+    them to :func:`berezin_harmonic`.  The integral route evaluates phi
+    once per rule and convolves ring by ring with FFTs when
     ``grid.angles_per_radius`` divides ``spec.angular_nodes`` (see the
     module docstring), matching per-node :func:`berezin_integral` up to
     rounding; other grids run :func:`berezin_integral` node by node.
@@ -207,7 +204,7 @@ def berezin_grid(
         raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
     nodes = grid.nodes().ravel()
     if route == "matrix":
-        return _matrix_samples(toeplitz_harmonic(phi, n), nodes, tail_tol)
+        return berezin_matrix(toeplitz_harmonic(phi, n), nodes, tail_tol)
     if route == "integral":
         if spec.angular_nodes % grid.angles_per_radius:
             return [berezin_integral(phi, z, spec) for z in nodes]
@@ -217,7 +214,7 @@ def berezin_grid(
             BerezinSample(z=complex(z), value=a, route="integral", error_estimate=abs(a - b))
             for z, a, b in zip(nodes, v1, v2)
         ]
-    return _closed_form_samples(phi, nodes)
+    return berezin_harmonic(phi, nodes)
 
 
 def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:

@@ -191,6 +191,7 @@ _QUADRATURE = _object({"radial": _as_int, "angular": _as_int}, QuadratureSpec)
 _THRESHOLDS = _object(
     {k: _then(_as_float, check_threshold, k) for k in ("inf_positive", "sigma_positive", "drift")}
 )
+_TAIL_TOL = _then(_as_float, check_threshold, "tail_tol")
 _SCHEDULE = _then(_list(_as_int), check_schedule)
 _SIZE = _then(_as_int, check_size)
 _COUNT = _int_at_least(1)
@@ -218,7 +219,7 @@ SCHEMA = {
         "route",
         {
             "integral": {"symbol": _SYMBOL, "grid": _GRID, "quadrature": _QUADRATURE},
-            "matrix": {"symbol": _SYMBOL, "grid": _GRID, "n": _SIZE, "tail_tol": _as_float},
+            "matrix": {"symbol": _SYMBOL, "grid": _GRID, "n": _SIZE, "tail_tol": _TAIL_TOL},
             "harmonic_closed_form": {"symbol": _SYMBOL, "grid": _GRID},
         },
     ),
@@ -398,6 +399,8 @@ def _sha256(path: Path) -> str:
 def _load_config(path):
     try:
         return json.loads(Path(path).read_text())
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
@@ -422,7 +425,10 @@ def run_scenario(config, output_dir: str | None = None) -> RunManifest:
     if outdir is None:
         raise ConfigError("missing required field 'output_dir' (config or --output-dir)")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a path through one
+        raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
     pipeline, names = _PIPELINES[sc.kind]
     t1 = time.perf_counter()
     try:
@@ -510,7 +516,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except ValueError as exc:  # ConfigError is a ValueError
         error, code = exc, 2
     except (NumericalError, MemoryError) as exc:
         error, code = exc, 3

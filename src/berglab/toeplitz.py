@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,19 +64,12 @@ class TruncatedOperator:
         object.__setattr__(self, "matrix", arr)
         if self.builder not in ("closed_form", "quadrature"):
             raise ValueError(f"unknown builder {self.builder!r}")
+        if not isinstance(self.symbol_tag, str):
+            raise ValueError(f"symbol_tag must be a string, got {self.symbol_tag!r}")
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def norm_proxy(self) -> float:
-        """Cheap operator-norm proxy sqrt(||T||_1 ||T||_inf), computed once."""
-        return float(
-            np.sqrt(
-                np.linalg.norm(self.matrix, 1) * np.linalg.norm(self.matrix, np.inf)
-            )
-        )
 
 
 #: rows per block of :func:`_analytic_matrix`; temporaries 6 % of the output at N = 1024

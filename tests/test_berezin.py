@@ -81,6 +81,16 @@ class TestIntegralRoute:
         with pytest.raises(NumericalError, match="error_estimate"):
             BerezinSample(z=0j, value=1 + 0j, route="integral", error_estimate=np.nan)
 
+    @pytest.mark.parametrize(
+        "route, estimate, match",
+        [("integral", -1e-3, "error_estimate must be nonnegative"),
+         ("fourier", 0.0, "unknown route 'fourier'")],
+        ids=["negative-estimate", "unknown-route"],
+    )
+    def test_bad_sample_refused(self, route, estimate, match):
+        with pytest.raises(ValueError, match=match):
+            BerezinSample(z=0j, value=1 + 0j, route=route, error_estimate=estimate)
+
 
 class TestMatrixRoute:
     def test_identity_at_center(self):
@@ -117,13 +127,14 @@ class TestMatrixRoute:
 
 def per_node_matrix(op, nodes, tail_tol=1e-6):
     """The per-node loop the block route replaced: one matrix-vector product per node."""
-    n = op.n
+    n, m = op.n, op.matrix
+    proxy = float(np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf)))
     out = []
     for z in nodes:
         z = complex(z)
         x = abs(z) ** 2
         tail = x**n * ((n + 1) * (1.0 - x) + x)
-        estimate = op.norm_proxy * tail
+        estimate = proxy * tail
         if not estimate <= tail_tol:
             raise NumericalError(
                 f"kernel tail estimate {estimate:.3e} exceeds {tail_tol:.1e} "
@@ -196,6 +207,33 @@ class TestMatrixSweep:
             assert (a.z, a.route, a.error_estimate) == (b.z, b.route, b.error_estimate)
             assert abs(a.value - b.value) <= 1e-13 * np.linalg.norm(op.matrix, 2)
 
+    def test_node_array_is_the_point_calls_in_ravelled_order(self):
+        op = toeplitz_harmonic(WORKLOAD_PHI, 256)
+        rng = np.random.default_rng(5)
+        nodes = np.array([random_point(rng, 0.9) for _ in range(12)])
+        flat = berezin_matrix(op, nodes)
+        # the same blocks, so the same bits; a one-column product may round differently
+        assert berezin_matrix(op, nodes.reshape(3, 4)) == flat
+        for a, b in zip(flat, [berezin_matrix(op, z) for z in nodes], strict=True):
+            assert (a.z, a.route, a.error_estimate) == (b.z, b.route, b.error_estimate)
+            assert abs(a.value - b.value) <= 1e-13 * np.linalg.norm(op.matrix, 2)
+
+    def test_scalar_gives_a_sample_and_empty_array_none(self):
+        op = toeplitz_harmonic(WORKLOAD_PHI, 16)
+        assert isinstance(berezin_matrix(op, 0.5j), BerezinSample)
+        assert berezin_matrix(op, np.array([], dtype=complex)) == []
+
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, np.nan])
+    def test_non_positive_tail_tol_refused_before_any_product(self, tail_tol, counted_products):
+        # a negative budget used to surface as the numerical refusal "estimate 0.000e+00
+        # exceeds -1.0e+00"; it is a bad argument
+        op = berezin.toeplitz_harmonic(WORKLOAD_PHI, 16)
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            berezin_matrix(op, 0.0, tail_tol)
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            berezin_grid(WORKLOAD_PHI, CRITERION_3_GRID, "matrix", n=16, tail_tol=tail_tol)
+        assert counted_products.products == 0
+
     def test_refusal_text_and_no_product(self, counted_products):
         # the matrix_refusal workload scenario: the first node of radius 0.95 refuses
         grid = DiscGrid((0.0, 0.5, 0.95), 8)
@@ -252,6 +290,19 @@ class TestClosedFormEvaluation:
         sweep = berezin_grid(phi, self.GRID, "harmonic_closed_form")
         pointwise = [berezin_harmonic(phi, z) for z in self.GRID.nodes().ravel()]
         assert sweep == pointwise
+
+    @pytest.mark.parametrize("shape", [(96,), (3, 32)], ids=["1-d", "2-d"])
+    def test_node_array_equals_the_point_calls_bit_for_bit(self, shape):
+        phi = HarmonicSymbol(1.0, 0.5, NodeArrayG())
+        nodes = self.GRID.nodes().reshape(shape)
+        assert berezin_harmonic(phi, nodes) == [berezin_harmonic(phi, z) for z in nodes.ravel()]
+
+    def test_scalar_gives_a_sample_and_empty_array_none(self):
+        phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))
+        assert isinstance(berezin_harmonic(phi, 0.5j), BerezinSample)
+        assert berezin_harmonic(phi, np.array([], dtype=complex)) == []
+        with pytest.raises(DomainError):
+            berezin_harmonic(phi, np.array([0.5, 1.0]))
 
 
 class TestRouteAgreement:

@@ -571,8 +571,26 @@ class TestExitCodes:
         config["symbol"]["g"] = {"type": "rational", "num": [1.0], "den": [1.0, -1.0 / 1.05]}
         assert main(["validate", str(write_config(tmp_path, config))]) == 0
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
+        assert "nope.json: No such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_is_a_directory(self, tmp_path, capsys, command):
+        # an IsADirectoryError traceback, exit 1
+        outdir = tmp_path / "o"
+        args = [command, str(tmp_path)] + (["--output-dir", str(outdir)] if command == "run" else [])
+        assert main(args) == 2
+        assert f"cannot read config {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_output_dir_through_a_file(self, tmp_path, capsys, sub):
+        # a FileExistsError or NotADirectoryError traceback, exit 1
+        (tmp_path / "taken").write_text("")
+        outdir = tmp_path / "taken" / sub
+        path = write_config(tmp_path, invertibility_config())
+        assert main(["run", str(path), "--output-dir", str(outdir)]) == 2
+        assert f"cannot create output directory {outdir}" in capsys.readouterr().err
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -720,6 +738,15 @@ class TestSchemaRefusals:
                          "config.symbol.g.plus_exponent", id="nan-exponent"),
             pytest.param({"name": "e", "kind": "example_3_5", "t": float("inf"),
                           "schedule": [4, 8, 16]}, "config.t", id="inf-t"),
+            # run exited 3, "kernel tail estimate 0.000e+00 exceeds -1.0e+00"
+            *(pytest.param(grid_config("matrix", n=16, tail_tol=value), "config.tail_tol",
+                           id=f"tail_tol-{value}") for value in (0.0, -1.0)),
+            pytest.param(invertibility_config(schedule=5), "config.schedule", id="schedule-5"),
+            pytest.param(with_symbol(g=[2.0, 1.0]), "config.symbol.g", id="g-list"),
+            pytest.param([invertibility_config()], "config must be an object", id="config-list"),
+            pytest.param(invertibility_config(grid=[0.5]), "config.grid", id="grid-list"),
+            pytest.param(invertibility_config(output_dir=5), "config.output_dir",
+                         id="output_dir-int"),
         ],
     )
     def test_validate_and_run_refuse(self, tmp_path, capsys, config, field):

@@ -1,10 +1,16 @@
 import ast
+import importlib.util
 import pathlib
+import sys
+
+import pytest
 
 import berglab
-from berglab import analysis, berezin, disc, errors, lapack, symbols, toeplitz
+from berglab import NumericalError, analysis, berezin, disc, errors, lapack, symbols, toeplitz
+from berglab.cli import run_scenario
 
 SRC = pathlib.Path(berglab.__file__).parent
+BENCH = SRC.parents[1] / "bench"
 
 #: the package's public names, in order; ``berglab.lapack`` adds none
 PUBLIC = [
@@ -138,3 +144,32 @@ def test_no_public_function_only_calls_a_public_class():
             ) == sorted(p.arg for p in params):
                 aliases.append(func.name)
     assert aliases == []
+
+
+def _bench_module(name, monkeypatch):
+    """``bench/<name>.py`` loaded read-only: no bytecode is written under bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_the_public_berezin_routes(tmp_path, monkeypatch):
+    """The benchmark's Berezin metrics read the spans of the public route functions; a
+    private twin that the grid sweep called instead would zero them silently."""
+    tracer = _bench_module("tracer", monkeypatch)
+    workloads = _bench_module("workloads", monkeypatch)
+    configs = {c["name"]: c for c in workloads.scenarios("berezin_quadrature", 7)}
+    with tracer.Tracer() as t:
+        for name in ("matrix_route", "closed_form_route", "matrix_refusal"):
+            config = dict(configs[name])
+            if config.pop("expect", None):
+                with pytest.raises(NumericalError, match="kernel tail estimate"):
+                    run_scenario(config, str(tmp_path / name))
+            else:
+                run_scenario(config, str(tmp_path / name))
+    names = tracer.summarize(t.spans)["names"]
+    matrix, harmonic = names["berezin.berezin_matrix"], names["berezin.berezin_harmonic"]
+    assert (matrix["calls"], matrix.get("raised.NumericalError")) == (2, 1)
+    assert harmonic["calls"] == 1 and matrix["s"] > 0 and harmonic["s"] > 0

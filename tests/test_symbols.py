@@ -338,6 +338,8 @@ class TestDiscGrid:
             DiscGrid((0.0, 1.0), 16)
         with pytest.raises(ValueError):
             DiscGrid((0.0, 0.5), 2)
+        with pytest.raises(ValueError, match="at least one radius"):
+            DiscGrid((), 8)
 
     def test_node_rounding_onto_the_circle_refused(self):
         # 1 - 2^-53 < 1, yet (1 - 2^-53) e^{i pi / 4} rounds to modulus 1

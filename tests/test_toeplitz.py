@@ -316,14 +316,6 @@ class TestTruncatedOperator:
             tracemalloc.stop()
         assert peak <= 1.1 * op.matrix.nbytes
 
-    def test_norm_proxy_computed_once(self):
-        op = toeplitz_harmonic(HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0])), 16)
-        m = op.matrix
-        assert op.norm_proxy == float(
-            np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
-        )
-        assert "norm_proxy" in vars(op)  # cached on the instance
-
 
 def _json_oracle(op, path):
     """The element-wise encoder the streaming writer replaced."""
@@ -445,6 +437,15 @@ class TestExports:
         payload = {"N": n, "symbol_tag": "x", "builder": "closed_form", "data": data}
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="header N must be an integer"):
+            matrix_from_json(path)
+
+    @pytest.mark.parametrize("tag", [5, None, ["x"]], ids=["int", "null", "list"])
+    def test_json_header_tag_must_be_a_string(self, tmp_path, tag):
+        # an integer tag used to load as an operator tagged 5
+        path = tmp_path / "m.json"
+        payload = {"N": 1, "symbol_tag": tag, "builder": "closed_form", "data": [[[1.0, 0.0]]]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="symbol_tag must be a string"):
             matrix_from_json(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
