@@ -32,6 +32,7 @@ mix check's ``passed`` and ``margin``, is not a field and stays out of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,11 +52,7 @@ from .symbols import (
     inf_modulus,
     power_symbol,
 )
-from .toeplitz import (
-    TruncatedOperator,
-    _analytic_matrix,
-    toeplitz_analytic,
-)
+from .toeplitz import TruncatedOperator, _analytic_matrix
 
 __all__ = [
     "SIGMA_POSITIVE_TOL",
@@ -104,6 +101,8 @@ _BAND_RATIO_COMPLEX = 64
 _BAND_REDUCTION_CUT = 768
 #: the denominator of a polynomial
 _ONE = np.ones(1)
+#: g = z, whose section is the Bergman shift's
+_Z = np.array([0.0, 1.0])
 
 _NOTES = (
     "grid minimum of |phi| is an upper bound for the true infimum",
@@ -507,22 +506,23 @@ def shift_window_demo(n: int, s: complex) -> ShiftWindowDemo:
 
     Requires n >= 8 and |s| > 1.  The witness vector is e_0: the first
     row of the shift truncation vanishes, so the adjoint annihilates it
-    while the mix maps it to a vector of norm |s| sqrt(1/2).
+    while the mix maps it to a vector of norm |s| sqrt(1/2).  Both windows take
+    :func:`lapack.bidiagonal_sigma` under the trend's scaling
+    (:func:`_scaled_sigma_min`), so no N x N array is built.
     """
     n = check_shift_window(n)
     s = check_mix_s(s, ">")
-    a = toeplitz_analytic([0.0, 1.0], n).matrix
-    mix = adjoint_mix(a, s)
-    # A^* enters as the view A^T and its witness A^* e_0 as the row A[0]: conjugation
-    # moves no norm and no singular value, and no N x N conjugate outlives adjoint_mix
+    # the mix is the section of s z + conj(z) and the adjoint that of conj(z): each
+    # window is its band's first n - 1 columns, and each witness its band's column e_0
+    window = functools.partial(lapack.bidiagonal_sigma, cols=n - 1)
+    mix, adjoint = (s, 1.0), (0.0, 1.0)
     return ShiftWindowDemo(
         n=n,
         s=s,
-        witness_adjoint_norm=float(np.linalg.norm(a[0])),
-        witness_mix_norm=float(np.linalg.norm(mix[:, 0])),
-        # windowed minima: inputs restricted to the first n - 1 coordinates
-        window_ratio_adjoint=smallest_singular_value(a.T[:, : n - 1]),
-        window_ratio_mix=smallest_singular_value(mix[:, : n - 1]),
+        witness_adjoint_norm=float(np.linalg.norm(lapack._harmonic_band(*adjoint, _Z, n)[:, 0])),
+        witness_mix_norm=float(np.linalg.norm(lapack._harmonic_band(*mix, _Z, n)[:, 0])),
+        window_ratio_adjoint=_scaled_sigma_min(window, *adjoint, _Z, n=n),
+        window_ratio_mix=_scaled_sigma_min(window, *mix, _Z, n=n),
     )
 
 

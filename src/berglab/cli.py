@@ -34,6 +34,7 @@ import scipy
 
 from . import __version__
 from .analysis import (
+    _trend_sigma_min,
     check_mix_s,
     check_schedule,
     check_shift_window,
@@ -297,9 +298,13 @@ def _run_toeplitz_build(sc: Scenario) -> tuple[dict, tuple]:
         "n": op.n,
         "builder": op.builder,
         "symbol_tag": op.symbol_tag,
-        # not the trend's banded route (its capsules outweigh an N = 512 build): the dense
-        # SVD, or from 768 real columns the band reduction, which loads them (DECISIONS.md 4, 14)
-        "sigma_min": smallest_singular_value(op),
+        # a closed-form section takes the trend's routes, banded for a narrow band
+        # (DECISIONS.md 19); a quadrature build has no closed form and takes its own matrix
+        "sigma_min": (
+            smallest_singular_value(op)
+            if sc.builder == "quadrature"
+            else _trend_sigma_min(sc.symbol, sc.n)
+        ),
         "normality_defect": normality_defect(op),
     }
     return report, ((matrix_to_json, op), (matrix_to_csv, op))
@@ -377,9 +382,16 @@ _PIPELINES = {
 
 
 def _remove_outputs(outdir: Path) -> None:
-    """Remove every file that a run of any kind writes from ``outdir``."""
+    """Remove every file that a run of any kind writes from ``outdir``; a directory of
+    such a name is left alone."""
     for name in ("report.json", "manifest.json", *(n for _, ns in _PIPELINES.values() for n in ns)):
-        (outdir / name).unlink(missing_ok=True)
+        path = outdir / name
+        if not path.is_dir():
+            path.unlink(missing_ok=True)
+
+
+#: the bytes :func:`_sha256` reads at a time, not a whole N = 512 matrix.json
+_HASH_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -393,7 +405,12 @@ class RunManifest:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The SHA-256 of the file at ``path``, read in chunks of :data:`_HASH_CHUNK` bytes."""
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _load_config(path):
@@ -414,8 +431,10 @@ def run_scenario(config, output_dir: str | None = None) -> RunManifest:
     pipeline returns, the files of an earlier run of any kind are removed
     (other files are left alone) and the pipeline's files, report.json and
     the manifest are written; a failed or refused run leaves none of them.
-    Every emitted file lands in the manifest with its hash (the manifest
-    itself is written last and cannot self-reference).
+    A directory in the place of a file the run writes is refused, and left
+    alone, before the pipeline runs.  Every emitted file lands in the
+    manifest with its hash (the manifest itself is written last and cannot
+    self-reference).
     """
     t0 = time.perf_counter()
     if not isinstance(config, dict):
@@ -430,6 +449,10 @@ def run_scenario(config, output_dir: str | None = None) -> RunManifest:
     except OSError as exc:  # a file, or a path through one
         raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
     pipeline, names = _PIPELINES[sc.kind]
+    paths = [outdir / name for name in (*names, "report.json")]
+    for path in (*paths, outdir / "manifest.json"):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
     t1 = time.perf_counter()
     try:
         # overflow is refused where it matters: by the sigma_min checks and the writers
@@ -437,7 +460,6 @@ def run_scenario(config, output_dir: str | None = None) -> RunManifest:
             report, files = pipeline(sc)
         t2 = time.perf_counter()
         _remove_outputs(outdir)
-        paths = [outdir / name for name in (*names, "report.json")]
         for (writer, data), path in zip(files, paths[:-1], strict=True):
             writer(data, path)
         _write_json(paths[-1], report)

@@ -1,30 +1,29 @@
-"""LAPACK's banded routines through SciPy's Cython capsules, and the bands they read.
+"""LAPACK's banded routines from the OpenBLAS that numpy loads, and the bands they read.
 
 The sigma_min trend's banded routes: :func:`pencil_sigma` for a rational g
 (``DECISIONS.md`` entry 5), :func:`bidiagonal_sigma` for a polynomial (entry 7).
 Neither scales its input; :func:`dense_band_sigma`, for a large real matrix, reduces
-it to a band first and scales it (entry 14).  The capsules load on first use,
-without ``scipy.linalg``.
+it to a band first and scales it (entry 14).  The routines are bound when this module
+is imported, from the ``scipy-openblas`` library that numpy's wheel bundles and has
+already mapped (entry 19); where numpy reports no such library, the import succeeds
+and the first banded call is refused.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
-import importlib.machinery
-import importlib.util
+import glob
 import math
 import os
-import re
-import sys
 
 import numpy as np
 
 from .errors import NumericalError
 
-#: C prototypes of the LAPACK routines the routes call through ctypes, as
-#: scipy.linalg.cython_lapack names their capsules once Cython's type prefixes are
-#: stripped: ``d`` is a double, ``double_complex`` two, and every integer a C int
+#: C prototypes of the LAPACK routines the routes call through ctypes, as OpenBLAS's
+#: 64-bit integer interface exports them (``scipy_<name>_64_``): ``d`` is a double,
+#: ``double_complex`` two, and every integer a 64-bit Fortran INTEGER; a ``char *``
+#: takes one byte and no hidden length
 _LAPACK_PROTOTYPES = {
     "dgbbrd": "void (char *, int *, int *, int *, int *, int *, d *, int *, d *, d *, d *, "
     "int *, d *, int *, d *, int *, d *, int *)",
@@ -45,9 +44,8 @@ _LAPACK_PROTOTYPES = {
     "double_complex *, int *, double_complex *, int *, d *, d *, int *, int *, d *, int *, "
     "d *, double_complex *, int *, double_complex *, d *, int *, int *, int *)",
 }
-#: the numpy dtype each pointer of a pinned prototype is called with
-_POINTER_DTYPES = {"int *": np.intc, "d *": np.float64, "double_complex *": np.complex128}
-_CYTHON_TYPE_PREFIX = re.compile(r"__pyx_t_(?:\w*?cython_lapack_)?")
+#: the numpy dtype each pointer of a prototype is called with
+_POINTER_DTYPES = {"int *": np.int64, "d *": np.float64, "double_complex *": np.complex128}
 #: twice the safe minimum: the tightest bisection tolerance, which LAPACK advises
 _ABSTOL = 2 * np.finfo(float).tiny
 #: the upper bandwidth :func:`dense_band_sigma` reduces to: above 32, as ``dormqr`` and
@@ -58,70 +56,70 @@ _DENSE_BAND = 40
 _ORM_BLOCK = 64
 
 
-def _check_prototype(name: str, signature: str) -> str:
-    """``signature`` without Cython's type prefixes, refused unless it is ``name``'s
-    pinned prototype: ctypes passes whatever it is given, so a changed ABI would
-    corrupt memory instead of failing."""
-    found = _CYTHON_TYPE_PREFIX.sub("", signature)
-    if found != _LAPACK_PROTOTYPES[name]:
-        raise NumericalError(
-            f"scipy.linalg.cython_lapack.{name} has the C prototype {found!r}, not the "
-            f"pinned {_LAPACK_PROTOTYPES[name]!r}; refusing to call it through ctypes"
-        )
-    return found
+def _bind() -> dict | str:
+    """Each routine of :data:`_LAPACK_PROTOTYPES` from numpy's OpenBLAS, callable through
+    ctypes with bytes for each ``char *`` and, for the rest, a writeable
+    Fortran-contiguous array of the pointer's dtype (ctypes refuses any other argument);
+    or the message that refuses them all.
+
+    numpy must report its LAPACK as ``scipy-openblas`` built with ``USE64BITINT``, and its
+    wheel's ``numpy.libs`` must hold that one library, exporting every routine: ctypes
+    passes whatever it is given, so a library of another integer width would corrupt
+    memory instead of failing.  ``dlopen`` of the library numpy has mapped maps nothing new.
+    """
+    built = np.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
+    config = built.get("openblas configuration", "")
+    reported = f"numpy {np.__version__} reports LAPACK {built.get('name')!r} ({config!r})"
+    if built.get("name") != "scipy-openblas" or "USE64BITINT" not in config.split():
+        return f"{reported}, not scipy-openblas with USE64BITINT"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = glob.glob(os.path.join(glob.escape(libs), "libscipy_openblas64_*.so"))
+    if len(paths) != 1:
+        return f"{reported}, but {libs} holds {len(paths)} libscipy_openblas64_*.so, not 1"
+    try:
+        library = ctypes.CDLL(paths[0])
+    except OSError as exc:
+        return f"{reported}, but {paths[0]} does not load: {exc}"
+    routines = {}
+    for name, prototype in _LAPACK_PROTOTYPES.items():
+        symbol = f"scipy_{name}_64_"
+        try:
+            routine = library[symbol]
+        except AttributeError:
+            return f"{reported}, but {paths[0]} exports no {symbol}"
+        routine.restype = None
+        routine.argtypes = [
+            ctypes.c_char_p
+            if t == "char *"
+            else np.ctypeslib.ndpointer(_POINTER_DTYPES[t], flags=("F_CONTIGUOUS", "WRITEABLE"))
+            for t in prototype[len("void (") : -1].split(", ")
+        ]
+        routines[name] = routine
+    return routines
 
 
-def _cython_lapack():
-    """SciPy's public Cython LAPACK module, loaded from its extension file in SciPy's
-    ``linalg`` directory so that ``scipy/linalg/__init__.py`` never runs: importing
-    ``scipy.linalg`` adds ~0.2 s and ~21 MB resident (it loads ``scipy.sparse``), the
-    extension alone ~3 ms and ~2 MB.  It is registered under its own name, so a later
-    ``from scipy.linalg import cython_lapack`` returns this module."""
-    name = "scipy.linalg.cython_lapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-    spec = importlib.machinery.FileFinder(directory, loader).find_spec(name)
-    if spec is None:
-        raise NumericalError(f"no cython_lapack extension in {directory}; LAPACK unavailable")
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+#: every banded routine, bound at import: bound mid-run, the binding's Python objects
+#: kept freed heap resident under the run's peak (``DECISIONS.md`` entry 19); or the
+#: message refusing them
+_ROUTINES = _bind()
 
 
-@functools.cache
 def _lapack_routine(name: str):
-    """LAPACK's ``name`` from SciPy's public Cython LAPACK API, callable through ctypes
-    with bytes for each ``char *`` and, for the rest, a writeable Fortran-contiguous
-    array of the pointer's dtype: ctypes refuses any other argument."""
-    capsule = _cython_lapack().__pyx_capi__[name]
-    signature = _capsule_name(capsule)
-    params = _check_prototype(name, signature.decode())[len("void (") : -1].split(", ")
-    array = functools.partial(np.ctypeslib.ndpointer, flags=("F_CONTIGUOUS", "WRITEABLE"))
-    argtypes = [ctypes.c_char_p if t == "char *" else array(_POINTER_DTYPES[t]) for t in params]
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
-    address = get_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
-
-
-def _capsule_name(capsule) -> bytes:
-    """The name of a PyCapsule, which Cython sets to the C prototype of what it holds."""
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)
-    return get_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    """LAPACK's ``name`` as :func:`_bind` bound it, or the refusal it recorded."""
+    if isinstance(_ROUTINES, str):
+        raise NumericalError(f"banded LAPACK unavailable: {_ROUTINES}")
+    return _ROUTINES[name]
 
 
 def _call_lapack(name: str, *args) -> None:
     """LAPACK's ``name`` on ``args`` and an INFO appended as its last argument; a Python
-    int becomes a C int and a float a double, and a nonzero INFO is refused.  A wrong
+    int becomes an int64 and a float a double, and a nonzero INFO is refused.  A wrong
     number of arguments, or one that :func:`_lapack_routine` does not accept, raises
     before the call."""
     routine = _lapack_routine(name)
-    info = np.zeros((), np.intc)
+    info = np.zeros((), np.int64)
     routine(*(
-        np.array(a, np.intc if isinstance(a, int) else np.float64)
+        np.array(a, np.int64 if isinstance(a, int) else np.float64)
         if isinstance(a, (int, float))
         else a
         for a, _ in zip((*args, info), routine.argtypes, strict=True)
@@ -207,56 +205,60 @@ def pencil_sigma(c, d, p: np.ndarray, q: np.ndarray, n: int) -> float:
     ab, bb = _pencil_bands(c, d, p, q, n)
     real, dtype = np.isrealobj(ab), ab.dtype
     two_n, ka, kb = 2 * n, ab.shape[0] - 1, bb.shape[0] - 1
-    w, found = np.zeros(two_n), np.zeros((), np.intc)
+    w, found = np.zeros(two_n), np.zeros((), np.int64)
     unused = np.zeros(1, dtype)  # Q and Z: not referenced for jobz = 'N'
     work = [np.zeros(7 * two_n)] if real else [np.zeros(two_n, dtype), np.zeros(7 * two_n)]
     _call_lapack(
         "dsbgvx" if real else "zhbgvx",
         b"N", b"I", b"U", two_n, ka, kb, ab, ka + 1, bb, kb + 1, unused, 1, 0.0, 0.0,
         n + 1, n + 1, _ABSTOL, found, w, unused, 1,
-        *work, np.zeros(5 * two_n, np.intc), np.zeros(two_n, np.intc),
+        *work, np.zeros(5 * two_n, np.int64), np.zeros(two_n, np.int64),
     )
     return w[0] if found == 1 else math.nan
 
 
-def bidiagonal_sigma(c, d, p: np.ndarray, n: int) -> float:
+def bidiagonal_sigma(c, d, p: np.ndarray, n: int, cols: int | None = None) -> float:
     """sigma_min of T = c A + d A^*, A the N x N truncation of the polynomial p of degree
-    m < N (float64 or complex128 coefficients), by :func:`_band_sigma` on T's band
-    (:func:`_harmonic_band`), O(N^2 m) for half-bandwidth m; NaN if none is found."""
+    m < N (float64 or complex128 coefficients), or of the window of T's first ``cols``
+    columns, by :func:`_band_sigma` on T's band (:func:`_harmonic_band`), O(N^2 m) for
+    half-bandwidth m; NaN if none is found."""
     m = len(p) - 1
-    return _band_sigma(_harmonic_band(c, d, p, n), m, m)
+    return _band_sigma(_harmonic_band(c, d, p, n)[:, :cols], m, m, rows=n)
 
 
-def _band_sigma(ab: np.ndarray, kl: int, ku: int) -> float:
-    """sigma_min of the N x N matrix T whose general band storage, ``kl`` subdiagonals
-    and ``ku`` superdiagonals, is the (kl + ku + 1) x N Fortran-ordered ``ab`` (float64
-    or complex128, overwritten); NaN if none is found.
+def _band_sigma(ab: np.ndarray, kl: int, ku: int, rows: int | None = None) -> float:
+    """sigma_min of the M x N matrix T, M = ``rows`` >= N (N if not given), whose general
+    band storage, ``kl`` subdiagonals and ``ku`` superdiagonals, is the (kl + ku + 1) x N
+    Fortran-ordered ``ab`` (float64 or complex128, overwritten): a section, or a window
+    of its first N columns; NaN if none is found.
 
-    LAPACK's ``dgbbrd`` (real) or ``zgbbrd`` reduces the band to an upper bidiagonal
-    B = Q^* T P with real diagonal d_i and superdiagonal e_i by orthogonal transforms of
-    T itself.  The Golub-Kahan tridiagonal of B, zero diagonal and off-diagonal d_1, e_1,
-    d_2, ..., d_N, has the eigenvalues +-sigma_i(T); ``dstebz`` bisects for the one at
-    ascending index N + 1, which it resolves to high relative accuracy.
+    LAPACK's ``dgbbrd`` (real) or ``zgbbrd`` reduces the band to an N x N upper
+    bidiagonal B = Q^* T P with real diagonal d_i and superdiagonal e_i by orthogonal
+    transforms of T itself.  The Golub-Kahan tridiagonal of B, zero diagonal and
+    off-diagonal d_1, e_1, d_2, ..., d_N, has the eigenvalues +-sigma_i(T); ``dstebz``
+    bisects for the one at ascending index N + 1, which it resolves to high relative
+    accuracy.  ``dgbbrd``'s work arrays hold max(M, N) = M entries; fewer corrupt the heap.
     """
     n = ab.shape[1]
+    m = n if rows is None else rows
     two_n = 2 * n
     diag, off = np.zeros(n), np.zeros(max(n - 1, 1))
     real = np.isrealobj(ab)
     unused = np.zeros(1, ab.dtype)  # Q, P^T and C: not referenced for vect = 'N', ncc = 0
-    work = [np.zeros(2 * n)] if real else [np.zeros(n, ab.dtype), np.zeros(n)]
+    work = [np.zeros(2 * m)] if real else [np.zeros(m, ab.dtype), np.zeros(m)]
     _call_lapack(
         "dgbbrd" if real else "zgbbrd",
-        b"N", n, n, 0, kl, ku, ab, kl + ku + 1, diag, off, unused, 1, unused, 1, unused, 1,
+        b"N", m, n, 0, kl, ku, ab, kl + ku + 1, diag, off, unused, 1, unused, 1, unused, 1,
         *work,
     )
     tridiagonal = np.zeros(two_n - 1)
     tridiagonal[::2], tridiagonal[1::2] = diag, off[: n - 1]
-    w, found = np.zeros(two_n), np.zeros((), np.intc)
+    w, found = np.zeros(two_n), np.zeros((), np.int64)
     _call_lapack(
         "dstebz",
         b"I", b"E", two_n, 0.0, 0.0, n + 1, n + 1, _ABSTOL, np.zeros(two_n), tridiagonal,
-        found, np.zeros((), np.intc), w, np.zeros(two_n, np.intc), np.zeros(two_n, np.intc),
-        np.zeros(4 * two_n), np.zeros(3 * two_n, np.intc),
+        found, np.zeros((), np.int64), w, np.zeros(two_n, np.int64), np.zeros(two_n, np.int64),
+        np.zeros(4 * two_n), np.zeros(3 * two_n, np.int64),
     )
     return w[0] if found == 1 else math.nan
 

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import os
 import subprocess
 import sys
@@ -529,17 +530,27 @@ class TestShiftWindowDemo:
         assert shift_floor >= np.sqrt(0.5) - 1e-12
         assert demo.window_ratio_mix >= shift_floor - 1e-12
 
-    def test_windows_take_the_shared_svd(self, monkeypatch):
-        # both window minima go through smallest_singular_value, which makes the only SVDs
-        shapes, svds = [], []
-        ssv, svd = analysis.smallest_singular_value, np.linalg.svd
+    @pytest.mark.parametrize("n, s", [(16, 2.0), (512, 2.0), (64, 1.5 - 2j)])
+    def test_windows_take_the_band_route(self, monkeypatch, n, s):
+        # both windows take the bidiagonal route on the band's first n - 1 columns, and
+        # no SVD runs; the dense SVDs of the windows they replace are the oracle
+        windows, svds = [], []
+        band, svd = lapack.bidiagonal_sigma, np.linalg.svd
         monkeypatch.setattr(
-            analysis, "smallest_singular_value", lambda t: shapes.append(t.shape) or ssv(t)
+            lapack, "bidiagonal_sigma",
+            lambda *a, n, cols: windows.append((len(a[2]), n, cols)) or band(*a, n=n, cols=cols),
         )
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
-        shift_window_demo(16, 2.0)
-        assert shapes == [(16, 15), (16, 15)]
-        assert len(svds) == 2
+        demo = shift_window_demo(n, s)
+        assert windows == [(2, n, n - 1)] * 2 and svds == []
+        monkeypatch.undo()
+        a = toeplitz_analytic([0.0, 1.0], n).matrix
+        mix = adjoint_mix(a, s)
+        # the zero column e_0 of A^* gives exactly 0, as the dense SVD does
+        assert demo.window_ratio_adjoint == smallest_singular_value(a.conj().T[:, : n - 1]) == 0.0
+        assert_matches_svd(demo.window_ratio_mix, mix[:, : n - 1])
+        assert demo.witness_adjoint_norm == np.linalg.norm(a[0]) == 0.0
+        assert demo.witness_mix_norm == np.linalg.norm(mix[:, 0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1018,6 +1029,57 @@ class TestBidiagonalSigmaMin:
         assert set(routines) == set(lapack._LAPACK_PROTOTYPES)
 
 
+#: window widths: all but the last column, all but the last m, and the first column
+WINDOWS = {"N - 1": lambda n, m: n - 1, "N - m": lambda n, m: n - m, "1": lambda n, m: 1}
+
+
+def band_window_sigma(c, d, p, n, cols):
+    """The bidiagonal route on the window of T's first ``cols`` columns, scaled as the
+    trend and the shift demo scale it."""
+    window = functools.partial(lapack.bidiagonal_sigma, cols=cols)
+    return analysis._scaled_sigma_min(window, c, d, np.asarray(p), n=n)
+
+
+class TestBandWindows:
+    """Windows of a polynomial band's first columns against the dense SVD they replace."""
+
+    @pytest.mark.parametrize("width", sorted(WINDOWS))
+    @pytest.mark.parametrize("n", [9, 64, 256])
+    @pytest.mark.parametrize("case", sorted(set(BAND_CASES) - {"degree 0"}))
+    def test_matches_dense_svd(self, monkeypatch, case, n, width):
+        c, d, coeffs = BAND_CASES[case]
+        m = len(coeffs) - 1
+        cols = WINDOWS[width](n, m)
+        routines = lapack_calls(monkeypatch)
+        sigma = band_window_sigma(c, d, coeffs, n, cols)
+        real = not (np.imag([c, d]).any() or np.imag(coeffs).any())
+        assert routines == ["dgbbrd" if real else "zgbbrd", "dstebz"]
+        t = toeplitz_harmonic(HarmonicSymbol(c, d, PolynomialSymbol(coeffs)), n).matrix
+        assert_matches_svd(sigma, t[:, :cols])
+
+    @pytest.mark.parametrize("width", sorted(WINDOWS))
+    @pytest.mark.parametrize("case", ["real", "degree 8 complex"])
+    def test_matches_dense_svd_at_1024(self, case, width):
+        c, d, coeffs = BAND_CASES[case]
+        n = 1024
+        cols = WINDOWS[width](n, len(coeffs) - 1)
+        t = toeplitz_harmonic(HarmonicSymbol(c, d, PolynomialSymbol(coeffs)), n).matrix
+        sigma = band_window_sigma(c, d, coeffs, n, cols)
+        assert_matches_svd(sigma, t[:, :cols])
+
+    @pytest.mark.parametrize("d", [1.0, 0.5j, -2.0 + 1j])
+    @pytest.mark.parametrize("n", [8, 63, 64, 512])
+    def test_zero_column_window_is_exactly_zero(self, n, d):
+        # the adjoint c = 0 of g = z and its scalar multiples annihilate e_0, and the
+        # window keeps that zero column; the M x (M - 1) windows also size the work
+        # arrays, which must hold max(M, N) entries
+        coeffs = [0.0, 1.0]
+        t = toeplitz_harmonic(HarmonicSymbol(0.0, d, PolynomialSymbol(coeffs)), n).matrix
+        assert not t[:, 0].any()
+        assert band_window_sigma(0.0, d, coeffs, n, n - 1) == 0.0
+        assert smallest_singular_value(t[:, : n - 1]) == 0.0
+
+
 CUT = analysis._BAND_REDUCTION_CUT
 
 
@@ -1167,88 +1229,98 @@ class TestDenseBandSigma:
                 lapack._block(flat, 4, i, j, rows, cols)
 
 
-class TestLapackCapsules:
-    """The banded routes call LAPACK through ctypes only behind the pinned C prototypes."""
+#: the refusals of the binding, each set up in a fresh interpreter before berglab is
+#: imported: numpy's LAPACK reported without 64-bit integers, its library file missing,
+#: one routine missing from it
+BIND_FAILURES = {
+    "no USE64BITINT": (
+        "config = numpy.show_config(mode='dicts')\n"
+        "lapack_info = config['Build Dependencies']['lapack']\n"
+        "lapack_info['openblas configuration'] = "
+        "lapack_info['openblas configuration'].replace('USE64BITINT', '')\n"
+        "numpy.show_config = lambda mode: config\n",
+        "not scipy-openblas with USE64BITINT",
+    ),
+    "no library": (
+        "numpy.__file__ = {missing!r}\n",
+        "holds 0 libscipy_openblas64_*.so, not 1",
+    ),
+    "missing symbol": (
+        "def get(library, name, get=ctypes.CDLL.__getitem__):\n"
+        "    if 'dstebz' in name:\n"
+        "        raise AttributeError(name)  # as dlsym finds no such symbol\n"
+        "    return get(library, name)\n"
+        "ctypes.CDLL.__getitem__ = get\n",
+        "exports no scipy_dstebz_64_",
+    ),
+}
+
+
+class TestNumpyOpenblas:
+    """The banded routes call LAPACK through ctypes only from numpy's own 64-bit
+    OpenBLAS, bound when ``berglab.lapack`` is imported (DECISIONS.md entry 19)."""
+
+    def test_numpy_reports_the_pinned_library(self):
+        reported = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        assert reported["name"] == "scipy-openblas"
+        assert "USE64BITINT" in reported["openblas configuration"].split()
+        assert isinstance(lapack._ROUTINES, dict)
+        assert set(lapack._ROUTINES) == set(lapack._LAPACK_PROTOTYPES)
+        assert lapack._POINTER_DTYPES["int *"] is np.int64
 
     @pytest.mark.parametrize("name", sorted(lapack._LAPACK_PROTOTYPES))
-    def test_installed_scipy_matches_the_pinned_prototype(self, name):
-        from scipy.linalg import cython_lapack
+    def test_numpy_exports_the_pinned_routine(self, name):
+        routine = lapack._lapack_routine(name)
+        assert routine.__name__ == f"scipy_{name}_64_" and routine.restype is None
+        params = lapack._LAPACK_PROTOTYPES[name][len("void (") : -1].split(", ")
+        assert len(routine.argtypes) == len(params)
+        for param, argtype in zip(params, routine.argtypes):
+            if param == "char *":
+                assert argtype is ctypes.c_char_p
+            else:
+                assert argtype._dtype_ == lapack._POINTER_DTYPES[param]
 
-        signature = lapack._capsule_name(cython_lapack.__pyx_capi__[name]).decode()
-        assert "__pyx_t_" in signature  # the prefixes the guard strips are there to strip
-        assert lapack._check_prototype(name, signature) == lapack._LAPACK_PROTOTYPES[name]
-        assert callable(lapack._lapack_routine(name))
-
-    def test_capsules_load_without_scipy_linalg(self):
-        # the extension file is loaded by itself; a later import of scipy.linalg must
-        # find the same module, the same function pointers and the same trend
-        code = """
-import ctypes, sys
+    @pytest.mark.parametrize("failure", sorted(BIND_FAILURES))
+    def test_refusal_at_the_first_banded_call(self, tmp_path, failure):
+        setup, reason = BIND_FAILURES[failure]
+        missing = str(tmp_path / "site-packages" / "numpy" / "__init__.py")
+        code = (
+            "import ctypes, numpy\n"
+            + setup.format(missing=missing)
+            + """
+import berglab
 from berglab import analysis, lapack
-from berglab.symbols import HarmonicSymbol, PolynomialSymbol, RationalSymbol
-
-get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-def pointers(module):
-    capsules = [module.__pyx_capi__[name] for name in sorted(lapack._LAPACK_PROTOTYPES)]
-    return [get(c, lapack._capsule_name(c)) for c in capsules]
-
-symbols = [
-    HarmonicSymbol(1.0, 0.25, RationalSymbol([1.0, 0.5], [2.0, -0.5])),
-    HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3])),
-    HarmonicSymbol(1.0, 0.0, PolynomialSymbol([0.5, 1.0, 0.3j])),
-]
-trends = [analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in symbols]
-analysis.power_symbol_study(1.0, sizes=(16, 32, 64))
-print("scipy.linalg" in sys.modules)
-module = sys.modules["scipy.linalg.cython_lapack"]
-loaded = pointers(module)
-from scipy.linalg import cython_lapack
-lapack._lapack_routine.cache_clear()
-print(cython_lapack is module, pointers(cython_lapack) == loaded)
-print([analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in symbols] == trends)
+from berglab.errors import NumericalError
+from berglab.symbols import HarmonicSymbol, PolynomialSymbol
+# the dense SVD still serves; the first banded call is refused
+print(analysis.smallest_singular_value(numpy.eye(3)))
+phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3]))
+for call in (lambda: analysis.bounded_below_trend(phi, (128, 256, 512)),
+             lambda: analysis.shift_window_demo(64, 2.0)):
+    try:
+        call()
+    except NumericalError as exc:
+        print(exc)
 """
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env=subprocess_env(),
         )
-        assert proc.stdout.split() == ["False", "True", "True", "True"]
-
-    def test_missing_extension_is_refused(self, monkeypatch, tmp_path):
-        import scipy
-
-        monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
-        lapack._lapack_routine.cache_clear()
-        try:
-            with pytest.raises(NumericalError, match="no cython_lapack extension"):
-                lapack._lapack_routine("dsbgvx")
-        finally:
-            lapack._lapack_routine.cache_clear()
-
-    @pytest.mark.parametrize(
-        "old, new",
-        [("int *", "long *"), ("int *", "int64_t *"), (", int *)", ")"), ("d *", "float *")],
-        ids=["long", "int64", "one argument short", "float"],
-    )
-    def test_mismatched_prototype_is_refused(self, monkeypatch, old, new):
-        pinned = lapack._LAPACK_PROTOTYPES["dsbgvx"]
-        with pytest.raises(NumericalError, match="refusing to call it through ctypes"):
-            lapack._check_prototype("dsbgvx", pinned.replace(old, new, 1))
-        # the loader itself refuses before any call: pin a prototype SciPy does not have
-        monkeypatch.setitem(lapack._LAPACK_PROTOTYPES, "dsbgvx", pinned.replace(old, new, 1))
-        lapack._lapack_routine.cache_clear()
-        try:
-            with pytest.raises(NumericalError, match="dsbgvx"):
-                lapack._lapack_routine("dsbgvx")
-        finally:
-            lapack._lapack_routine.cache_clear()
-
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "1.0" and len(lines) == 3 and lines[1] == lines[2]
+        assert lines[1].startswith(
+            f"banded LAPACK unavailable: numpy {np.__version__} reports LAPACK 'scipy-openblas'"
+        )
+        assert reason in lines[1]
 
     def test_wrong_arguments_are_refused_before_the_call(self):
         # the prototype's int * M gets a double: ctypes refuses it before LAPACK runs
-        with pytest.raises(ctypes.ArgumentError, match="int32"):
+        with pytest.raises(ctypes.ArgumentError, match="int64"):
             lapack._call_lapack("dgbbrd", b"N", np.array(4.0), *[0] * 15)
+        # and a 32-bit integer, which this OpenBLAS would read as half of one
+        with pytest.raises(ctypes.ArgumentError, match="int64"):
+            lapack._call_lapack("dgbbrd", b"N", np.array(4, np.int32), *[0] * 15)
         # and so a C-ordered band, and a read-only one
         band = np.zeros((3, 4))
         read_only = np.zeros(4)
@@ -1262,7 +1334,7 @@ print([analysis.bounded_below_trend(phi, (256, 512, 1024)).sigma_min for phi in 
 
     def test_nonzero_info_is_refused(self, monkeypatch):
         class Routine:
-            argtypes = (ctypes.c_char_p, np.ctypeslib.ndpointer(np.intc))
+            argtypes = (ctypes.c_char_p, np.ctypeslib.ndpointer(np.int64))
 
             def __call__(self, job, info):
                 info[...] = 3

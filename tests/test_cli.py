@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from berglab import cli
+from berglab import analysis, cli, lapack
 from berglab.cli import SCHEMA, _write_json, main, parse_scenario, run_scenario
 from berglab.errors import ConfigError
 from berglab.symbols import (
@@ -352,36 +352,109 @@ def build_config(symbol, n, builder="closed_form", **extra):
             "symbol": symbol, **extra}
 
 
+#: the benchmark's scenario lists, read by the subprocess test of the mapped libraries
+WORKLOADS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+#: unit roundoff of float64
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def subprocess_env():
+    """The environment with this checkout's ``src`` on PYTHONPATH: pytest's pythonpath
+    setting does not reach a subprocess."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def assert_near_dense_svd(sigma, matrix):
+    """``sigma`` within 16 u ||T||_2 and 1e-12 of the dense SVD's sigma_min of T."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    err = abs(sigma - svals[-1])
+    assert err <= 1e-12 and err <= 16 * UNIT_ROUNDOFF * svals[0], (sigma, svals[-1])
+
+
 class TestToeplitzBuildSigmaMin:
     @pytest.mark.parametrize("builder", ["closed_form", "quadrature"])
     def test_dense_svd_of_the_exported_matrix(self, tmp_path, monkeypatch, builder):
-        seen = []
-        original = cli.smallest_singular_value
+        # a quadrature build takes the dense SVD of its exported matrix; a closed-form
+        # build the trend's route, here the bidiagonal one, with that SVD as its oracle
+        seen, banded = [], []
+        original, band = cli.smallest_singular_value, lapack.bidiagonal_sigma
         monkeypatch.setattr(cli, "smallest_singular_value", lambda op: seen.append(op) or original(op))
+        monkeypatch.setattr(
+            lapack, "bidiagonal_sigma", lambda *a, n, **k: banded.append(n) or band(*a, n=n, **k)
+        )
         extra = {"quadrature": QUADRATURE} if builder == "quadrature" else {}
+        n = 64 if builder == "closed_form" else 8  # half-width 1 is banded from N = 48
         outdir = tmp_path / "out"
-        run_scenario(write_config(tmp_path, build_config(SYMBOL, 8, builder, **extra)), str(outdir))
+        run_scenario(write_config(tmp_path, build_config(SYMBOL, n, builder, **extra)), str(outdir))
         exported = matrix_from_json(outdir / "matrix.json")
-        assert len(seen) == 1 and seen[0].builder == builder
-        np.testing.assert_array_equal(seen[0].matrix, exported.matrix)
         report = json.loads((outdir / "report.json").read_text())
-        assert report["sigma_min"] == original(exported)
+        if builder == "quadrature":
+            assert len(seen) == 1 and seen[0].builder == builder and banded == []
+            np.testing.assert_array_equal(seen[0].matrix, exported.matrix)
+            assert report["sigma_min"] == original(exported)
+        else:
+            assert seen == [] and banded == [n]
+            assert_near_dense_svd(report["sigma_min"], exported.matrix)
+
+    @pytest.mark.parametrize(
+        "g, route",
+        [
+            ({"type": "polynomial", "coeffs": [2.0, 1.0, 0.3]}, "bidiagonal_sigma"),
+            ({"type": "rational", "num": [1.0, 0.5], "den": [2.0, -0.5]}, "pencil_sigma"),
+            ({"type": "principal_power", "plus_exponent": 1.0, "minus_exponent": -1.0},
+             "smallest_singular_value"),
+        ],
+        ids=["polynomial", "rational", "power"],
+    )
+    def test_closed_form_routes_match_the_dense_svd(self, tmp_path, monkeypatch, g, route):
+        # the trend's route table: a narrow polynomial band, a narrow rational pencil, and
+        # the rotated real SVD of the power symbol's section (DECISIONS.md entries 2, 5, 7)
+        calls = []
+        for module, name in ((lapack, "bidiagonal_sigma"), (lapack, "pencil_sigma"),
+                             (analysis, "smallest_singular_value")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, f=original, k=name, **kw: calls.append(k) or f(*a, **kw)
+            )
+        outdir = tmp_path / "out"
+        config = build_config({"c": 1.0, "d": 0.5, "g": g}, 128)
+        run_scenario(write_config(tmp_path, config), str(outdir))
+        assert calls == [route]
+        report = json.loads((outdir / "report.json").read_text())
+        assert_near_dense_svd(report["sigma_min"], matrix_from_json(outdir / "matrix.json").matrix)
 
     def test_closed_form_build_leaves_scipy_linalg_unloaded(self, tmp_path):
-        # the report takes the dense SVD (DECISIONS.md entry 4), so a build loads no
-        # LAPACK capsule: even without scipy.linalg, the banded route raised the peak
-        # memory of an N = 512 build by 11 %
-        path = write_config(tmp_path, build_config(SYMBOL, 64))
-        code = (
-            "import sys; from berglab.cli import main; "
-            f"main(['run', {str(path)!r}, '--output-dir', {str(tmp_path / 'out')!r}]); "
-            "print('scipy.linalg' in sys.modules, 'scipy.linalg.cython_lapack' in sys.modules)"
-        )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # every workload scenario, the closed-form build and the spectral trend among
+        # them, binds its banded LAPACK from numpy's OpenBLAS (DECISIONS.md entry 19): no
+        # run maps SciPy's OpenBLAS or imports scipy.linalg or its cython_lapack
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("no /proc/self/maps to read the mapped libraries from")
+        code = f"""
+import importlib.util, sys
+sys.dont_write_bytecode = True
+spec = importlib.util.spec_from_file_location("_workloads", {WORKLOADS_PY!r})
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+from berglab.cli import run_scenario
+for workload in workloads.WORKLOADS:
+    for config in workloads.scenarios(workload, 7):
+        expect = config.pop("expect", None)
+        try:
+            run_scenario(config, {str(tmp_path)!r} + "/" + workload + "-" + config["name"])
+        except Exception as exc:
+            assert type(exc).__name__ == expect, exc
+        else:
+            assert expect is None, config["name"]
+with open("/proc/self/maps") as maps:
+    mapped = maps.read()
+print("scipy.libs/libscipy_openblas" in mapped, "numpy.libs/libscipy_openblas64_" in mapped)
+print("scipy.linalg" in sys.modules, "scipy.linalg.cython_lapack" in sys.modules)
+"""
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, env=dict(os.environ, PYTHONPATH=pythonpath))
-        assert proc.stdout.strip() == "False False"
+                              check=True, env=subprocess_env())
+        assert proc.stdout.split() == ["False", "True", "False", "False"]
 
 
 class TestManifestTimings:
@@ -407,6 +480,13 @@ class TestManifestTimings:
         assert list(timings) == ["parse", "compute", "write"]
         assert timings["write"] >= 0.25
         assert 0.0 <= timings["compute"] < 0.25
+
+    def test_hash_streams_files_larger_than_a_chunk(self, tmp_path):
+        data = np.random.default_rng(5).bytes(2 * cli._HASH_CHUNK + 12345)
+        for size in (0, 1, cli._HASH_CHUNK, len(data)):
+            path = tmp_path / f"f{size}"
+            path.write_bytes(data[:size])
+            assert cli._sha256(path) == hashlib.sha256(data[:size]).hexdigest()
 
     def test_hashing_is_counted_under_write(self, tmp_path, monkeypatch):
         original = cli._sha256
@@ -591,6 +671,28 @@ class TestExitCodes:
         path = write_config(tmp_path, invertibility_config())
         assert main(["run", str(path), "--output-dir", str(outdir)]) == 2
         assert f"cannot create output directory {outdir}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["report.json", "manifest.json", "matrix.csv"])
+    def test_directory_in_place_of_an_output_file(self, tmp_path, capsys, name):
+        # an IsADirectoryError traceback from the removal of earlier outputs, exit 1
+        outdir = tmp_path / "o2"
+        (outdir / name / "inner").mkdir(parents=True)
+        (outdir / "matrix.json").write_text("stale")
+        path = write_config(tmp_path, build_config(SYMBOL, 8))
+        assert main(["run", str(path), "--output-dir", str(outdir)]) == 2
+        assert f"cannot write {outdir / name}: it is a directory" in capsys.readouterr().err
+        # the directory is left alone, and so is everything else: nothing ran
+        assert (outdir / name / "inner").is_dir()
+        assert (outdir / "matrix.json").read_text() == "stale"
+
+    def test_directory_of_another_kind_s_output_is_left_alone(self, tmp_path):
+        # an invertibility run writes no matrix.json, so a directory of that name is no
+        # obstacle; the removal of earlier outputs skips it
+        outdir = tmp_path / "o"
+        (outdir / "matrix.json").mkdir(parents=True)
+        path = write_config(tmp_path, invertibility_config())
+        assert main(["run", str(path), "--output-dir", str(outdir)]) == 0
+        assert (outdir / "matrix.json").is_dir() and (outdir / "report.json").is_file()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
