@@ -139,12 +139,12 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 def smallest_singular_value(t) -> float:
     """sigma_min of a dense matrix: inf ||M x|| / ||x|| over a section, equal to the
     adjoint's exactly, or over a window of its columns.  A real matrix of at least
-    ``_BAND_REDUCTION_CUT`` columns takes :func:`lapack.dense_band_sigma`, any other the
-    package's only SVD.  A failed SVD or a non-finite sigma_min, which an infinite or
-    NaN entry gives, is refused alike on both."""
+    ``_BAND_REDUCTION_CUT`` columns takes :func:`lapack.dense_band_sigma` where
+    :func:`lapack.available`, any other the package's only SVD.  A failed SVD or a
+    non-finite sigma_min, which an infinite or NaN entry gives, is refused alike on both."""
     m = _real_if_exact(_as_matrix(t))
     try:
-        if m.dtype == np.float64 and m.shape[1] >= _BAND_REDUCTION_CUT:
+        if m.dtype == np.float64 and m.shape[1] >= _BAND_REDUCTION_CUT and lapack.available():
             sigma = lapack.dense_band_sigma(m)
         else:
             sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
@@ -182,18 +182,21 @@ def _scaled_sigma_min(route, c, d, *polys, n: int) -> float:
     return _finite_sigma(sigma, f"at N = {n}")
 
 
-def _dense_sigma_min(c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int):
+def _dense_sigma_min(
+    c, d, p: np.ndarray, q: np.ndarray | None = None, *, n: int, cols: int | None = None
+):
     """sigma_min of the dense section T of g = p, or of g = p/q through its Taylor
-    coefficients, by :func:`smallest_singular_value`.  Real c, d with real coefficients,
-    or coefficients exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD
-    of T or of D^* T D = c R + d R^T with D = diag(i^m), built as float64."""
-    coeffs = p if q is None else _quotient_series(p, q, n - 1)
+    coefficients, or of the window of T's first ``cols`` columns, by
+    :func:`smallest_singular_value`.  Real c, d with real coefficients, or coefficients
+    exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD of T or of
+    D^* T D = c R + d R^T with D = diag(i^m), built as float64."""
+    coeffs = np.asarray(p if q is None else _quotient_series(p, q, n - 1), np.complex128)
     real_cd = not np.imag([c, d]).any()
-    rot = coeffs * _MINUS_I_POWERS[np.arange(n) % 4]
+    rot = coeffs * _MINUS_I_POWERS[np.arange(len(coeffs)) % 4]
     real = [a.real for a in (coeffs, rot) if real_cd and not a.imag.any()]
     if real:
         coeffs, c, d = real[0], c.real, d.real
-    return smallest_singular_value(_analytic_matrix(coeffs, n, (c, d)))
+    return smallest_singular_value(_analytic_matrix(coeffs, n, (c, d))[:, :cols])
 
 
 def _constant_sigma(c, d, p: np.ndarray, q: np.ndarray, *, n: int):
@@ -213,7 +216,8 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
     half-bandwidth m = max(deg p, deg q) is narrow while (2m + 1) * ratio
     <= N: then a polynomial takes :func:`lapack.bidiagonal_sigma`, O(N^2 m)
     on T itself, and a rational g :func:`lapack.pencil_sigma`, its only
-    banded route.  Wider bands take the dense SVD (:func:`_dense_sigma_min`).
+    banded route.  Wider bands, and every band where LAPACK is not bound
+    (:func:`lapack.available`), take the dense SVD (:func:`_dense_sigma_min`).
     Every route runs on the same power-of-two scaling, so one symbol is
     answered or refused alike on each.
     """
@@ -225,7 +229,7 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
     ratio = _BAND_RATIO_COMPLEX if complex_pencil else _BAND_RATIO_REAL
     if len(p) == len(q) == 1:
         route, polys = _constant_sigma, (p, q)
-    elif (2 * max(len(p), len(q)) - 1) * ratio > n:
+    elif (2 * max(len(p), len(q)) - 1) * ratio > n or not lapack.available():
         route, polys = _dense_sigma_min, ((num, den) if rational else (num,))
     elif rational:
         route, polys = lapack.pencil_sigma, (p, q)
@@ -508,19 +512,21 @@ def shift_window_demo(n: int, s: complex) -> ShiftWindowDemo:
     row of the shift truncation vanishes, so the adjoint annihilates it
     while the mix maps it to a vector of norm |s| sqrt(1/2).  Both windows take
     :func:`lapack.bidiagonal_sigma` under the trend's scaling
-    (:func:`_scaled_sigma_min`), so no N x N array is built.
+    (:func:`_scaled_sigma_min`), so no N x N array is built, or the dense SVD where
+    LAPACK is not bound (:func:`lapack.available`).
     """
     n = check_shift_window(n)
     s = check_mix_s(s, ">")
     # the mix is the section of s z + conj(z) and the adjoint that of conj(z): each
-    # window is its band's first n - 1 columns, and each witness its band's column e_0
-    window = functools.partial(lapack.bidiagonal_sigma, cols=n - 1)
+    # window is the first n - 1 columns, and each witness the column e_0
+    route = lapack.bidiagonal_sigma if lapack.available() else _dense_sigma_min
+    window = functools.partial(route, cols=n - 1)
     mix, adjoint = (s, 1.0), (0.0, 1.0)
     return ShiftWindowDemo(
         n=n,
         s=s,
-        witness_adjoint_norm=float(np.linalg.norm(lapack._harmonic_band(*adjoint, _Z, n)[:, 0])),
-        witness_mix_norm=float(np.linalg.norm(lapack._harmonic_band(*mix, _Z, n)[:, 0])),
+        witness_adjoint_norm=lapack.first_column_norm(*adjoint, _Z),
+        witness_mix_norm=lapack.first_column_norm(*mix, _Z),
         window_ratio_adjoint=_scaled_sigma_min(window, *adjoint, _Z, n=n),
         window_ratio_mix=_scaled_sigma_min(window, *mix, _Z, n=n),
     )

@@ -290,21 +290,18 @@ def _write_json(path: Path, payload: dict) -> None:
 def _run_toeplitz_build(sc: Scenario) -> tuple[dict, tuple]:
     if sc.builder == "quadrature":
         op = toeplitz_quadrature(sc.symbol, sc.n, sc.quadrature, sc.symbol.tag())
+        sigma_min = smallest_singular_value(op)  # no closed form: its own matrix's SVD
     else:
         op = toeplitz_harmonic(sc.symbol, sc.n)
+        # the trend's routes, banded for a narrow band (DECISIONS.md 19)
+        sigma_min = _trend_sigma_min(sc.symbol, sc.n)
     report = {
         "name": sc.name,
         "kind": sc.kind,
         "n": op.n,
         "builder": op.builder,
         "symbol_tag": op.symbol_tag,
-        # a closed-form section takes the trend's routes, banded for a narrow band
-        # (DECISIONS.md 19); a quadrature build has no closed form and takes its own matrix
-        "sigma_min": (
-            smallest_singular_value(op)
-            if sc.builder == "quadrature"
-            else _trend_sigma_min(sc.symbol, sc.n)
-        ),
+        "sigma_min": sigma_min,
         "normality_defect": normality_defect(op),
     }
     return report, ((matrix_to_json, op), (matrix_to_csv, op))

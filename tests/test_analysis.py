@@ -1,5 +1,7 @@
 import ctypes
 import functools
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -1079,6 +1081,18 @@ class TestBandWindows:
         assert band_window_sigma(0.0, d, coeffs, n, n - 1) == 0.0
         assert smallest_singular_value(t[:, : n - 1]) == 0.0
 
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_first_column_norm_is_the_sections(self, case):
+        # the shift demo's witness ||T e_0||, read off the band of the (m + 1)-section,
+        # is that of every larger section, and of its band bit for bit
+        c, d, coeffs = BAND_CASES[case]
+        p = np.asarray(coeffs)
+        norm = lapack.first_column_norm(c, d, p)
+        for n in (len(p), len(p) + 1, 64):
+            assert norm == np.linalg.norm(lapack._harmonic_band(c, d, p, n)[:, 0])
+            t = toeplitz_harmonic(HarmonicSymbol(c, d, PolynomialSymbol(coeffs)), n).matrix
+            assert norm == pytest.approx(np.linalg.norm(t[:, 0]), rel=1e-14)
+
 
 CUT = analysis._BAND_REDUCTION_CUT
 
@@ -1256,6 +1270,34 @@ BIND_FAILURES = {
 }
 
 
+def refused_run_values(outdir):
+    """The sigma_min of every caller of a banded route: the trend of a narrow polynomial
+    band (bidiagonal route) and of a narrow rational g (pencil), the shift demo's
+    windows, a real matrix of 768 columns (band reduction) and a closed-form build (the
+    trend's route table).  Self-contained, so that a fresh interpreter runs its source."""
+    import json
+
+    import numpy as np
+
+    from berglab import analysis, cli
+    from berglab.symbols import HarmonicSymbol, PolynomialSymbol, RationalSymbol
+
+    trends = [
+        analysis.bounded_below_trend(HarmonicSymbol(1.0, 0.5, g), (128, 256, 512)).sigma_min
+        for g in (PolynomialSymbol([2.0, 1.0, 0.3]), RationalSymbol([1.0, 0.5], [2.0, -0.5]))
+    ]
+    demo = analysis.shift_window_demo(64, 2.0)
+    wide = np.random.default_rng(768).normal(size=(768, 768))
+    symbol = {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0]}}
+    build = {"name": "b", "kind": "toeplitz_build", "builder": "closed_form", "n": 128,
+             "symbol": symbol}
+    cli.run_scenario(build, str(outdir))
+    with open(outdir / "report.json") as fh:
+        built = json.load(fh)["sigma_min"]
+    return [*map(list, trends), demo.window_ratio_adjoint, demo.window_ratio_mix,
+            analysis.smallest_singular_value(wide), built]
+
+
 class TestNumpyOpenblas:
     """The banded routes call LAPACK through ctypes only from numpy's own 64-bit
     OpenBLAS, bound when ``berglab.lapack`` is imported (DECISIONS.md entry 19)."""
@@ -1278,41 +1320,40 @@ class TestNumpyOpenblas:
             if param == "char *":
                 assert argtype is ctypes.c_char_p
             else:
-                assert argtype._dtype_ == lapack._POINTER_DTYPES[param]
+                assert isinstance(argtype, lapack._Pointer)
+                assert argtype.dtype == lapack._POINTER_DTYPES[param]
 
     @pytest.mark.parametrize("failure", sorted(BIND_FAILURES))
-    def test_refusal_at_the_first_banded_call(self, tmp_path, failure):
+    def test_refusal_at_the_first_banded_call(self, tmp_path, monkeypatch, failure):
         setup, reason = BIND_FAILURES[failure]
         missing = str(tmp_path / "site-packages" / "numpy" / "__init__.py")
         code = (
-            "import ctypes, numpy\n"
+            "import ctypes, json, pathlib, numpy\n"
             + setup.format(missing=missing)
-            + """
-import berglab
-from berglab import analysis, lapack
-from berglab.errors import NumericalError
-from berglab.symbols import HarmonicSymbol, PolynomialSymbol
-# the dense SVD still serves; the first banded call is refused
-print(analysis.smallest_singular_value(numpy.eye(3)))
-phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3]))
-for call in (lambda: analysis.bounded_below_trend(phi, (128, 256, 512)),
-             lambda: analysis.shift_window_demo(64, 2.0)):
-    try:
-        call()
-    except NumericalError as exc:
-        print(exc)
-"""
+            + "from berglab import lapack\n"
+            "print(lapack.available())\n"
+            "try:\n"
+            "    lapack.bidiagonal_sigma(1.0, 0.5, numpy.array([2.0, 1.0, 0.3]), 64)\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n"
+            + inspect.getsource(refused_run_values)
+            + f"print(json.dumps(refused_run_values(pathlib.Path({str(tmp_path / 'b')!r}))))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env=subprocess_env(),
         )
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "1.0" and len(lines) == 3 and lines[1] == lines[2]
-        assert lines[1].startswith(
+        available, refusal, values = proc.stdout.splitlines()
+        # import berglab succeeds, and a banded call is refused with what numpy reports
+        assert available == "False"
+        assert refusal.startswith(
             f"banded LAPACK unavailable: numpy {np.__version__} reports LAPACK 'scipy-openblas'"
         )
-        assert reason in lines[1]
+        assert reason in refusal
+        # every caller took the dense SVD instead, bit for bit as in this process with the
+        # binding refused; with it bound, each of them takes a LAPACK route
+        monkeypatch.setattr(lapack, "_ROUTINES", "refused")
+        assert json.loads(values) == refused_run_values(tmp_path)
 
     def test_wrong_arguments_are_refused_before_the_call(self):
         # the prototype's int * M gets a double: ctypes refuses it before LAPACK runs
@@ -1334,7 +1375,7 @@ for call in (lambda: analysis.bounded_below_trend(phi, (128, 256, 512)),
 
     def test_nonzero_info_is_refused(self, monkeypatch):
         class Routine:
-            argtypes = (ctypes.c_char_p, np.ctypeslib.ndpointer(np.int64))
+            argtypes = (ctypes.c_char_p, lapack._Pointer(np.int64))
 
             def __call__(self, job, info):
                 info[...] = 3
@@ -1342,6 +1383,42 @@ for call in (lambda: analysis.bounded_below_trend(phi, (128, 256, 512)),
         monkeypatch.setattr(lapack, "_lapack_routine", lambda name: Routine())
         with pytest.raises(NumericalError, match="LAPACK dgbbrd returned info 3"):
             lapack._call_lapack("dgbbrd", b"N")
+
+
+class TestDenseFallback:
+    """Where numpy's OpenBLAS is not bound, every caller of a banded route takes the dense
+    SVD that the route replaces, and none asks for a LAPACK routine."""
+
+    @pytest.fixture(autouse=True)
+    def refused(self, monkeypatch):
+        monkeypatch.setattr(lapack, "_ROUTINES", "refused")
+        self.routines = lapack_calls(monkeypatch)
+        yield
+        assert self.routines == []
+
+    def test_wide_real_matrix_takes_the_svd(self):
+        m = gaussian(CUT)
+        assert smallest_singular_value(m) == np.linalg.svd(m, compute_uv=False)[-1]
+
+    @pytest.mark.parametrize(
+        "phi", [pencil_symbol(*PENCIL_CASES["real"]), WORKLOAD_RATIONAL], ids=["poly", "rational"]
+    )
+    def test_narrow_bands_take_the_dense_svd(self, monkeypatch, phi):
+        sizes = (128, 256, 512)
+        trend, calls = TestBandedSigmaMin._dense_calls(monkeypatch, phi, sizes)
+        assert calls == list(sizes)
+        for n, s in zip(sizes, trend.sigma_min):
+            assert_matches_dense(s, phi, n)
+
+    @pytest.mark.parametrize("n, s", [(16, 2.0), (64, 1.5 - 2j)])
+    def test_shift_demo_takes_the_dense_windows(self, n, s):
+        demo = shift_window_demo(n, s)
+        a = toeplitz_analytic([0.0, 1.0], n).matrix
+        mix = adjoint_mix(a, s)
+        assert demo.window_ratio_adjoint == 0.0
+        assert_matches_svd(demo.window_ratio_mix, mix[:, : n - 1])
+        assert demo.witness_adjoint_norm == 0.0
+        assert demo.witness_mix_norm == np.linalg.norm(mix[:, 0])
 
 
 #: (c, d, g, N): rational g whose diagonals past a narrow band weigh below u ||T||

@@ -425,10 +425,20 @@ class TestToeplitzBuildSigmaMin:
         report = json.loads((outdir / "report.json").read_text())
         assert_near_dense_svd(report["sigma_min"], matrix_from_json(outdir / "matrix.json").matrix)
 
+    def test_closed_form_takes_the_dense_svd_where_lapack_is_refused(self, tmp_path, monkeypatch):
+        # without numpy's OpenBLAS bound, the trend's route table serves the narrow band
+        # by the dense SVD of the section, and the build succeeds
+        monkeypatch.setattr(lapack, "_ROUTINES", "refused")
+        outdir = tmp_path / "out"
+        run_scenario(write_config(tmp_path, build_config(SYMBOL, 64)), str(outdir))
+        report = json.loads((outdir / "report.json").read_text())
+        assert_near_dense_svd(report["sigma_min"], matrix_from_json(outdir / "matrix.json").matrix)
+
     def test_closed_form_build_leaves_scipy_linalg_unloaded(self, tmp_path):
         # every workload scenario, the closed-form build and the spectral trend among
         # them, binds its banded LAPACK from numpy's OpenBLAS (DECISIONS.md entry 19): no
-        # run maps SciPy's OpenBLAS or imports scipy.linalg or its cython_lapack
+        # run maps SciPy's OpenBLAS or imports scipy.linalg, its cython_lapack or
+        # numpy.ctypeslib
         if not os.path.exists("/proc/self/maps"):
             pytest.skip("no /proc/self/maps to read the mapped libraries from")
         code = f"""
@@ -451,10 +461,34 @@ with open("/proc/self/maps") as maps:
     mapped = maps.read()
 print("scipy.libs/libscipy_openblas" in mapped, "numpy.libs/libscipy_openblas64_" in mapped)
 print("scipy.linalg" in sys.modules, "scipy.linalg.cython_lapack" in sys.modules)
+print("numpy.ctypeslib" in sys.modules)
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=subprocess_env())
-        assert proc.stdout.split() == ["False", "True", "False", "False"]
+        assert proc.stdout.split() == ["False", "True", "False", "False", "False"]
+
+    def test_build_export_leaves_numpy_polynomial_unloaded(self, tmp_path):
+        # numpy.polynomial is imported where a series is evaluated or a radial rule
+        # built (DECISIONS.md entry 19): the benchmark's build_export scenarios need
+        # neither, and a polynomial trend does
+        code = f"""
+import importlib.util, sys
+sys.dont_write_bytecode = True
+spec = importlib.util.spec_from_file_location("_workloads", {WORKLOADS_PY!r})
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+from berglab.cli import run_scenario
+for config in workloads.scenarios("build_export", 7):
+    run_scenario(config, {str(tmp_path)!r} + "/" + config["name"])
+print("numpy.polynomial" in sys.modules)
+from berglab.analysis import invertibility_verdict
+from berglab.symbols import HarmonicSymbol, PolynomialSymbol
+invertibility_verdict(HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0])), (8, 16, 32))
+print("numpy.polynomial" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=subprocess_env())
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestManifestTimings:
