@@ -142,12 +142,18 @@ def smallest_singular_value(t) -> float:
     ``_BAND_REDUCTION_CUT`` columns takes :func:`lapack.dense_band_sigma` where
     :func:`lapack.available`, any other the package's only SVD.  A failed SVD or a
     non-finite sigma_min, which an infinite or NaN entry gives, is refused alike on both."""
-    m = _real_if_exact(_as_matrix(t))
+    return _sigma_min(_as_matrix(t), owned=False)
+
+
+def _sigma_min(m: np.ndarray, owned: bool) -> float:
+    """:func:`smallest_singular_value` of ``m``, which the band route overwrites when
+    ``owned`` and reduces in one private Fortran copy otherwise (``DECISIONS.md`` entry 20)."""
+    real = np.isrealobj(m) or not m.imag.any()
     try:
-        if m.dtype == np.float64 and m.shape[1] >= _BAND_REDUCTION_CUT and lapack.available():
-            sigma = lapack.dense_band_sigma(m)
+        if real and m.shape[1] >= _BAND_REDUCTION_CUT and lapack.available():
+            sigma = lapack.dense_band_sigma(m.real if owned else np.array(m.real, order="F"))
         else:
-            sigma = float(np.linalg.svd(m, compute_uv=False)[-1])
+            sigma = float(np.linalg.svd(_real_if_exact(m), compute_uv=False)[-1])
     except np.linalg.LinAlgError:  # the real SVD reports a NaN entry as no convergence
         sigma = math.nan
     return _finite_sigma(sigma, f"of a {m.shape[0]} x {m.shape[1]} matrix")
@@ -189,14 +195,16 @@ def _dense_sigma_min(
     coefficients, or of the window of T's first ``cols`` columns, by
     :func:`smallest_singular_value`.  Real c, d with real coefficients, or coefficients
     exactly i^k r_k, r_k real (:func:`power_symbol`), give the real SVD of T or of
-    D^* T D = c R + d R^T with D = diag(i^m), built as float64."""
+    D^* T D = R = c A + d A^T with D = diag(i^m), built as float64: the mix (d, c)
+    builds R^T in C order, whose transpose is R, bit for bit, in the Fortran order the
+    band route reduces in place (``DECISIONS.md`` entry 20)."""
     coeffs = np.asarray(p if q is None else _quotient_series(p, q, n - 1), np.complex128)
     real_cd = not np.imag([c, d]).any()
     rot = coeffs * _MINUS_I_POWERS[np.arange(len(coeffs)) % 4]
     real = [a.real for a in (coeffs, rot) if real_cd and not a.imag.any()]
-    if real:
-        coeffs, c, d = real[0], c.real, d.real
-    return smallest_singular_value(_analytic_matrix(coeffs, n, (c, d))[:, :cols])
+    section = (_analytic_matrix(real[0], n, (d.real, c.real)).T if real
+               else _analytic_matrix(coeffs, n, (c, d)))
+    return _sigma_min(section[:, :cols], owned=True)
 
 
 def _constant_sigma(c, d, p: np.ndarray, q: np.ndarray, *, n: int):

@@ -84,6 +84,10 @@ class BerezinSample:
             raise ValueError(f"unknown route {self.route!r}")
         if np.isnan(self.error_estimate):
             raise NumericalError("error_estimate is NaN: the value overflowed")
+        try:
+            abs(complex(self.value))  # inf for an infinite part, which export refuses
+        except OverflowError:
+            raise NumericalError(f"|value| overflows at z = {self.z}") from None
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
 
@@ -139,6 +143,8 @@ def berezin_matrix(
     zs = flat.tolist()
     squares = [abs(z) ** 2 for z in zs]
     proxy = float(np.sqrt(np.linalg.norm(op.matrix, 1) * np.linalg.norm(op.matrix, np.inf)))
+    if not np.isfinite(proxy):
+        raise NumericalError(f"operator norm proxy {proxy} at N = {n}: the section overflowed")
     estimates = []
     for z, x in zip(zs, squares):
         tail = x**n * ((n + 1) * (1.0 - x) + x)

@@ -30,7 +30,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (
@@ -468,7 +467,6 @@ def run_scenario(config, output_dir: str | None = None) -> RunManifest:
             versions={
                 "berglab": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": sys.version.split()[0],
             },
             # compute: the pipeline alone; write: the files, report.json and their hashes

@@ -2,11 +2,11 @@
 
 The sigma_min trend's banded routes: :func:`pencil_sigma` for a rational g
 (``DECISIONS.md`` entry 5), :func:`bidiagonal_sigma` for a polynomial (entry 7).
-Neither scales its input; :func:`dense_band_sigma`, for a large real matrix, reduces
-it to a band first and scales it (entry 14).  The routines are bound when this module
-is imported, from the ``scipy-openblas`` library that numpy's wheel bundles and has
-already mapped (entry 19); where numpy reports no such library, the import succeeds,
-:func:`available` is false and a banded call is refused.
+Neither scales its input; :func:`dense_band_sigma`, for a large real matrix, scales
+it and reduces it to a band in place (entries 14 and 20).  The routines are bound
+when this module is imported, from the ``scipy-openblas`` library that numpy's wheel
+bundles and has already mapped (entry 19); where numpy reports no such library, the
+import succeeds, :func:`available` is false and a banded call is refused.
 """
 
 from __future__ import annotations
@@ -307,26 +307,27 @@ def _block(flat: np.ndarray, lda: int, i: int, j: int, rows: int, cols: int) -> 
     return flat[i + j * lda :]
 
 
-def dense_band_sigma(m: np.ndarray) -> float:
-    """sigma_min of a real float64 matrix M with no more columns than rows; NaN for a
-    non-finite entry, inf for a sigma beyond the float range.
+def dense_band_sigma(a: np.ndarray) -> float:
+    """sigma_min of a real matrix A with no more columns than rows; NaN for a non-finite
+    entry, inf for a sigma beyond the float range.  A writeable Fortran-ordered float64
+    ``a`` is overwritten, any other copied so first (``DECISIONS.md`` entry 20).
 
-    A Fortran-ordered copy of M, brought to a largest modulus in [1/2, 1) by an exact
-    power of two, is reduced in place to an upper band of width b = ``_DENSE_BAND`` by
-    orthogonal transforms, one panel of b columns at a time (Grosser & Lang 1999):
-    ``dgeqrf`` and ``dormqr`` clear the panel below its diagonal, then ``dgelqf`` and
-    ``dormlq`` clear the panel's rows beyond the band.  Everything but the panels runs
-    in blocked, matrix-matrix form, where ``dgebrd`` (inside the dense SVD) spends half
-    its work in matrix-vector products.  :func:`_band_sigma` finishes on the band's
-    N x N top, and sigma is scaled back (``DECISIONS.md`` entry 14).
+    A, brought to a largest modulus in [1/2, 1) by an exact power of two, is reduced
+    to an upper band of width b = ``_DENSE_BAND`` by orthogonal transforms, one panel
+    of b columns at a time (Grosser & Lang 1999): ``dgeqrf`` and ``dormqr`` clear the
+    panel below its diagonal, then ``dgelqf`` and ``dormlq`` clear the panel's rows
+    beyond the band.  Everything but the panels runs in blocked, matrix-matrix form,
+    where ``dgebrd`` (inside the dense SVD) spends half its work in matrix-vector
+    products.  :func:`_band_sigma` finishes on the band's N x N top, and sigma is
+    scaled back (``DECISIONS.md`` entry 14).
     """
-    rows, n = m.shape
-    top = max(m.max(), -m.min())  # NaN propagates, and no |M| is formed
+    a = np.require(a, np.float64, ["F", "W"])
+    rows, n = a.shape
+    top = max(a.max(), -a.min())  # NaN propagates, and no |A| is formed
     if not math.isfinite(top):
         return math.nan
     exp = math.frexp(top)[1]
-    a = np.empty((rows, n), order="F")
-    np.ldexp(m, -exp, out=a)  # exact unless an entry underflows
+    np.ldexp(a, -exp, out=a)  # exact unless an entry underflows
     flat = a.reshape(-1, order="F")  # a view: every block is a suffix of it
     tau, work = np.zeros(_DENSE_BAND), np.zeros((rows + _ORM_BLOCK + 1) * _ORM_BLOCK)
     lwork = work.size

@@ -149,18 +149,25 @@ def toeplitz_quadrature(
     Entry (m, n) is the quadrature of w -> f(w) e_n(w) conj(e_m(w)).
     This is the independent oracle for the closed-form builders and the
     only route for non-harmonic symbols like |w|^2.  Cost is
-    O(n^2 M_r M_theta); keep it for desk-size checks.
+    O(n^2 M_r M_theta); keep it for desk-size checks.  Nodes are summed in blocks
+    of b = max(n, 2^16 / n), 1 MiB of basis for n <= 256: beyond the result and
+    O(M) node values it holds O(n b) entries (``DECISIONS.md`` entry 20).
     """
     check_size(n)
     z, w = spec.points()
-    vals = _eval_on_nodes(f, z)
-    basis = np.ones((n, z.size), dtype=np.complex128)
-    for k in range(1, n):
-        basis[k] = basis[k - 1] * z
-    basis *= np.sqrt(np.arange(1.0, n + 1.0))[:, None]
-    weighted = basis.conj()
-    weighted *= w * vals
-    mat = weighted @ basis.T
+    wv = w * _eval_on_nodes(f, z)
+    scale = np.sqrt(np.arange(1.0, n + 1.0))[:, None]
+    step = max(n, 2**16 // n)
+    for s in range(0, z.size, step):
+        nodes = z[s : s + step]
+        basis = np.ones((n, nodes.size), dtype=np.complex128)
+        for k in range(1, n):
+            np.multiply(basis[k - 1], nodes, out=basis[k])
+        basis *= scale
+        weighted = basis.conj()
+        weighted *= wv[s : s + step]
+        part = weighted @ basis.T
+        mat = np.add(mat, part, out=mat) if s else part
     return TruncatedOperator(mat, tag or "quadrature_symbol", "quadrature", True)
 
 

@@ -239,15 +239,16 @@ class TestRotatedRoute:
 
     @staticmethod
     def _svd_inputs(monkeypatch, phi, sizes):
-        """The matrices the trend hands to the dense SVD."""
+        """The matrices the trend hands to the dense SVD, copied before the band route
+        could reduce them in place."""
         seen = []
-        dense = analysis.smallest_singular_value
+        dense = analysis._sigma_min
 
-        def recorded(t):
-            seen.append(getattr(t, "matrix", t))
-            return dense(t)
+        def recorded(m, owned):
+            seen.append(m.copy())
+            return dense(m, owned)
 
-        monkeypatch.setattr(analysis, "smallest_singular_value", recorded)
+        monkeypatch.setattr(analysis, "_sigma_min", recorded)
         bounded_below_trend(phi, sizes)
         return seen
 
@@ -888,13 +889,13 @@ class TestBandedSigmaMin:
     @staticmethod
     def _dense_calls(monkeypatch, phi, sizes):
         calls = []
-        dense = analysis.smallest_singular_value
+        dense = analysis._sigma_min
 
-        def counted(t):
-            calls.append(len(t))
-            return dense(t)
+        def counted(m, owned):
+            calls.append(len(m))
+            return dense(m, owned)
 
-        monkeypatch.setattr(analysis, "smallest_singular_value", counted)
+        monkeypatch.setattr(analysis, "_sigma_min", counted)
         return bounded_below_trend(phi, sizes), calls
 
     def test_narrow_bands_skip_the_dense_svd(self, monkeypatch):
@@ -949,18 +950,6 @@ class TestBandedSigmaMin:
             phi = HarmonicSymbol(1e300, 1e300, PolynomialSymbol(coeffs))
             with pytest.raises(NumericalError, match="sigma_min inf at N = 4; refusing"):
                 bounded_below_trend(phi, (4, 8, 16))
-
-    def test_cli_import_leaves_scipy_linalg_unloaded(self):
-        # no module imports scipy.special: the Gauss-Legendre rule is numpy's
-        code = (
-            "import sys, berglab.cli; "
-            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env=subprocess_env(),
-        )
-        assert proc.stdout.strip() == "False False"
 
 
 class TestBidiagonalSigmaMin:
@@ -1234,6 +1223,48 @@ class TestDenseBandSigma:
         sigma = smallest_singular_value(m)
         assert routines == band_reduction_calls(CUT)
         assert sigma == lapack.dense_band_sigma(m.real.copy())
+
+    @pytest.mark.parametrize("n", [CUT, 1024])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_callers_matrix_is_left_as_it_was(self, monkeypatch, n, dtype):
+        # the route reduces the array it is handed in place: a caller's writeable
+        # Fortran-ordered matrix, real or exactly real, is copied for it first
+        m = np.asfortranarray(gaussian(n).astype(dtype))
+        kept = m.copy()
+        routines = lapack_calls(monkeypatch)
+        smallest_singular_value(m)
+        assert routines == band_reduction_calls(n)
+        assert m.flags.f_contiguous and m.flags.writeable
+        assert m.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n", [CUT, 1024])
+    @pytest.mark.parametrize(
+        "case, cd",
+        [("power t=1 d=0", (1.0, 0.0)), ("power t=1 d=0.4", (1.0, 0.4)),
+         ("degree 40 real", (1.0, 0.5))],
+    )
+    def test_trend_section_handed_over_keeps_the_bits(self, case, cd, n):
+        # the trend builds R^T by the swapped mix and reduces its transpose, R in
+        # Fortran order, in place: the bits of the separately built section's route
+        if case.startswith("power"):
+            coeffs = power_symbol(1.0).series(n - 1).coeffs
+        else:
+            coeffs = np.random.default_rng(40).normal(size=41)
+        sigma = analysis._dense_sigma_min(*cd, coeffs, n=n)
+        assert sigma == smallest_singular_value(DENSE_CASES[case](n))
+
+    def test_trend_holds_one_copy_of_its_section(self):
+        # the N = 1024 section of example_3_5's symbol, 8 N^2 bytes as float64, is built
+        # in the order the band route reduces in place; a second copy would double it
+        phi = HarmonicSymbol(1.0, 0.0, power_symbol(1.0))
+        analysis._trend_sigma_min(phi, CUT)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            analysis._trend_sigma_min(phi, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 1024**2
 
     def test_blocks_outside_the_matrix_are_refused(self):
         flat = np.zeros(4 * 5)  # a 4 x 5 matrix

@@ -404,7 +404,7 @@ class TestToeplitzBuildSigmaMin:
             ({"type": "polynomial", "coeffs": [2.0, 1.0, 0.3]}, "bidiagonal_sigma"),
             ({"type": "rational", "num": [1.0, 0.5], "den": [2.0, -0.5]}, "pencil_sigma"),
             ({"type": "principal_power", "plus_exponent": 1.0, "minus_exponent": -1.0},
-             "smallest_singular_value"),
+             "_sigma_min"),
         ],
         ids=["polynomial", "rational", "power"],
     )
@@ -413,7 +413,7 @@ class TestToeplitzBuildSigmaMin:
         # the rotated real SVD of the power symbol's section (DECISIONS.md entries 2, 5, 7)
         calls = []
         for module, name in ((lapack, "bidiagonal_sigma"), (lapack, "pencil_sigma"),
-                             (analysis, "smallest_singular_value")):
+                             (analysis, "_sigma_min")):
             original = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, f=original, k=name, **kw: calls.append(k) or f(*a, **kw)
@@ -435,10 +435,11 @@ class TestToeplitzBuildSigmaMin:
         assert_near_dense_svd(report["sigma_min"], matrix_from_json(outdir / "matrix.json").matrix)
 
     def test_closed_form_build_leaves_scipy_linalg_unloaded(self, tmp_path):
-        # every workload scenario, the closed-form build and the spectral trend among
-        # them, binds its banded LAPACK from numpy's OpenBLAS (DECISIONS.md entry 19): no
-        # run maps SciPy's OpenBLAS or imports scipy.linalg, its cython_lapack or
-        # numpy.ctypeslib
+        # every workload scenario, of every kind, the closed-form build and the spectral
+        # trend among them, binds its banded LAPACK from numpy's OpenBLAS (DECISIONS.md
+        # entry 19) and takes its Gauss-Legendre rule from numpy (entry 6): no run maps
+        # SciPy's OpenBLAS or imports any scipy module or numpy.ctypeslib, and SciPy is
+        # not a run-time dependency
         if not os.path.exists("/proc/self/maps"):
             pytest.skip("no /proc/self/maps to read the mapped libraries from")
         code = f"""
@@ -447,9 +448,11 @@ sys.dont_write_bytecode = True
 spec = importlib.util.spec_from_file_location("_workloads", {WORKLOADS_PY!r})
 workloads = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(workloads)
-from berglab.cli import run_scenario
+from berglab.cli import SCHEMA, run_scenario
+kinds = set()
 for workload in workloads.WORKLOADS:
     for config in workloads.scenarios(workload, 7):
+        kinds.add(config["kind"])
         expect = config.pop("expect", None)
         try:
             run_scenario(config, {str(tmp_path)!r} + "/" + workload + "-" + config["name"])
@@ -460,12 +463,12 @@ for workload in workloads.WORKLOADS:
 with open("/proc/self/maps") as maps:
     mapped = maps.read()
 print("scipy.libs/libscipy_openblas" in mapped, "numpy.libs/libscipy_openblas64_" in mapped)
-print("scipy.linalg" in sys.modules, "scipy.linalg.cython_lapack" in sys.modules)
+print(kinds == set(SCHEMA), [m for m in sys.modules if m.split(".")[0] == "scipy"])
 print("numpy.ctypeslib" in sys.modules)
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=subprocess_env())
-        assert proc.stdout.split() == ["False", "True", "False", "False", "False"]
+        assert proc.stdout.split() == ["False", "True", "True", "[]", "False"]
 
     def test_build_export_leaves_numpy_polynomial_unloaded(self, tmp_path):
         # numpy.polynomial is imported where a series is evaluated or a radial rule
@@ -936,8 +939,9 @@ class TestSchemaRefusals:
     @pytest.mark.parametrize(
         "route, c, message",
         [
-            # at z = 0 the norm proxy is inf and the kernel tail 0, so the estimate is NaN
-            pytest.param("matrix", 1e300, "kernel tail estimate nan", id="matrix"),
+            # the norm proxy is inf: refused for it, not for the NaN estimate it gives
+            # at z = 0, where the kernel tail is 0
+            pytest.param("matrix", 1e300, "operator norm proxy inf", id="matrix"),
             # the two rules' values are both inf, and abs(inf - inf) is NaN
             pytest.param("integral", 1e308, "error_estimate is NaN", id="integral"),
         ],
@@ -1096,6 +1100,28 @@ def test_validate_passes_iff_run_succeeds_or_refuses(tmp_path, case):
     if valid:
         assert validated == 0, config
     assert (validated == 0) == (ran in (0, 3)), config
+
+
+#: configs that validate accepts and run once escaped with a traceback (exit 1) or refused
+#: for a wrong cause, each with the cause its exit-3 refusal must name: phi = c (2 + z)
+#: with |c| near the float maximum, whose values and section overflow
+HUGE_SYMBOL = {**SYMBOL, "c": [0.7e308, 0.7e308], "d": 0}
+CONTRACT_REGRESSIONS = {
+    "closed-form modulus overflow": (
+        grid_config("harmonic_closed_form", symbol=HUGE_SYMBOL), "|value| overflows at z = 0j"
+    ),
+    "matrix-route section overflow": (
+        grid_config("matrix", symbol=HUGE_SYMBOL, **ROUTE_FIELDS["matrix"]),
+        "operator norm proxy inf at N = 16: the section overflowed",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_REGRESSIONS))
+def test_contract_regressions_refuse_with_their_cause(tmp_path, capsys, case):
+    config, cause = CONTRACT_REGRESSIONS[case]
+    assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
+    assert cause in capsys.readouterr().err
 
 
 PIPELINE_CONFIGS = [

@@ -1,9 +1,5 @@
 """Core primitives: series arithmetic, inner product, kernel, quadrature."""
 
-import json
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -21,7 +17,6 @@ from berglab import (
 from berglab.disc import _radial_rule
 from berglab.symbols import PolynomialSymbol, RationalSymbol
 from berglab.toeplitz import toeplitz_analytic
-from test_analysis import subprocess_env
 
 EXACT = 1e-14
 QUAD_TOL = 1e-10
@@ -299,27 +294,3 @@ class TestRadialRule:
         for i, node, weight in MPMATH_ENDS[m]:
             assert abs(r[i] - node) <= 2.5e-16
             assert abs(mass[i] - weight) <= 1e-10 * weight
-
-
-def test_quadrature_routes_leave_scipy_special_and_linalg_unloaded(tmp_path):
-    symbol = {"c": 1.0, "d": 0.5, "g": {"type": "polynomial", "coeffs": [2.0, 1.0]}}
-    configs = [
-        {"name": "grid", "kind": "berezin_grid", "route": "integral", "symbol": symbol,
-         "grid": {"radii": [0.0, 0.5], "angles": 8}, "quadrature": {"radial": 8, "angular": 16}},
-        {"name": "build", "kind": "toeplitz_build", "builder": "quadrature", "n": 8,
-         "quadrature": {"radial": 16, "angular": 32}, "symbol": symbol},
-    ]
-    for config in configs:
-        (tmp_path / f"{config['name']}.json").write_text(json.dumps(config))
-    code = """
-import sys
-from berglab.cli import run_scenario
-for name in ("grid", "build"):
-    run_scenario(f"{sys.argv[1]}/{name}.json", f"{sys.argv[1]}/out_{name}")
-print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)
-"""
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
-        check=True, env=subprocess_env(),
-    )
-    assert proc.stdout.strip() == "False False"

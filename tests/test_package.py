@@ -97,8 +97,9 @@ def _calls(fragment):
 
 
 def test_smallest_singular_value_holds_the_only_svd():
-    """Every call whose callee names an SVD, with the innermost function around it."""
-    assert _calls("svd") == [("analysis.py", "smallest_singular_value", "np.linalg.svd")]
+    """Every call whose callee names an SVD, with the innermost function around it:
+    ``_sigma_min``, the body of ``smallest_singular_value``."""
+    assert _calls("svd") == [("analysis.py", "_sigma_min", "np.linalg.svd")]
 
 
 def test_one_gate_per_numerical_check():

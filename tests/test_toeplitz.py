@@ -253,6 +253,48 @@ class TestQuadratureBuilder:
         got = toeplitz_quadrature(phi, n, spec).matrix
         assert np.max(np.abs(got - expected)) < 1e-13
 
+    @staticmethod
+    def _one_gemm(f, n, spec):
+        """The builder before it summed node blocks: one GEMM over every node."""
+        z, w = spec.points()
+        basis = np.ones((n, z.size), dtype=np.complex128)
+        for k in range(1, n):
+            basis[k] = basis[k - 1] * z
+        basis *= np.sqrt(np.arange(1.0, n + 1.0))[:, None]
+        weighted = basis.conj()
+        weighted *= w * f(z)
+        return weighted @ basis.T
+
+    @pytest.mark.parametrize(
+        "n, spec",
+        [(64, QuadratureSpec(64, 128)), (64, QuadratureSpec(9, 130)), (100, QuadratureSpec(30, 40)),
+         (16, QuadratureSpec(5, 300)), (300, QuadratureSpec(4, 8)), (1, QuadratureSpec(2, 4))],
+        ids=["8 blocks", "2 blocks, remainder", "block above n", "one block", "M < n", "n = 1"],
+    )
+    def test_node_blocks_match_one_gemm(self, n, spec):
+        # a rule of at most one block's nodes is that GEMM bit for bit; more nodes
+        # change only the summation order
+        phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3]))
+        expected = self._one_gemm(phi, n, spec)
+        got = toeplitz_quadrature(phi, n, spec).matrix
+        if spec.radial_nodes * spec.angular_nodes <= max(n, 2**16 // n):
+            assert np.array_equal(got, expected)
+        else:
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_node_blocks_bound_the_peak(self):
+        # two n x M complex arrays, 16.6 MiB on the benchmark's build, became two n x b
+        phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))
+        spec = QuadratureSpec(64, 128)
+        toeplitz_quadrature(phi, 8, spec)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            toeplitz_quadrature(phi, 64, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
 
 class TestHyponormalityWindow:
     @pytest.mark.parametrize(

@@ -25,6 +25,11 @@ nothing; it exits 1 if any entry differs.  To check a change, run the first
 form on a checkout of the parent commit and on the change, then compare the
 two maps.  A map that holds bare hashes, as this tool wrote before it kept
 content, compares by hash.
+
+Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before numpy
+loads: LAPACK's blocked steps round differently at other thread counts, and
+three reports move with them.  Maps made under any ``OPENBLAS_NUM_THREADS``
+therefore compare equal.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from itertools import zip_longest
@@ -39,6 +45,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 from berglab.cli import run_scenario  # noqa: E402
 
