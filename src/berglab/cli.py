@@ -111,10 +111,11 @@ def _as_int(v, where: str) -> int:
     return v
 
 
-def _int_at_least(least: int):
-    """Parser: an integer of at least ``least``; an error names the field's path and name."""
+def _int_at_least(least: int, most=sys.maxsize):
+    """Parser: an integer of at least ``least`` and at most ``most``; an error names the
+    field's path and name."""
     return lambda v, where: _checked(
-        _at_least, where, _as_int(v, where), least, where.rpartition(".")[2]
+        _at_least, where, _as_int(v, where), least, where.rpartition(".")[2], most
     )
 
 
@@ -195,8 +196,9 @@ _TAIL_TOL = _then(_as_float, check_threshold, "tail_tol")
 _SCHEDULE = _then(_list(_as_int), check_schedule)
 _SIZE = _then(_as_int, check_size)
 _COUNT = _int_at_least(1)
-#: required by every kind that has it; ``invertibility`` and ``shift_demo`` only echo it
-_SEED = _int_at_least(0)
+#: required by every kind that has it; ``invertibility`` and ``shift_demo`` only echo it;
+#: of any size, as ``np.random.default_rng`` takes it
+_SEED = _int_at_least(0, math.inf)
 
 
 def _mix(side: str) -> dict:
@@ -414,7 +416,7 @@ def _load_config(path):
         return json.loads(Path(path).read_text())
     except OSError as exc:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
@@ -533,9 +535,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError is a ValueError
+    except ConfigError as exc:
         error, code = exc, 2
-    except (NumericalError, MemoryError) as exc:
+    except (ValueError, NumericalError, MemoryError) as exc:  # refused after parsing
         error, code = exc, 3
     print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
     return code

@@ -58,29 +58,11 @@ _DENSE_BAND = 40
 _ORM_BLOCK = 64
 
 
-class _Pointer:
-    """The ctypes argument type of one pointer of a prototype: an array of ``dtype`` with
-    every flag of :data:`_POINTER_FLAGS`, passed as its data pointer; ctypes refuses any
-    other argument before the call.  ``numpy.ctypeslib.ndpointer`` checks the same; this
-    class keeps that module out of every process (``DECISIONS.md`` entry 19).
-    """
-
-    def __init__(self, dtype):
-        self.dtype = np.dtype(dtype)
-
-    def from_param(self, a):
-        if not (isinstance(a, np.ndarray) and a.dtype == self.dtype
-                and all(a.flags[f] for f in _POINTER_FLAGS)):
-            flags = ", ".join(_POINTER_FLAGS)
-            raise TypeError(f"expected an {self.dtype} array with flags {flags}")
-        return ctypes.c_void_p(a.ctypes.data)  # the call's arguments keep ``a`` alive
-
-
 def _bind() -> dict | str:
     """Each routine of :data:`_LAPACK_PROTOTYPES` from numpy's OpenBLAS, callable through
     ctypes with bytes for each ``char *`` and, for the rest, a writeable
-    Fortran-contiguous array of the pointer's dtype (:class:`_Pointer`; ctypes refuses any
-    other argument); or the message that refuses them all.
+    Fortran-contiguous array of the pointer's dtype (``numpy.ctypeslib.ndpointer``; ctypes
+    refuses any other argument before the call); or the message that refuses them all.
 
     numpy must report its LAPACK as ``scipy-openblas`` built with ``USE64BITINT``, and its
     wheel's ``numpy.libs`` must hold that one library, exporting every routine: ctypes
@@ -100,7 +82,9 @@ def _bind() -> dict | str:
         library = ctypes.CDLL(paths[0])
     except OSError as exc:
         return f"{reported}, but {paths[0]} does not load: {exc}"
-    routines, pointers = {}, {t: _Pointer(dtype) for t, dtype in _POINTER_DTYPES.items()}
+    routines, pointers = {}, {
+        t: np.ctypeslib.ndpointer(d, flags=_POINTER_FLAGS) for t, d in _POINTER_DTYPES.items()
+    }
     for name, prototype in _LAPACK_PROTOTYPES.items():
         symbol = f"scipy_{name}_64_"
         try:

@@ -1350,9 +1350,10 @@ class TestNumpyOpenblas:
         for param, argtype in zip(params, routine.argtypes):
             if param == "char *":
                 assert argtype is ctypes.c_char_p
-            else:
-                assert isinstance(argtype, lapack._Pointer)
-                assert argtype.dtype == lapack._POINTER_DTYPES[param]
+            else:  # ndpointer makes one class per dtype and flags
+                assert argtype is np.ctypeslib.ndpointer(
+                    lapack._POINTER_DTYPES[param], flags=("F_CONTIGUOUS", "WRITEABLE")
+                )
 
     @pytest.mark.parametrize("failure", sorted(BIND_FAILURES))
     def test_refusal_at_the_first_banded_call(self, tmp_path, monkeypatch, failure):
@@ -1406,7 +1407,7 @@ class TestNumpyOpenblas:
 
     def test_nonzero_info_is_refused(self, monkeypatch):
         class Routine:
-            argtypes = (ctypes.c_char_p, lapack._Pointer(np.int64))
+            argtypes = ctypes.c_char_p, np.ctypeslib.ndpointer(np.int64, flags=("F", "W"))
 
             def __call__(self, job, info):
                 info[...] = 3

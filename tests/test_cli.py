@@ -438,8 +438,8 @@ class TestToeplitzBuildSigmaMin:
         # every workload scenario, of every kind, the closed-form build and the spectral
         # trend among them, binds its banded LAPACK from numpy's OpenBLAS (DECISIONS.md
         # entry 19) and takes its Gauss-Legendre rule from numpy (entry 6): no run maps
-        # SciPy's OpenBLAS or imports any scipy module or numpy.ctypeslib, and SciPy is
-        # not a run-time dependency
+        # SciPy's OpenBLAS or imports any scipy module, and SciPy is not a run-time
+        # dependency
         if not os.path.exists("/proc/self/maps"):
             pytest.skip("no /proc/self/maps to read the mapped libraries from")
         code = f"""
@@ -464,11 +464,10 @@ with open("/proc/self/maps") as maps:
     mapped = maps.read()
 print("scipy.libs/libscipy_openblas" in mapped, "numpy.libs/libscipy_openblas64_" in mapped)
 print(kinds == set(SCHEMA), [m for m in sys.modules if m.split(".")[0] == "scipy"])
-print("numpy.ctypeslib" in sys.modules)
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=subprocess_env())
-        assert proc.stdout.split() == ["False", "True", "True", "[]", "False"]
+        assert proc.stdout.split() == ["False", "True", "True", "[]"]
 
     def test_build_export_leaves_numpy_polynomial_unloaded(self, tmp_path):
         # numpy.polynomial is imported where a series is evaluated or a radial rule
@@ -687,6 +686,16 @@ class TestExitCodes:
         config = invertibility_config()
         config["symbol"]["g"] = {"type": "rational", "num": [1.0], "den": [1.0, -1.0 / 1.05]}
         assert main(["validate", str(write_config(tmp_path, config))]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_not_utf8(self, tmp_path, capsys, command):
+        # a UnicodeDecodeError is a ValueError raised before parsing: still a config error
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        outdir = tmp_path / "o"
+        args = [command, str(path)] + (["--output-dir", str(outdir)] if command == "run" else [])
+        assert main(args) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
@@ -1102,25 +1111,54 @@ def test_validate_passes_iff_run_succeeds_or_refuses(tmp_path, case):
     assert (validated == 0) == (ran in (0, 3)), config
 
 
-#: configs that validate accepts and run once escaped with a traceback (exit 1) or refused
-#: for a wrong cause, each with the cause its exit-3 refusal must name: phi = c (2 + z)
-#: with |c| near the float maximum, whose values and section overflow
+#: configs that once escaped the exit-code contract, each with the exit codes of validate
+#: and run and the cause they must name.  phi = c (2 + z) with |c| near the float maximum,
+#: whose values and section overflow, was refused for a wrong cause or with a traceback
+#: (exit 1).  A size numpy cannot index passed validate, and run exited 1, or 2 after
+#: validate had accepted it: each is now refused by the size rule.  A ValueError numpy
+#: raises at run time exited 2, not 3.
 HUGE_SYMBOL = {**SYMBOL, "c": [0.7e308, 0.7e308], "d": 0}
+HUGE = 2**63
 CONTRACT_REGRESSIONS = {
     "closed-form modulus overflow": (
-        grid_config("harmonic_closed_form", symbol=HUGE_SYMBOL), "|value| overflows at z = 0j"
+        grid_config("harmonic_closed_form", symbol=HUGE_SYMBOL), 3, "|value| overflows at z = 0j"
     ),
     "matrix-route section overflow": (
-        grid_config("matrix", symbol=HUGE_SYMBOL, **ROUTE_FIELDS["matrix"]),
+        grid_config("matrix", symbol=HUGE_SYMBOL, **ROUTE_FIELDS["matrix"]), 3,
         "operator norm proxy inf at N = 16: the section overflowed",
     ),
+    "radial nodes 2^63": (
+        grid_config("integral", quadrature={**QUADRATURE, "radial": HUGE}), 2,
+        f"config.quadrature: radial_nodes must be at most {sys.maxsize}",
+    ),
+    "angular nodes 2^63": (
+        grid_config("integral", quadrature={**QUADRATURE, "angular": HUGE}), 2,
+        f"config.quadrature: angular_nodes must be at most {sys.maxsize}",
+    ),
+    "quadrature build n 10^400": (
+        build_config(SYMBOL, 10**400, "quadrature", quadrature=QUADRATURE), 2,
+        f"config.n: n must be at most {sys.maxsize}",
+    ),
+    "grid angles 2^63": (
+        grid_config("harmonic_closed_form", grid={**GRID, "angles": HUGE}), 2,
+        f"config.grid: angles_per_radius must be at most {sys.maxsize}",
+    ),
+    "closed-form build n 2^63": (
+        build_config(SYMBOL, HUGE), 2, f"config.n: n must be at most {sys.maxsize}"
+    ),
+    "schedule entry 2^63": (
+        invertibility_config(schedule=[16, 32, HUGE]), 2,
+        f"config.schedule: schedule sizes must be at most {sys.maxsize}",
+    ),
+    "closed-form build n 2^32": (build_config(SYMBOL, 2**32), 3, "array is too big"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_REGRESSIONS))
 def test_contract_regressions_refuse_with_their_cause(tmp_path, capsys, case):
-    config, cause = CONTRACT_REGRESSIONS[case]
-    assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
+    config, code, cause = CONTRACT_REGRESSIONS[case]
+    validated = 0 if code == 3 else 2  # a refusal after parsing is numerical
+    assert run_both(tmp_path, json.dumps(config)) == ((validated, code), False)
     assert cause in capsys.readouterr().err
 
 

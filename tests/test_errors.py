@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -69,3 +70,19 @@ def test_one_rule_for_every_integer_size(check, least, text, non_integer):
         check(least - 1)
     got = check(np.int64(least))
     assert type(got) is int and got == least
+
+
+SIZES = {k: v for k, v in VALIDATORS.items() if k != "cli.seed"}
+
+
+@pytest.mark.parametrize("check, least, text, non_integer", SIZES.values(), ids=SIZES)
+def test_no_size_beyond_what_numpy_indexes(check, least, text, non_integer):
+    # such sizes passed, and failed deep in numpy: an OverflowError, or an empty arange
+    for n in (sys.maxsize + 1, 10**400):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)} must be at most {sys.maxsize}$"):
+            check(n)
+
+
+def test_a_seed_may_be_any_nonnegative_integer():
+    # np.random.default_rng takes it, however large
+    assert _cli("seed")(10**400) == 10**400
