@@ -49,7 +49,7 @@ from .disc import (
 )
 from .errors import NumericalError
 from .symbols import DiscGrid, HarmonicSymbol
-from .toeplitz import TruncatedOperator, _check_finite, toeplitz_harmonic
+from .toeplitz import TruncatedOperator, _check_finite
 
 __all__ = [
     "BerezinSample",
@@ -65,9 +65,6 @@ ROUTES = ("integral", "matrix", "harmonic_closed_form")
 
 #: matrix-route refusal threshold for the kernel-tail estimate
 DEFAULT_TAIL_TOL = 1e-6
-
-#: default truncation size when a grid sweep builds the operator itself
-DEFAULT_MATRIX_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -189,38 +186,25 @@ def berezin_harmonic(phi: HarmonicSymbol, z) -> BerezinSample | list[BerezinSamp
 
 
 def berezin_grid(
-    phi: HarmonicSymbol,
-    grid: DiscGrid,
-    route: str,
-    spec: QuadratureSpec = QuadratureSpec(),
-    n: int = DEFAULT_MATRIX_SIZE,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    phi: HarmonicSymbol, grid: DiscGrid, spec: QuadratureSpec = QuadratureSpec()
 ) -> list[BerezinSample]:
-    """Sweep the transform over a polar grid, row-major node order.
+    """Sweep the integral route over a polar grid, row-major node order.
 
-    The matrix route builds one truncated operator of size ``n`` and
-    hands :func:`berezin_matrix` every node, the closed-form route hands
-    them to :func:`berezin_harmonic`.  The integral route evaluates phi
-    once per rule and convolves ring by ring with FFTs when
-    ``grid.angles_per_radius`` divides ``spec.angular_nodes`` (see the
-    module docstring), matching per-node :func:`berezin_integral` up to
-    rounding; other grids run :func:`berezin_integral` node by node.
+    phi is evaluated once per rule and convolved ring by ring with FFTs
+    when ``grid.angles_per_radius`` divides ``spec.angular_nodes`` (see
+    the module docstring), matching per-node :func:`berezin_integral` up
+    to rounding; other grids run :func:`berezin_integral` node by node.
+    :func:`berezin_matrix` and :func:`berezin_harmonic` sweep ``grid.nodes()`` itself.
     """
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
     nodes = grid.nodes().ravel()
-    if route == "matrix":
-        return berezin_matrix(toeplitz_harmonic(phi, n), nodes, tail_tol)
-    if route == "integral":
-        if spec.angular_nodes % grid.angles_per_radius:
-            return [berezin_integral(phi, z, spec) for z in nodes]
-        v1 = _ring_integrals(phi, grid, spec).ravel().tolist()
-        v2 = _ring_integrals(phi, grid, spec.doubled()).ravel().tolist()
-        return [
-            BerezinSample(z=complex(z), value=a, route="integral", error_estimate=abs(a - b))
-            for z, a, b in zip(nodes, v1, v2)
-        ]
-    return berezin_harmonic(phi, nodes)
+    if spec.angular_nodes % grid.angles_per_radius:
+        return [berezin_integral(phi, z, spec) for z in nodes]
+    v1 = _ring_integrals(phi, grid, spec).ravel().tolist()
+    v2 = _ring_integrals(phi, grid, spec.doubled()).ravel().tolist()
+    return [
+        BerezinSample(z=complex(z), value=a, route="integral", error_estimate=abs(a - b))
+        for z, a, b in zip(nodes, v1, v2)
+    ]
 
 
 def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:

@@ -48,7 +48,7 @@ from .analysis import (
     shift_window_demo,
     smallest_singular_value,
 )
-from .berezin import berezin_grid, grid_to_csv, grid_to_json
+from .berezin import berezin_grid, berezin_harmonic, berezin_matrix, grid_to_csv, grid_to_json
 from .disc import QuadratureSpec
 from .errors import ConfigError, NumericalError, _at_least
 from .symbols import (
@@ -267,8 +267,8 @@ def parse_scenario(config: dict) -> Scenario:
         key, table = fields
         tags[key], fields, rest = _variant(rest, key, table, "config")
     out = rest.pop("output_dir", None)
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("config.output_dir must be a string")
+    if out is not None and (not isinstance(out, str) or "\0" in out):
+        raise ConfigError("config.output_dir must be a string without a NUL byte")
     parsed = _object({"name": _name, **fields})(rest, "config")
     return Scenario(**tags, output_dir=out, **parsed)
 
@@ -308,12 +308,18 @@ def _run_toeplitz_build(sc: Scenario) -> tuple[dict, tuple]:
     return report, ((matrix_to_json, op), (matrix_to_csv, op))
 
 
+#: a ``berezin_grid`` scenario's sweep, by ``route``: each reads its route's own fields
+_GRID_SWEEPS = {
+    "integral": lambda sc: berezin_grid(sc.symbol, sc.grid, sc.quadrature),
+    "matrix": lambda sc: berezin_matrix(
+        toeplitz_harmonic(sc.symbol, sc.n), sc.grid.nodes(), sc.tail_tol
+    ),
+    "harmonic_closed_form": lambda sc: berezin_harmonic(sc.symbol, sc.grid.nodes()),
+}
+
+
 def _run_berezin_grid(sc: Scenario) -> tuple[dict, tuple]:
-    # the route's own fields: quadrature (integral), n and tail_tol (matrix)
-    kwargs = {key: v for key, v in vars(sc).items() if key in ("n", "tail_tol")}
-    if sc.route == "integral":
-        kwargs["spec"] = sc.quadrature
-    samples = berezin_grid(sc.symbol, sc.grid, sc.route, **kwargs)
+    samples = _GRID_SWEEPS[sc.route](sc)
     moduli = [abs(s.value) for s in samples]
     k = int(np.argmin(moduli))
     report = {
@@ -444,8 +450,9 @@ def run_scenario(config, output_dir: str | None = None) -> RunManifest:
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file, or a path through one
-        raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:  # a file, a path through one, or a NUL byte
+        cause = getattr(exc, "strerror", exc)
+        raise ConfigError(f"cannot create output directory {outdir}: {cause}") from exc
     pipeline, names = _PIPELINES[sc.kind]
     paths = [outdir / name for name in (*names, "report.json")]
     for path in (*paths, outdir / "manifest.json"):

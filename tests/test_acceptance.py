@@ -114,7 +114,7 @@ def test_criterion_03_transform_preserves_grid_minimum():
         direct = float(np.min(np.abs(phi(nodes))))
         # the ring/FFT sweep; tests/test_berezin.py checks it node by node
         # against berezin_integral on this grid
-        samples = berezin_grid(phi, SHARED_GRID, "integral", spec=BOOSTED)
+        samples = berezin_grid(phi, SHARED_GRID, spec=BOOSTED)
         transformed = float(min(abs(s.value) for s in samples))
         worst = max(worst, abs(direct - transformed))
     ok = worst <= 1e-5

@@ -1,6 +1,7 @@
 """Berezin transform routes, their agreement, and grid exports."""
 
 import cmath
+import inspect
 import io
 import json
 
@@ -156,15 +157,15 @@ class CountingMatrix(np.ndarray):
         return np.asarray(self) @ other
 
 
+def counting_section(phi, n):
+    """``toeplitz_harmonic(phi, n)`` whose matrix counts its products."""
+    op = toeplitz_harmonic(phi, n)
+    return TruncatedOperator(op.matrix.view(CountingMatrix), op.symbol_tag, op.builder, True)
+
+
 @pytest.fixture
 def counted_products(monkeypatch):
-    """Makes ``berezin_grid``'s operators count their products; yields the class."""
-
-    def build(phi, n):
-        op = toeplitz_harmonic(phi, n)
-        return TruncatedOperator(op.matrix.view(CountingMatrix), op.symbol_tag, op.builder, True)
-
-    monkeypatch.setattr(berezin, "toeplitz_harmonic", build)
+    """Zeroes the product count of :func:`counting_section`'s operators; yields the class."""
     monkeypatch.setattr(CountingMatrix, "products", 0)
     return CountingMatrix
 
@@ -174,7 +175,7 @@ WORKLOAD_PHI = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))
 
 
 class TestMatrixSweep:
-    """The block route of ``berezin_grid(..., "matrix")`` against the per-node loop."""
+    """The block route of ``berezin_matrix`` on a grid's nodes against the per-node loop."""
 
     @pytest.mark.parametrize(
         "phi, grid, n",
@@ -188,7 +189,7 @@ class TestMatrixSweep:
         ids=["workload", "criterion-3", "rational"],
     )
     def test_matches_per_node_loop(self, phi, grid, n, counted_products):
-        sweep = berezin_grid(phi, grid, "matrix", n=n)
+        sweep = berezin_matrix(counting_section(phi, n), grid.nodes())
         op = toeplitz_harmonic(phi, n)
         oracle = per_node_matrix(op, grid.nodes().ravel())
         scale = np.linalg.norm(op.matrix, 2)
@@ -227,11 +228,11 @@ class TestMatrixSweep:
     def test_non_positive_tail_tol_refused_before_any_product(self, tail_tol, counted_products):
         # a negative budget used to surface as the numerical refusal "estimate 0.000e+00
         # exceeds -1.0e+00"; it is a bad argument
-        op = berezin.toeplitz_harmonic(WORKLOAD_PHI, 16)
+        op = counting_section(WORKLOAD_PHI, 16)
         with pytest.raises(ValueError, match="tail_tol must be positive"):
             berezin_matrix(op, 0.0, tail_tol)
         with pytest.raises(ValueError, match="tail_tol must be positive"):
-            berezin_grid(WORKLOAD_PHI, CRITERION_3_GRID, "matrix", n=16, tail_tol=tail_tol)
+            berezin_matrix(op, CRITERION_3_GRID.nodes(), tail_tol)
         assert counted_products.products == 0
 
     def test_refusal_text_and_no_product(self, counted_products):
@@ -240,7 +241,7 @@ class TestMatrixSweep:
         with pytest.raises(NumericalError) as expected:
             per_node_matrix(toeplitz_harmonic(WORKLOAD_PHI, 64), grid.nodes().ravel())
         with pytest.raises(NumericalError) as got:
-            berezin_grid(WORKLOAD_PHI, grid, "matrix", n=64)
+            berezin_matrix(counting_section(WORKLOAD_PHI, 64), grid.nodes())
         assert str(got.value) == str(expected.value)
         assert counted_products.products == 0
 
@@ -278,7 +279,7 @@ class TestClosedFormEvaluation:
         z = 0.3 + 0.4j
         assert berezin_harmonic(phi, z).value == pytest.approx(z * z + 0.5 * np.conj(z * z))
         g = self.GRID.nodes().ravel() ** 2
-        sweep = berezin_grid(phi, self.GRID, "harmonic_closed_form")
+        sweep = berezin_harmonic(phi, self.GRID.nodes())
         assert [s.value for s in sweep] == pytest.approx((g + 0.5 * np.conj(g)).tolist())
 
     @pytest.mark.parametrize(
@@ -287,7 +288,7 @@ class TestClosedFormEvaluation:
     )
     def test_sweep_equals_the_pointwise_transform_bit_for_bit(self, g):
         phi = HarmonicSymbol(1.0, 0.5, g)
-        sweep = berezin_grid(phi, self.GRID, "harmonic_closed_form")
+        sweep = berezin_harmonic(phi, self.GRID.nodes())
         pointwise = [berezin_harmonic(phi, z) for z in self.GRID.nodes().ravel()]
         assert sweep == pointwise
 
@@ -328,15 +329,15 @@ class TestRouteAgreement:
     def test_grid_route_crosscheck(self):
         phi = HarmonicSymbol(1.0, 2.0, PolynomialSymbol([0.0, 1.0]))
         grid = DiscGrid(tuple(np.linspace(0.0, 0.8, 8)), 16)
-        si = berezin_grid(phi, grid, "integral")
-        sh = berezin_grid(phi, grid, "harmonic_closed_form")
+        si = berezin_grid(phi, grid)
+        sh = berezin_harmonic(phi, grid.nodes())
         gap = max(abs(a.value - b.value) for a, b in zip(si, sh))
         assert gap < 1e-7
 
     def test_grid_min_matches_symbol_min(self):
         phi = HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0]))
         grid = DiscGrid((0.0, 0.3, 0.6, 0.9), 64)
-        samples = berezin_grid(phi, grid, "matrix")
+        samples = berezin_matrix(toeplitz_harmonic(phi, 256), grid.nodes())
         tmin = min(abs(s.value) for s in samples)
         smin = np.min(np.abs(phi(grid.nodes())))
         assert tmin == pytest.approx(smin, abs=1e-8)
@@ -348,7 +349,7 @@ def per_node(phi, grid, spec):
 
 def assert_matches_per_node(phi, grid, spec, tol=1e-13):
     """The ring/FFT sweep against the per-node oracle it replaces."""
-    ring = berezin_grid(phi, grid, "integral", spec)
+    ring = berezin_grid(phi, grid, spec)
     oracle = per_node(phi, grid, spec)
     assert len(ring) == len(oracle)
     for a, b in zip(ring, oracle):
@@ -372,9 +373,9 @@ class TestRingRoute:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda phi: berezin_grid(phi, DiscGrid((0.2, 0.6), 8), "integral", SMALL),
+            lambda phi: berezin_grid(phi, DiscGrid((0.2, 0.6), 8), SMALL),
             # 12 angles do not divide the rule's 16: the per-node route
-            lambda phi: berezin_grid(phi, DiscGrid((0.2, 0.6), 12), "integral", SMALL),
+            lambda phi: berezin_grid(phi, DiscGrid((0.2, 0.6), 12), SMALL),
             lambda phi: inf_modulus(phi, DiscGrid((0.2, 0.6), 8)),
             lambda phi: toeplitz_quadrature(phi, 4, SMALL),
             lambda phi: disc_quadrature(phi, SMALL),
@@ -403,12 +404,18 @@ class TestRingRoute:
         assert all(abs(s.value - 1.5) < 1e-12 for s in origin)
         assert max(abs(s.value - origin[0].value) for s in origin) < 1e-15
 
+    def test_sweeps_the_integral_route_only(self):
+        # the matrix and closed-form routes take ``grid.nodes()`` directly
+        assert list(inspect.signature(berezin_grid).parameters) == ["phi", "grid", "spec"]
+        assert not hasattr(berezin, "DEFAULT_MATRIX_SIZE")
+        assert not hasattr(berezin, "toeplitz_harmonic")
+
     def test_non_dividing_grid_falls_back_exactly(self):
         phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))
         grid = DiscGrid((0.0, 0.4, 0.7), 12)  # 12 does not divide 128
         spec = QuadratureSpec()
         assert spec.angular_nodes % grid.angles_per_radius
-        assert berezin_grid(phi, grid, "integral", spec) == per_node(phi, grid, spec)
+        assert berezin_grid(phi, grid, spec) == per_node(phi, grid, spec)
 
 
 class TestPositivity:
@@ -426,26 +433,21 @@ class TestGridSweepAndExport:
     def test_constant_grid(self):
         phi = HarmonicSymbol(1.0, 0.0, PolynomialSymbol([1.0]))
         grid = DiscGrid((0.0, 0.5), 4)
-        samples = berezin_grid(phi, grid, "harmonic_closed_form")
+        samples = berezin_harmonic(phi, grid.nodes())
         assert len(samples) == 8
         assert all(abs(s.value - 1.0) < 1e-14 for s in samples)
 
     def test_row_major_node_order(self):
         phi = HarmonicSymbol(1.0, 0.0, PolynomialSymbol([0.0, 1.0]))
         grid = DiscGrid((0.0, 0.5), 4)
-        samples = berezin_grid(phi, grid, "harmonic_closed_form")
+        samples = berezin_harmonic(phi, grid.nodes())
         expected = grid.nodes().ravel()
         np.testing.assert_allclose([s.z for s in samples], expected)
-
-    def test_unknown_route_rejected(self):
-        phi = HarmonicSymbol(1.0, 0.0, PolynomialSymbol([1.0]))
-        with pytest.raises(ValueError, match="route"):
-            berezin_grid(phi, DiscGrid((0.0, 0.5), 4), "poisson")
 
     def test_csv_header_and_shape(self, tmp_path):
         phi = HarmonicSymbol(1.0, 2.0, PolynomialSymbol([0.0, 1.0]))
         grid = DiscGrid((0.0, 0.25, 0.5), 8)
-        samples = berezin_grid(phi, grid, "harmonic_closed_form")
+        samples = berezin_harmonic(phi, grid.nodes())
         path = tmp_path / "grid.csv"
         grid_to_csv(samples, path)
         lines = path.read_text().strip().split("\n")
@@ -456,7 +458,7 @@ class TestGridSweepAndExport:
 
     def test_json_rows(self, tmp_path):
         phi = HarmonicSymbol(1.0, 0.0, PolynomialSymbol([2.0, 1.0]))
-        samples = berezin_grid(phi, DiscGrid((0.0, 0.5), 4), "harmonic_closed_form")
+        samples = berezin_harmonic(phi, DiscGrid((0.0, 0.5), 4).nodes())
         path = tmp_path / "grid.json"
         grid_to_json(samples, path)
         rows = json.loads(path.read_text())
@@ -505,7 +507,12 @@ class TestGridJsonBytes:
     @pytest.mark.parametrize("route", ["integral", "matrix", "harmonic_closed_form"])
     def test_sweeps_equal_json_dump(self, tmp_path, route):
         phi = HarmonicSymbol(1.0, 0.5, PrincipalPowerSymbol(1.0, -1.0))
-        samples = berezin_grid(phi, DiscGrid((0.0, 0.5), 4), route, SMALL, n=64)
+        grid = DiscGrid((0.0, 0.5), 4)
+        samples = {
+            "integral": lambda: berezin_grid(phi, grid, SMALL),
+            "matrix": lambda: berezin_matrix(toeplitz_harmonic(phi, 64), grid.nodes()),
+            "harmonic_closed_form": lambda: berezin_harmonic(phi, grid.nodes()),
+        }[route]()
         path = tmp_path / "grid.json"
         grid_to_json(samples, path)
         assert path.read_text() == json_dump_oracle(samples)

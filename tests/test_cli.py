@@ -334,6 +334,13 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="output_dir"):
             run_scenario(path)
 
+    def test_output_dir_argument_with_a_nul_byte(self, tmp_path):
+        # mkdir raised ValueError "embedded null byte", which ``berglab run`` reported
+        # as a numerical refusal (exit 3)
+        outdir = tmp_path / "o\0x"
+        with pytest.raises(ConfigError, match="cannot create output directory .*null byte"):
+            run_scenario(invertibility_config(), str(outdir))
+
     def test_parsed_config_runs_like_its_file(self, tmp_path):
         config = invertibility_config()
         from_dict = run_scenario(config, str(tmp_path / "a"))
@@ -895,6 +902,10 @@ class TestSchemaRefusals:
             pytest.param(invertibility_config(grid=[0.5]), "config.grid", id="grid-list"),
             pytest.param(invertibility_config(output_dir=5), "config.output_dir",
                          id="output_dir-int"),
+            # validate accepted it, and run exited 3 with "embedded null byte"
+            pytest.param(invertibility_config(output_dir="o\0x"), "config.output_dir",
+                         id="output_dir-nul"),
+            pytest.param(grid_config("poisson"), "config.route", id="unknown-route"),
         ],
     )
     def test_validate_and_run_refuse(self, tmp_path, capsys, config, field):
@@ -1011,6 +1022,7 @@ class TestSchemaRefusals:
 # out-of-domain, wrong-typed and borderline values; all small, so that a
 # value that happens to be valid still runs in milliseconds
 BAD = [None, "x", True, -1, 0, 1, 3, 7, 0.5, 1.0, 1.5, -2.5, float("nan"), float("inf"),
+       1e308, -1e308, 1e-320, 5e-324, [1e308, 1e308],
        [], {}, [1, 2, 3], [0.5, 2.0], "matrix", "3.3", "quadrature", "rational"]
 
 

@@ -1,6 +1,8 @@
 """tools/contract_search.py: the helpers of the exit-code contract search."""
 
+import copy
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,29 @@ def test_each_mutation_sets_one_leaf_to_one_value():
     assert label == "symbol.g.coeffs.0 = 100... (401 digits)"
     assert mutated["symbol"]["g"]["coeffs"] == [10**400, 1.0]
     assert BUILD["symbol"]["g"]["coeffs"] == [2.0, 1.0]  # the original is left as it was
+
+
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return json.dumps(config)
+
+
+def test_pair_mutations_set_two_different_leaves_each():
+    original = copy.deepcopy(BUILD)
+    cases = list(contract_search.pair_mutations(BUILD, count=50))
+    assert cases == list(contract_search.pair_mutations(BUILD, count=50))  # a fixed draw
+    assert len({label for label, _ in cases}) == 50  # no case twice
+    leaves = {".".join(map(str, path)): path for path in contract_search.leaves(BUILD)}
+    for label, mutated in cases:
+        first, second = (part.partition(" = ")[0] for part in label.split("; "))
+        assert first != second
+        changed = {name for name, path in leaves.items() if _at(mutated, path) != _at(BUILD, path)}
+        assert changed <= {first, second}
+    assert BUILD == original  # the original is left as it was
+    # 9 leaves: 36 pairs of leaves, each with every pair of values, and no more
+    every = contract_search.pair_mutations(BUILD, count=10**6)
+    assert sum(1 for _ in every) == 36 * len(contract_search.VALUES) ** 2
 
 
 @pytest.mark.parametrize("validated, ran, holds", [

@@ -1,4 +1,4 @@
-"""Search the exit-code contract over every single-leaf mutation of the workload scenarios.
+"""Search the exit-code contract over single- and two-leaf mutations of the workload scenarios.
 
 Usage, from the repository root:
 
@@ -6,7 +6,9 @@ Usage, from the repository root:
 
 Every scenario of ``bench/workloads.py`` (seed 7) is shrunk to desk size
 (:func:`shrink`), and then one leaf at a time is set to each value of
-:data:`VALUES`, sizes included (:func:`mutations`).  Each case runs
+:data:`VALUES`, sizes included (:func:`mutations`); then :data:`PAIRS` cases
+per scenario, drawn with a fixed seed, set two different leaves each
+(:func:`pair_mutations`).  Each case runs
 ``berglab validate`` and twice ``berglab run`` through ``berglab.cli.main``
 in this process.  A case violates the contract when
 
@@ -36,8 +38,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
+import random
 import resource
 import shutil
 import signal
@@ -62,6 +66,9 @@ VALUES = [
     0, -1, 1e308, -1e308, 1e-320, -1e-320, 5e-324, float("nan"), float("inf"), 0.5, 1, 2, 3,
     1e300, -1e300, [1e308, 1e308], [1e-320, 0], 2**40, 2**63, 10**400,
 ]
+#: two-leaf cases drawn per scenario, and the seed of the draw
+PAIRS = 200
+PAIR_SEED = 7
 #: seconds a case may run
 TIMEOUT_S = 5
 #: bytes of address space this process may map: about ten times what it maps at start
@@ -94,17 +101,37 @@ def leaves(node, path=()):
         yield path
 
 
+def _mutated(config: dict, assignments) -> tuple[str, dict]:
+    """A label and a copy of ``config`` with each ``(leaf path, value)`` of ``assignments``
+    set; the label joins each leaf's dotted path and value with ``; ``."""
+    mutated = copy.deepcopy(config)
+    labels = []
+    for path, value in assignments:
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(value)
+        labels.append(f"{'.'.join(map(str, path))} = {_short(json.dumps(value))}")
+    return "; ".join(labels), mutated
+
+
 def mutations(config: dict):
     """``(label, mutated config)`` for each leaf of ``config`` and each value of
     :data:`VALUES`; the label is the leaf's dotted path and the value."""
     for path in leaves(config):
         for value in VALUES:
-            mutated = copy.deepcopy(config)
-            parent = mutated
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = copy.deepcopy(value)
-            yield f"{'.'.join(map(str, path))} = {_short(json.dumps(value))}", mutated
+            yield _mutated(config, [(path, value)])
+
+
+def pair_mutations(config: dict, count: int = PAIRS):
+    """``count`` distinct ``(label, mutated config)`` cases, each setting two different
+    leaves of ``config`` to values of :data:`VALUES`, drawn by ``random.Random(PAIR_SEED)``."""
+    pairs = list(itertools.combinations(leaves(config), 2))
+    n = len(VALUES)
+    cases = range(len(pairs) * n * n)
+    for i in random.Random(PAIR_SEED).sample(cases, min(count, len(cases))):
+        (p, q), (u, v) = pairs[i // (n * n)], divmod(i % (n * n), n)
+        yield _mutated(config, [(p, VALUES[u]), (q, VALUES[v])])
 
 
 def _short(text: str) -> str:
@@ -175,7 +202,8 @@ def main() -> int:
     counts = {"case": 0, "violation": 0, "validate-3": 0, "timeout": 0}
     with tempfile.TemporaryDirectory() as tmp:
         for key, config in workload_scenarios(7).items():
-            for label, mutated in mutations(shrink(config)):
+            small = shrink(config)
+            for label, mutated in itertools.chain(mutations(small), pair_mutations(small)):
                 counts["case"] += 1
                 signal.alarm(TIMEOUT_S)
                 try:
