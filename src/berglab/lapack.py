@@ -22,40 +22,39 @@ from .errors import NumericalError
 
 #: C prototypes of the LAPACK routines the routes call through ctypes, as OpenBLAS's
 #: 64-bit integer interface exports them (``scipy_<name>_64_``): ``d`` is a double,
-#: ``double_complex`` two, and every integer a 64-bit Fortran INTEGER; a ``char *``
-#: takes one byte and no hidden length
+#: ``double_complex`` two, and every integer a 64-bit Fortran INTEGER, ``info *`` the
+#: INFO that :func:`_call_lapack` appends; a ``char *`` takes one byte and no hidden length
 _LAPACK_PROTOTYPES = {
     "dgbbrd": "void (char *, int *, int *, int *, int *, int *, d *, int *, d *, d *, d *, "
-    "int *, d *, int *, d *, int *, d *, int *)",
-    "dgelqf": "void (int *, int *, d *, int *, d *, d *, int *, int *)",
-    "dgeqrf": "void (int *, int *, d *, int *, d *, d *, int *, int *)",
-    "dormlq": "void (char *, char *, int *, int *, int *, d *, int *, d *, d *, int *, d *, "
-    "int *, int *)",
-    "dormqr": "void (char *, char *, int *, int *, int *, d *, int *, d *, d *, int *, d *, "
-    "int *, int *)",
+    "int *, d *, int *, d *, int *, d *, info *)",
+    "dgeqrf": "void (int *, int *, d *, int *, d *, d *, int *, info *)",
+    "dlarfb": "void (char *, char *, char *, char *, int *, int *, int *, d *, int *, d *, "
+    "int *, d *, int *, d *, int *)",
+    "dlarft": "void (char *, char *, int *, int *, d *, int *, d *, d *, int *)",
     "dsbgvx": "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, "
-    "d *, int *, d *, d *, int *, int *, d *, int *, d *, d *, int *, d *, int *, int *, int *)",
+    "d *, int *, d *, d *, int *, int *, d *, int *, d *, d *, int *, d *, int *, int *, info *)",
     "dstebz": "void (char *, char *, int *, d *, d *, int *, int *, d *, d *, d *, int *, "
-    "int *, d *, int *, int *, d *, int *, int *)",
+    "int *, d *, int *, int *, d *, int *, info *)",
     "zgbbrd": "void (char *, int *, int *, int *, int *, int *, double_complex *, int *, d *, "
     "d *, double_complex *, int *, double_complex *, int *, double_complex *, int *, "
-    "double_complex *, d *, int *)",
+    "double_complex *, d *, info *)",
     "zhbgvx": "void (char *, char *, char *, int *, int *, int *, double_complex *, int *, "
     "double_complex *, int *, double_complex *, int *, d *, d *, int *, int *, d *, int *, "
-    "d *, double_complex *, int *, double_complex *, d *, int *, int *, int *)",
+    "d *, double_complex *, int *, double_complex *, d *, int *, int *, info *)",
 }
 #: the numpy dtype each pointer of a prototype is called with
-_POINTER_DTYPES = {"int *": np.int64, "d *": np.float64, "double_complex *": np.complex128}
+_POINTER_DTYPES = {
+    "int *": np.int64, "info *": np.int64, "d *": np.float64, "double_complex *": np.complex128
+}
 #: the flags every array argument must have: LAPACK reads column-major and writes
 _POINTER_FLAGS = ("F_CONTIGUOUS", "WRITEABLE")
 #: twice the safe minimum: the tightest bisection tolerance, which LAPACK advises
 _ABSTOL = 2 * np.finfo(float).tiny
-#: the upper bandwidth :func:`dense_band_sigma` reduces to: above 32, as ``dormqr`` and
-#: ``dormlq`` apply 32 reflectors or fewer unblocked; a wider band slows ``dgbbrd``
-#: (``DECISIONS.md`` entry 14)
-_DENSE_BAND = 40
-#: ``dormqr`` and ``dormlq`` block at most 64 reflectors, with a 65 x 64 triangular factor
-_ORM_BLOCK = 64
+#: the upper bandwidth :func:`dense_band_sigma` reduces to, and the reflectors each of its
+#: panels applies in one ``dlarfb``: a wider band slows ``dgbbrd``, a narrower one the
+#: panels' products; a multiple of 32, so that on N a multiple of 32 the reduction's
+#: bits do not depend on the BLAS thread count (``DECISIONS.md`` entry 14)
+_DENSE_BAND = 32
 
 
 def _bind() -> dict | str:
@@ -120,17 +119,18 @@ def _lapack_routine(name: str):
 
 
 def _call_lapack(name: str, *args) -> None:
-    """LAPACK's ``name`` on ``args`` and an INFO appended as its last argument; a Python
-    int becomes an int64 and a float a double, and a nonzero INFO is refused.  A wrong
-    number of arguments, or one that :func:`_lapack_routine` does not accept, raises
-    before the call."""
+    """LAPACK's ``name`` on ``args``, with an INFO appended as its last argument where
+    the prototype ends in ``info *``; a Python int becomes an int64 and a float a double,
+    and a nonzero INFO is refused.  A wrong number of arguments, or one that
+    :func:`_lapack_routine` does not accept, raises before the call."""
     routine = _lapack_routine(name)
     info = np.zeros((), np.int64)
+    tail = (info,) if _LAPACK_PROTOTYPES[name].endswith("info *)") else ()
     routine(*(
         np.array(a, np.int64 if isinstance(a, int) else np.float64)
         if isinstance(a, (int, float))
         else a
-        for a, _ in zip((*args, info), routine.argtypes, strict=True)
+        for a, _ in zip((*args, *tail), routine.argtypes, strict=True)
     ))
     if info:
         raise NumericalError(f"LAPACK {name} returned info {int(info)}; refusing its result")
@@ -298,12 +298,14 @@ def dense_band_sigma(a: np.ndarray) -> float:
 
     A, brought to a largest modulus in [1/2, 1) by an exact power of two, is reduced
     to an upper band of width b = ``_DENSE_BAND`` by orthogonal transforms, one panel
-    of b columns at a time (Grosser & Lang 1999): ``dgeqrf`` and ``dormqr`` clear the
-    panel below its diagonal, then ``dgelqf`` and ``dormlq`` clear the panel's rows
-    beyond the band.  Everything but the panels runs in blocked, matrix-matrix form,
-    where ``dgebrd`` (inside the dense SVD) spends half its work in matrix-vector
-    products.  :func:`_band_sigma` finishes on the band's N x N top, and sigma is
-    scaled back (``DECISIONS.md`` entry 14).
+    of b columns at a time (Grosser & Lang 1999).  ``dgeqrf`` clears the panel below its
+    diagonal; the panel's rows beyond the band, copied transposed into one contiguous
+    buffer, are cleared by ``dgeqrf`` too, L = R^T taking their place.  Each panel's b
+    reflectors reach the trailing columns, or the rows below, as one compact-WY block
+    (``dlarft``, then ``dlarfb``; Schreiber & Van Loan 1989), so everything but the
+    panels runs in matrix-matrix form, where ``dgebrd`` (inside the dense SVD) spends
+    half its work in matrix-vector products.  :func:`_band_sigma` finishes on the
+    band's N x N top, and sigma is scaled back (``DECISIONS.md`` entry 14).
     """
     a = np.require(a, np.float64, ["F", "W"])
     rows, n = a.shape
@@ -313,24 +315,33 @@ def dense_band_sigma(a: np.ndarray) -> float:
     exp = math.frexp(top)[1]
     np.ldexp(a, -exp, out=a)  # exact unless an entry underflows
     flat = a.reshape(-1, order="F")  # a view: every block is a suffix of it
-    tau, work = np.zeros(_DENSE_BAND), np.zeros((rows + _ORM_BLOCK + 1) * _ORM_BLOCK)
-    lwork = work.size
-    for k in range(0, n, _DENSE_BAND):
-        nb, rest = min(_DENSE_BAND, n - k), max(n - k - _DENSE_BAND, 0)
+    b = _DENSE_BAND
+    tau, t = np.zeros(b), np.zeros((b, b), order="F")
+    work = np.zeros(rows * b)  # dgeqrf's, and dlarfb's ldwork x b with ldwork <= rows
+    transposed = np.zeros(max(n - b, 0) * b)  # a row panel's transpose, rest x nb
+    for k in range(0, n, b):
+        nb, rest = min(b, n - k), max(n - k - b, 0)
         panel = _block(flat, rows, k, k, rows - k, nb)
-        _call_lapack("dgeqrf", rows - k, nb, panel, rows, tau, work, lwork)
-        if rest:
-            right = _block(flat, rows, k, k + nb, rows - k, rest)
-            _call_lapack(
-                "dormqr", b"L", b"T", rows - k, rest, nb, panel, rows, tau, right, rows,
-                work, lwork,
-            )
-            _call_lapack("dgelqf", nb, rest, right, rows, tau, work, lwork)
-            _call_lapack(
-                "dormlq", b"R", b"T", rows - k - nb, rest, min(nb, rest), right, rows, tau,
-                _block(flat, rows, k + nb, k + nb, rows - k - nb, rest), rows, work, lwork,
-            )
-    ku = min(_DENSE_BAND, n - 1)
+        _call_lapack("dgeqrf", rows - k, nb, panel, rows, tau, work, work.size)
+        if not rest:
+            break
+        _call_lapack("dlarft", b"F", b"C", rows - k, nb, panel, rows, tau, t, b)
+        _call_lapack(
+            "dlarfb", b"L", b"T", b"F", b"C", rows - k, rest, nb, panel, rows, t, b,
+            _block(flat, rows, k, k + nb, rows - k, rest), rows, work, rest,
+        )
+        # the panel's rows right of it, a[k : k + nb, k + nb :] = L Q, as Q R = L^T
+        row = transposed[: rest * nb].reshape(rest, nb, order="F")
+        row[...] = a[k : k + nb, k + nb :].T
+        _call_lapack("dgeqrf", rest, nb, row, rest, tau, work, work.size)
+        reflectors, below = min(nb, rest), rows - k - nb
+        _call_lapack("dlarft", b"F", b"C", rest, reflectors, row, rest, tau, t, b)
+        _call_lapack(
+            "dlarfb", b"R", b"N", b"F", b"C", below, rest, reflectors, row, rest, t, b,
+            _block(flat, rows, k + nb, k + nb, below, rest), rows, work, below,
+        )
+        a[k : k + nb, k + nb :] = row.T  # R^T, and reflectors beyond the band, unread
+    ku = min(b, n - 1)
     ab = np.zeros((ku + 1, n), order="F")
     for s in range(ku + 1):
         ab[ku - s, s:] = a.diagonal(s)  # a[i, i + s]

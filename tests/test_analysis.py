@@ -1084,15 +1084,16 @@ class TestBandWindows:
 
 
 CUT = analysis._BAND_REDUCTION_CUT
+#: the band reduction route's panel width
+B = lapack._DENSE_BAND
 
 
 def band_reduction_calls(n):
-    """The LAPACK calls of the band reduction route on N columns, in order: a QR and an
-    LQ step per panel of b columns, a QR of the last panel, then the band's steps."""
-    panels = -(-n // lapack._DENSE_BAND)
-    return ["dgeqrf", "dormqr", "dgelqf", "dormlq"] * (panels - 1) + [
-        "dgeqrf", "dgbbrd", "dstebz"
-    ]
+    """The LAPACK calls of the band reduction route on N columns, in order: per panel of
+    b columns, a QR of the panel and of its rows' transpose, each applied as one compact-WY
+    block; a QR of the last panel; then the band's steps."""
+    panels = -(-n // B)
+    return ["dgeqrf", "dlarft", "dlarfb"] * 2 * (panels - 1) + ["dgeqrf", "dgbbrd", "dstebz"]
 
 
 def rotated_section(t, c, d, n):
@@ -1144,6 +1145,18 @@ class TestDenseBandSigma:
         assert m.dtype == np.float64 and m.shape[1] == n
         routines = lapack_calls(monkeypatch)
         sigma = smallest_singular_value(m)
+        assert routines == band_reduction_calls(n)
+        assert_matches_svd(sigma, m)
+
+    @pytest.mark.parametrize("extra_rows", [0, 1, 96])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B - 1, 3 * B + 1])
+    def test_ragged_panels_match_dense_svd(self, monkeypatch, n, extra_rows):
+        # the last panel narrower than b, and a row panel with fewer columns to its right
+        # than rows (N = 3b - 1: b - 1 of them; 3b + 1 and b + 1: one), whose transpose is
+        # factored over all of the panel's rows
+        m = np.random.default_rng(n + extra_rows).normal(size=(n + extra_rows, n))
+        routines = lapack_calls(monkeypatch)
+        sigma = lapack.dense_band_sigma(np.asfortranarray(m))
         assert routines == band_reduction_calls(n)
         assert_matches_svd(sigma, m)
 
@@ -1401,9 +1414,26 @@ class TestNumpyOpenblas:
         for ab in (band, read_only):
             with pytest.raises(ctypes.ArgumentError, match="F_CONTIGUOUS|WRITEABLE"):
                 lapack._call_lapack("dgbbrd", b"N", 4, 4, 0, 1, 1, ab, *[0] * 10)
-        # and one argument short is refused before ctypes sees any
-        with pytest.raises(ValueError, match="zip"):
-            lapack._call_lapack("dgbbrd", b"N", *[0] * 15)
+
+    @pytest.mark.parametrize("name", sorted(lapack._LAPACK_PROTOTYPES))
+    def test_wrong_argument_count_is_refused_before_the_call(self, monkeypatch, name):
+        # one argument short or one too many is refused before ctypes sees any; the INFO
+        # that _call_lapack appends counts against the prototype, and dlarft and dlarfb
+        # have none, so their callers pass every argument themselves
+        params = lapack._LAPACK_PROTOTYPES[name][len("void (") : -1].split(", ")
+        given = len(params) - (params[-1] == "info *")
+        assert (name in ("dlarfb", "dlarft")) == (given == len(params))
+
+        class Unreached:
+            argtypes = lapack._lapack_routine(name).argtypes
+
+            def __call__(self, *args):
+                raise AssertionError(f"{name} called with {len(args)} arguments")
+
+        monkeypatch.setattr(lapack, "_lapack_routine", lambda _: Unreached())
+        for count in (given - 1, given + 1):
+            with pytest.raises(ValueError, match="zip"):
+                lapack._call_lapack(name, *[0] * count)
 
     def test_nonzero_info_is_refused(self, monkeypatch):
         class Routine:

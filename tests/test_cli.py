@@ -575,6 +575,21 @@ class TestDeterminism:
         run_scenario(path, str(b))
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_example35_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # N = 1024 takes lapack.dense_band_sigma; at b = 32 every compact-WY block it
+        # applies is a multiple of 32 wide, and kept its bits at 1 and 2 threads
+        reports = []
+        for threads in ("1", "2"):
+            outdir = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "berglab.cli", "example35", "--t", "1",
+                 "--schedule", "128,256,512,1024", "--output-dir", str(outdir)],
+                capture_output=True, check=True,
+                env=dict(subprocess_env(), OPENBLAS_NUM_THREADS=threads),
+            )
+            reports.append((outdir / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
 
 INVERTIBILITY_KEYS = [
     "verdict", "inf_estimate", "argmin", "sizes", "sigma_min", "drift", "stabilized",
