@@ -84,19 +84,12 @@ class PowerSeries:
         are trusted that far, since c_k of the product only involves
         factor coefficients of index <= k.
         """
-        degree = _at_least(degree, 0, "degree")
-        full = np.convolve(self.coeffs, other.coeffs)
-        return PowerSeries(full[: degree + 1]).padded(degree + 1)
+        return PowerSeries(np.convolve(self.coeffs, other.coeffs)).truncated(degree)
 
     def truncated(self, degree: int) -> "PowerSeries":
-        return PowerSeries(self.coeffs[: degree + 1]).padded(degree + 1)
-
-    def padded(self, length: int) -> "PowerSeries":
-        if length <= len(self.coeffs):
-            return self
-        out = np.zeros(length, dtype=np.complex128)
-        out[: len(self.coeffs)] = self.coeffs
-        return PowerSeries(out)
+        """Coefficients 0 .. ``degree``, an integer at least 0: cut, or padded with zeros."""
+        degree = _at_least(degree, 0, "degree")
+        return PowerSeries(np.pad(self.coeffs[: degree + 1], (0, max(degree - self.degree, 0))))
 
 
 def bergman_inner_product(f, g) -> complex:

@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Immutable N x N truncation with provenance.
+    """Immutable N x N truncation with provenance, finite in every entry.
 
     ``builder`` records which route produced the entries
     ("closed_form" or "quadrature"); downstream reports echo it so a
@@ -53,13 +53,18 @@ class TruncatedOperator:
     symbol_tag: str
     builder: str
 
-    #: set only by the builders below, whose fresh complex128 array is adopted uncopied
+    #: set only by the builders below, whose fresh C-ordered complex128 array is adopted uncopied
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
-        arr = self.matrix if _fresh else np.array(self.matrix, dtype=np.complex128)
+        arr = self.matrix if _fresh else np.array(self.matrix, dtype=np.complex128, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("matrix must be square and nonempty")
+        # max is NaN or inf for a NaN or +inf part, min for -inf; unlike np.isfinite,
+        # neither reduction allocates an N^2 temporary
+        parts = arr.view(np.float64)
+        if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
+            raise NumericalError(f"{self.symbol_tag}: matrix holds non-finite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
         if self.builder not in ("closed_form", "quadrature"):
@@ -191,15 +196,8 @@ def _row_reprs(row: np.ndarray):
     return iter(out)
 
 
-def _check_finite(values, what: str) -> None:
-    """Refuse to export ``what`` when ``values`` hold a NaN or an infinity."""
-    if not np.isfinite(values).all():
-        raise NumericalError(f"{what} holds non-finite entries, refusing to export")
-
-
 def matrix_to_csv(op: TruncatedOperator, path) -> None:
     """Write rows of alternating re,im entries, full double precision."""
-    _check_finite(op.matrix, f"{op.symbol_tag}: matrix")
     with open(path, "w") as fh:
         for row in op.matrix:
             fh.write(",".join(_row_reprs(row)) + "\n")
@@ -220,7 +218,6 @@ def matrix_to_json(op: TruncatedOperator, path) -> None:
     file is byte-identical to ``json.dump(payload, fh, indent=1)`` plus a
     newline, but is written one row at a time.
     """
-    _check_finite(op.matrix, f"{op.symbol_tag}: matrix")
     header = json.dumps(
         {"N": op.n, "symbol_tag": op.symbol_tag, "builder": op.builder}, indent=1
     )

@@ -83,6 +83,27 @@ class TestIntegralRoute:
             BerezinSample(z=0j, value=1 + 0j, route="integral", error_estimate=np.nan)
 
     @pytest.mark.parametrize(
+        "z, value, estimate, match",
+        [
+            (0.5j, complex(1.0, np.inf), 0.0, r"non-finite \|value\| inf at z = 0\.5j"),
+            (0.5j, complex(np.nan, 1.0), 0.0, r"non-finite \|value\| nan at z = 0\.5j"),
+            # each part is finite, but abs() of the value raises OverflowError
+            (0j, complex(1.4e308, 1.4e308), 0.0, r"non-finite \|value\| inf at z = 0j"),
+            (0.5, 1.0 + 0j, np.inf, r"non-finite error_estimate inf at z = 0\.5"),
+            (complex(np.nan, 0.0), 1.0 + 0j, 0.0, r"non-finite \|z\| nan at z = \(nan\+0j\)"),
+        ],
+        ids=["infinite-value", "nan-value", "overflowing-modulus", "infinite-estimate", "nan-z"],
+    )
+    def test_non_finite_sample_refused(self, z, value, estimate, match):
+        with pytest.raises(NumericalError, match=match):
+            BerezinSample(z, value, "integral", estimate)
+
+    def test_value_and_estimate_are_tested_apart(self):
+        # |value| + error_estimate overflows, but each is finite
+        s = BerezinSample(0j, complex(1.7e308, 0.0), "integral", 1.7e308)
+        assert s.value == 1.7e308 and s.error_estimate == 1.7e308
+
+    @pytest.mark.parametrize(
         "route, estimate, match",
         [("integral", -1e-3, "error_estimate must be nonnegative"),
          ("fourier", 0.0, "unknown route 'fourier'")],
@@ -519,8 +540,11 @@ class TestGridJsonBytes:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_before_the_file_is_opened(self, tmp_path, bad):
-        samples = [self.EDGE_SAMPLES[0], BerezinSample(0.5j, complex(1.0, bad), "integral", 0.0)]
+        # the sample is refused where it is built, so no writer ever meets one
         path = tmp_path / "missing-dir" / "grid.json"  # opening it would raise FileNotFoundError
-        with pytest.raises(NumericalError, match="non-finite"):
-            grid_to_json(samples, path)
+        with pytest.raises(NumericalError, match=r"non-finite \|value\| \S+ at z = 0\.5j"):
+            grid_to_json(
+                [self.EDGE_SAMPLES[0], BerezinSample(0.5j, complex(1.0, bad), "integral", 0.0)],
+                path,
+            )
         assert not path.parent.exists()

@@ -945,6 +945,27 @@ class TestSchemaRefusals:
         assert run_both(tmp_path, json.dumps(config)) == ((0, 3), False)
         assert "error: " in capsys.readouterr().err
 
+    def test_grid_too_large_to_allocate_exits_3(self, tmp_path):
+        # validate builds no node of a grid inside radius 1 - 2^-46; run needs 2^40 nodes,
+        # 16 TiB, which an uncapped process might map, so both run in a child whose
+        # address space is capped, as tools/contract_search.py caps its own
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(grid_config("harmonic_closed_form",
+                                               grid={**GRID, "angles": 2**40})))
+        run = ["run", str(path), "--output-dir", str(tmp_path / "o")]
+        code = f"""
+import resource
+from berglab.cli import main
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+print("exit codes", main(["validate", {str(path)!r}]), main({run!r}))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=dict(subprocess_env(), OPENBLAS_NUM_THREADS="1"))
+        assert proc.stdout.splitlines()[-1] == "exit codes 0 3"
+        assert proc.stderr.startswith("error: Unable to allocate"), proc.stderr
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -959,7 +980,7 @@ class TestSchemaRefusals:
                           "symbol": {"c": 1e200, "d": 0.0,
                                      "g": {"type": "polynomial", "coeffs": [1.0, 1.0]}}},
                          id="toeplitz_build"),
-            # infinite entries: the dense sigma_min refuses them before any file is written
+            # infinite entries: the operator refuses them where it is built, before any file
             pytest.param(build_config({"c": 1e300, "d": 0.0,
                                        "g": {"type": "polynomial", "coeffs": [1e10, 1.0]}}, 4),
                          id="toeplitz_build-infinite-entries"),
@@ -977,8 +998,9 @@ class TestSchemaRefusals:
             # the norm proxy is inf: refused for it, not for the NaN estimate it gives
             # at z = 0, where the kernel tail is 0
             pytest.param("matrix", 1e300, "operator norm proxy inf", id="matrix"),
-            # the two rules' values are both inf, and abs(inf - inf) is NaN
-            pytest.param("integral", 1e308, "error_estimate is NaN", id="integral"),
+            # phi overflows on the rule's nodes, and complex arithmetic on inf gives NaN:
+            # the sample is refused for its value where it is built
+            pytest.param("integral", 1e308, "non-finite |value| nan at z = 0j", id="integral"),
         ],
     )
     def test_berezin_overflow_exits_3(self, tmp_path, capsys, route, c, message):
@@ -1148,7 +1170,8 @@ HUGE_SYMBOL = {**SYMBOL, "c": [0.7e308, 0.7e308], "d": 0}
 HUGE = 2**63
 CONTRACT_REGRESSIONS = {
     "closed-form modulus overflow": (
-        grid_config("harmonic_closed_form", symbol=HUGE_SYMBOL), 3, "|value| overflows at z = 0j"
+        grid_config("harmonic_closed_form", symbol=HUGE_SYMBOL), 3,
+        "non-finite |value| inf at z = 0j",
     ),
     "matrix-route section overflow": (
         grid_config("matrix", symbol=HUGE_SYMBOL, **ROUTE_FIELDS["matrix"]), 3,

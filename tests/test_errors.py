@@ -54,6 +54,10 @@ VALIDATORS = {
         lambda n: PowerSeries([1.0, 2.0]).mul(PowerSeries([3.0]), n).degree, 0, "degree",
         TypeError,
     ),
+    # a negative degree used to cut from the end: degree -2 kept all but the last coefficient
+    "PowerSeries.truncated.degree": (
+        lambda n: PowerSeries([1.0, 2.0, 3.0]).truncated(n).degree, 0, "degree", TypeError,
+    ),
     # a JSON float is refused by the schema before the rule, naming the field's path
     **{
         f"cli.{field}": (_cli(field), least, f"config.{field}: {field}", ConfigError)

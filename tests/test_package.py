@@ -105,7 +105,9 @@ def test_smallest_singular_value_holds_the_only_svd():
 def test_one_gate_per_numerical_check():
     """A coefficient vector is checked by PowerSeries alone, a sigma_min scaled back by
     ``lapack._scale_back`` alone and refused as non-finite by ``analysis._finite_sigma``
-    alone, and the trend picks its route before one call to ``_scaled_sigma_min``."""
+    alone, and the trend picks its route before one call to ``_scaled_sigma_min``.  An
+    operator or a Berezin sample is refused as non-finite where it is built, a report where
+    it is written, and no matrix or grid writer checks finiteness again."""
     checks = [
         (name, func)
         for name, func, node in _owned_nodes(ast.Call)
@@ -121,6 +123,20 @@ def test_one_gate_per_numerical_check():
     assert refusals == [("analysis.py", "_finite_sigma")]
     trend_calls = [c for c in _calls("_scaled_sigma_min") if c[1] == "_trend_sigma_min"]
     assert len(trend_calls) == 1
+    non_finite = [
+        (name, func)
+        for name, func, node in _owned_nodes(ast.Raise)
+        if node.exc is not None and "non-finite" in ast.unparse(node.exc)
+    ]
+    assert non_finite == [
+        ("analysis.py", "_finite_sigma"),
+        ("berezin.py", "__post_init__"),
+        ("cli.py", "_write_json"),
+        ("toeplitz.py", "__post_init__"),
+    ]
+    writers = {"matrix_to_csv", "matrix_to_json", "grid_to_csv", "grid_to_json"}
+    assert [c for c in _calls("finite") if c[1] in writers] == []
+    assert [func for _, func, _ in _owned_nodes(ast.Raise) if func in writers] == []
 
 
 def test_no_public_function_only_calls_a_public_class():

@@ -1,5 +1,7 @@
 """Symbol families, exact Taylor series, grid minimization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,27 @@ class TestDiscGrid:
         # 1 - 2^-53 < 1, yet (1 - 2^-53) e^{i pi / 4} rounds to modulus 1
         with pytest.raises(DomainError, match="grid node"):
             DiscGrid((0.5, 1 - 2**-53), 8)
+
+    @pytest.mark.parametrize("steps_below", [0, 1, 2**20])
+    def test_rings_up_to_the_bound_lie_inside(self, steps_below):
+        # the grid builds no nodes up to radius 1 - 2^-46, trusting that rounding moves
+        # |r e^{it}| by a few ulps at most: far inside the 2^-46 margin at any angle count
+        r = 1.0 - 2.0**-46 - steps_below * 2.0**-53
+        for angles in [*range(4, 1024), 2**16, 3 * 2**14 + 1, 10**5 + 3]:
+            moduli = np.abs(DiscGrid((0.5, r), angles).nodes()[1])
+            assert moduli.max() <= r + 8 * 2.0**-53, angles
+
+    def test_grid_inside_the_bound_allocates_no_nodes(self):
+        # 2^40 nodes would be 16 TiB: validate builds the grid and used to allocate them
+        DiscGrid((0.5,), 8)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            grid = DiscGrid((0.0, 0.5, 1.0 - 2.0**-46), 2**40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.angles_per_radius == 2**40
+        assert peak < 4096
 
     @pytest.mark.parametrize(
         "radii", [(0.0, np.nan), (np.nan,), (0.0, np.nan, 0.5)], ids=["last", "only", "middle"]

@@ -327,6 +327,15 @@ class TestTruncatedOperator:
         with pytest.raises(ValueError, match="builder"):
             TruncatedOperator(np.eye(2), "x", "magic")
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_entries(self, bad, order):
+        # one bad part among finite ones, the largest and smallest doubles included
+        m = np.full((3, 3), complex(1.7e308, -1.7e308), order=order)
+        m[2, 1] = bad
+        with pytest.raises(NumericalError, match="x: matrix holds non-finite entries"):
+            TruncatedOperator(m, "x", "closed_form")
+
     def test_caller_array_is_copied_and_frozen(self):
         m = np.eye(3, dtype=np.complex128)
         op = TruncatedOperator(m, "x", "closed_form")
@@ -493,9 +502,19 @@ class TestExports:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("writer", [matrix_to_json, matrix_to_csv])
     def test_non_finite_refused_without_a_file(self, tmp_path, bad, writer):
+        # the operator is refused where it is built, so no writer ever meets one
         m = np.eye(3, dtype=np.complex128)
         m[2, 1] = bad
         path = tmp_path / "m.out"
         with pytest.raises(NumericalError, match="non-finite"):
             writer(TruncatedOperator(m, "x", "closed_form"), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_literal_refused(self, tmp_path, literal):
+        # json.load accepts these literals; the operator they would build is refused
+        path = tmp_path / "m.json"
+        payload = {"N": 1, "symbol_tag": "x", "builder": "closed_form", "data": [[[1.0, 0.0]]]}
+        path.write_text(json.dumps(payload).replace("0.0", literal))
+        with pytest.raises(NumericalError, match="x: matrix holds non-finite entries"):
+            matrix_from_json(path)

@@ -19,9 +19,10 @@ in this process.  A case violates the contract when
 * two runs exit differently, or emit different bytes (the manifest's
   ``timings_s`` aside).
 
-Cases that ``validate`` itself refuses numerically (exit 3), such as a
-grid too large to allocate, are listed apart: they keep the contract, but
-``validate`` should refuse them without computing.  A case that runs
+Cases that ``validate`` itself refuses numerically (exit 3) are listed
+apart: they keep the contract, but ``validate`` should refuse them without
+computing, so each marks work that ``validate`` does and only ``run``
+needs.  A case that runs
 longer than :data:`TIMEOUT_S` seconds is listed, not judged; the alarm fires
 between Python bytecodes, so a long call into numpy ends first.
 
