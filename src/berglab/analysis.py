@@ -97,8 +97,9 @@ _NORMAL_TOL = 1e-10
 _BAND_RATIO_REAL = 16
 _BAND_RATIO_COMPLEX = 64
 #: a real matrix with at least this many columns takes :func:`lapack.dense_band_sigma`,
-#: which breaks even with the dense SVD near N = 700 (1 BLAS thread; DECISIONS.md entry 14)
-_BAND_REDUCTION_CUT = 768
+#: which breaks even with the dense SVD between N = 448 and 512 (1 BLAS thread;
+#: DECISIONS.md entry 14)
+_BAND_REDUCTION_CUT = 512
 #: the denominator of a polynomial
 _ONE = np.ones(1)
 #: g = z, whose section is the Bergman shift's
@@ -214,13 +215,15 @@ def _constant_sigma(c, d, p: np.ndarray, q: np.ndarray, *, n: int):
     return abs(c * a0 + d * np.conj(a0))
 
 
-def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
+def _trend_sigma_min(phi: HarmonicSymbol, n: int, series: np.ndarray | None = None) -> float:
     """sigma_min of ``toeplitz_harmonic(phi, n)``.
 
     T is the section of g = p/q, where p and q are the numerator and
     denominator of a rational g, and for any other g the Taylor polynomial
-    p of degree N - 1: T reads a_0 .. a_{N-1} alone.  Exact trailing zeros
-    are trimmed.  Degree 0 takes the closed form :func:`_constant_sigma`.  A band of
+    p of degree N - 1: T reads a_0 .. a_{N-1} alone, the first N entries of
+    ``series`` (g's coefficients to degree N - 1 or beyond; ``g.series(n - 1)``
+    if not given).  Exact trailing zeros are trimmed.  Degree 0 takes the closed
+    form :func:`_constant_sigma`.  A band of
     half-bandwidth m = max(deg p, deg q) is narrow while (2m + 1) * ratio
     <= N: then a polynomial takes :func:`lapack.bidiagonal_sigma`, O(N^2 m)
     on T itself, and a rational g :func:`lapack.pencil_sigma`, its only
@@ -231,7 +234,10 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int) -> float:
     """
     c, d, g = phi.c, phi.d, phi.g
     rational = isinstance(g, RationalSymbol)
-    num, den = (g.p.coeffs[:n], g.q.coeffs[:n]) if rational else (g.series(n - 1).coeffs, _ONE)
+    if rational:
+        num, den = g.p.coeffs[:n], g.q.coeffs[:n]
+    else:
+        num, den = (g.series(n - 1).coeffs if series is None else series)[:n], _ONE
     p, q = (x[: max(1, len(np.trim_zeros(x, "b")))] for x in (num, den))
     complex_pencil = rational and (np.imag([c, d]).any() or p.imag.any() or q.imag.any())
     ratio = _BAND_RATIO_COMPLEX if complex_pencil else _BAND_RATIO_REAL
@@ -347,10 +353,14 @@ def bounded_below_trend(
 
     The schedule must pass :func:`check_schedule`.  A polynomial g with
     a narrow band and a rational g with a narrow pencil never build the
-    dense matrix (see :func:`_trend_sigma_min`).
+    dense matrix (see :func:`_trend_sigma_min`).  Any g but a rational one is expanded
+    once, to degree max(sizes) - 1, and each size reads its prefix: every family's
+    ``series(n)`` begins with ``series(k)`` bit for bit.
     """
     sizes = check_schedule(sizes)
-    sigmas = tuple(_trend_sigma_min(phi, n) for n in sizes)
+    g = phi.g
+    series = None if isinstance(g, RationalSymbol) else g.series(sizes[-1] - 1).coeffs
+    sigmas = tuple(_trend_sigma_min(phi, n, series) for n in sizes)
     drift = abs(sigmas[-1] - sigmas[-2]) / max(sigmas[-2], 1e-300)
     return TrendReport(
         sizes=sizes,
@@ -691,16 +701,19 @@ class PowerStudyReport:
     trend: TrendReport
 
 
-def _factor_residual(minus, ratio, plus, n: int) -> float:
+def _factor_residuals(minus, ratio, plus, sizes: tuple[int, ...]) -> tuple[float, ...]:
     """max |M A - P| over the N x N analytic truncations M, A, P of ``minus``, ``ratio``
-    and ``plus``, read off their Taylor coefficients.
+    and ``plus``, for each N of the increasing ``sizes``, read off one Taylor product.
 
     Sections of analytic symbols multiply exactly, so (M A - P)[m, j] =
     sqrt((j+1)/(m+1)) r_{m-j} with r the first N coefficients of minus * ratio - plus;
-    the l-th subdiagonal peaks at its last entry, sqrt((N-l)/N) |r_l|.
+    the l-th subdiagonal peaks at its last entry, sqrt((N-l)/N) |r_l|.  r is formed
+    once, to degree max(sizes) - 1, and each N reads its prefix (``DECISIONS.md`` entry 9).
     """
-    r = minus.series(n - 1).mul(ratio.series(n - 1), n - 1).coeffs - plus.series(n - 1).coeffs
-    return float(np.max(np.sqrt(np.arange(n, 0.0, -1.0) / n) * np.abs(r)))  # NaN propagates
+    top = sizes[-1] - 1
+    r = np.abs(minus.series(top).mul(ratio.series(top), top).coeffs - plus.series(top).coeffs)
+    # NaN propagates through max
+    return tuple(float(np.max(np.sqrt(np.arange(n, 0.0, -1.0) / n) * r[:n])) for n in sizes)
 
 
 def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
@@ -737,7 +750,7 @@ def power_symbol_study(t: float, sizes=(32, 64, 128, 256)) -> PowerStudyReport:
         and grid_min_minus >= factor_bound - 1e-12
     )
 
-    residuals = tuple(_factor_residual(minus, ratio, plus, n) for n in sizes)
+    residuals = _factor_residuals(minus, ratio, plus, sizes)
     trend = bounded_below_trend(HarmonicSymbol(1.0, 0.0, ratio), sizes)
     return PowerStudyReport(
         t=t,

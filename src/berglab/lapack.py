@@ -50,6 +50,9 @@ _POINTER_DTYPES = {
 _POINTER_FLAGS = ("F_CONTIGUOUS", "WRITEABLE")
 #: twice the safe minimum: the tightest bisection tolerance, which LAPACK advises
 _ABSTOL = 2 * np.finfo(float).tiny
+#: eps^2: :func:`_band_sigma` bisects to eps^2 max|B| at least, the width below which a
+#: bracket of sigma >= eps max|B| / 2 is already narrower than ``dstebz``'s 2 ulp sigma
+_EPS_SQUARED = np.finfo(float).eps ** 2
 #: the upper bandwidth :func:`dense_band_sigma` reduces to, and the reflectors each of its
 #: panels applies in one ``dlarfb``: a wider band slows ``dgbbrd``, a narrower one the
 #: panels' products; a multiple of 32, so that on N a multiple of 32 the reduction's
@@ -251,8 +254,13 @@ def _band_sigma(ab: np.ndarray, kl: int, ku: int, rows: int | None = None) -> fl
     bidiagonal B = Q^* T P with real diagonal d_i and superdiagonal e_i by orthogonal
     transforms of T itself.  The Golub-Kahan tridiagonal of B, zero diagonal and
     off-diagonal d_1, e_1, d_2, ..., d_N, has the eigenvalues +-sigma_i(T); ``dstebz``
-    bisects for the one at ascending index N + 1, which it resolves to high relative
-    accuracy.  ``dgbbrd``'s work arrays hold max(M, N) = M entries; fewer corrupt the heap.
+    bisects for the one at ascending index N + 1 until its bracket is narrower than
+    max(abstol, 2 ulp sigma).  With abstol = max(2 tiny, eps^2 max|B|) every sigma of at
+    least eps max|B| / 2 keeps the bits of the tightest tolerance, 2 tiny; a smaller one
+    is only the rounding of ``dgbbrd``, whose backward error is p(N) eps ||T||, and is
+    left below a few eps max|B| without the Sturm counts down to the safe minimum
+    (``DECISIONS.md`` entry 24).  ``dgbbrd``'s work arrays hold max(M, N) = M entries;
+    fewer corrupt the heap.
     """
     n = ab.shape[1]
     m = n if rows is None else rows
@@ -268,10 +276,12 @@ def _band_sigma(ab: np.ndarray, kl: int, ku: int, rows: int | None = None) -> fl
     )
     tridiagonal = np.zeros(two_n - 1)
     tridiagonal[::2], tridiagonal[1::2] = diag, off[: n - 1]
+    # dstebz refuses a NaN or infinite band whatever the tolerance
+    abstol = max(_ABSTOL, _EPS_SQUARED * float(np.abs(tridiagonal).max()))
     w, found = np.zeros(two_n), np.zeros((), np.int64)
     _call_lapack(
         "dstebz",
-        b"I", b"E", two_n, 0.0, 0.0, n + 1, n + 1, _ABSTOL, np.zeros(two_n), tridiagonal,
+        b"I", b"E", two_n, 0.0, 0.0, n + 1, n + 1, abstol, np.zeros(two_n), tridiagonal,
         found, np.zeros((), np.int64), w, np.zeros(two_n, np.int64), np.zeros(two_n, np.int64),
         np.zeros(4 * two_n), np.zeros(3 * two_n, np.int64),
     )

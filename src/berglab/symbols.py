@@ -48,8 +48,9 @@ class AnalyticSymbol:
 
     Each family supplies ``__call__``, called once on a complex ndarray
     of nodes and returning one value per node; ``series(degree)``, the
-    Taylor coefficients a_0 .. a_degree, exact for the family; and
-    ``tag()``.  Construction refuses non-finite data with ValueError.
+    Taylor coefficients a_0 .. a_degree, exact for the family, whose first k + 1 are
+    ``series(k)`` bit for bit; and ``tag()``.  Construction refuses non-finite data
+    with ValueError.
     """
 
 
@@ -173,13 +174,18 @@ class PrincipalPowerSymbol(AnalyticSymbol):
         return out.reshape(z.shape)[()]
 
     def series(self, degree: int) -> PowerSeries:
-        u = _binomial_power_coeffs(self.plus_exponent, degree, sign=+1)
         if self.plus_exponent == -self.minus_exponent:
             # ((1+z)/(1-z))^{it}: a_k = i^k r_k, r = p * conj(p) real for p_k = (-i)^k binom(it, k)
-            rot = _MINUS_I_POWERS[np.arange(degree + 1) % 4]
+            # p runs one term past the degree, so that every a_k kept is the same dot product
+            # of k + 1 terms at every degree: numpy forms a short real convolution's
+            # full-overlap output by another loop, which rounded a_7, a_9 or a_10 apart for
+            # t = 0.5, 2, 3 and 8
+            u = _binomial_power_coeffs(self.plus_exponent, degree + 1, sign=+1)
+            rot = _MINUS_I_POWERS[np.arange(degree + 2) % 4]
             p = u * rot
             r = np.convolve(p.real, p.real) + np.convolve(p.imag, p.imag)
-            return PowerSeries(r[: degree + 1] * rot.conj())
+            return PowerSeries(r[: degree + 1] * rot[: degree + 1].conj())
+        u = _binomial_power_coeffs(self.plus_exponent, degree, sign=+1)
         v = _binomial_power_coeffs(self.minus_exponent, degree, sign=-1)
         return PowerSeries(u).mul(PowerSeries(v), degree)
 

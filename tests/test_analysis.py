@@ -43,6 +43,7 @@ from berglab.toeplitz import (
     toeplitz_analytic,
     toeplitz_harmonic,
 )
+from test_gallery import GALLERY
 
 EXACT = 1e-14
 
@@ -728,11 +729,36 @@ class TestPowerSymbolStudy:
             PolynomialSymbol(rng.integers(-3, 4, size=5) + 1j * rng.integers(-3, 4, size=5))
             for _ in range(3)
         )
-        residual = analysis._factor_residual(minus, ratio, plus, n)
+        (residual,) = analysis._factor_residuals(minus, ratio, plus, (n,))
         m, a, p = (_analytic_matrix(g, n) for g in (minus, ratio, plus))
         expected = np.max(np.abs(m @ a - p))
         assert expected > 0.5
         assert residual == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+    def test_one_expansion_per_schedule_keeps_each_sizes_bits(self, t):
+        # the study reads every residual off one top-degree product and the trend every
+        # section off one top-degree series: each size's prefix, so each value is the one
+        # its own size's expansion gives
+        sizes = (32, 64, 128, 256)
+        study = power_symbol_study(t, sizes)
+        factors = PrincipalPowerSymbol(0.0, t), power_symbol(t), PrincipalPowerSymbol(t, 0.0)
+        assert study.residuals == tuple(factor_residual(*factors, n) for n in sizes)
+        phi = HarmonicSymbol(1.0, 0.0, power_symbol(t))
+        per_size = tuple(analysis._trend_sigma_min(phi, n) for n in sizes)  # g.series(n - 1)
+        assert study.trend.sigma_min == per_size
+        assert study.trend.drift == abs(per_size[3] - per_size[2]) / per_size[2]
+
+    def test_one_expansion_per_schedule(self, monkeypatch):
+        # each factor is expanded once, to the largest size's degree: the trend's g and
+        # the residual's three factors
+        degrees = []
+        series = PrincipalPowerSymbol.series
+        monkeypatch.setattr(
+            PrincipalPowerSymbol, "series", lambda g, k: degrees.append(k) or series(g, k)
+        )
+        power_symbol_study(1.0, (16, 32, 64))
+        assert degrees == [63] * 4
 
     def test_study_peak_memory_stays_below_one_complex_section(self):
         # the residual reads three length-N coefficient series and builds no section
@@ -774,6 +800,13 @@ class TestPowerSymbolStudy:
             "residuals",
             "trend",
         }
+
+
+def factor_residual(minus, ratio, plus, n):
+    """The study's residual at one size from that size's own length-N product: the
+    computation that one product per schedule replaced, kept as its oracle."""
+    r = minus.series(n - 1).mul(ratio.series(n - 1), n - 1).coeffs - plus.series(n - 1).coeffs
+    return float(np.max(np.sqrt(np.arange(n, 0.0, -1.0) / n) * np.abs(r)))
 
 
 #: unit roundoff of float64
@@ -1016,7 +1049,7 @@ class TestBidiagonalSigmaMin:
         for case in ("real", "complex", "workload", "complex p, q"):
             bounded_below_trend(pencil_symbol(*PENCIL_CASES[case]), (448, 512, 1024))
         # the power symbol's rotated real section reaches the band reduction
-        bounded_below_trend(HarmonicSymbol(1.0, 0.0, power_symbol(1.0)), (256, 512, CUT))
+        bounded_below_trend(HarmonicSymbol(1.0, 0.0, power_symbol(1.0)), (128, 256, CUT))
         assert set(routines) == set(lapack._LAPACK_PROTOTYPES)
 
 
@@ -1084,6 +1117,8 @@ class TestBandWindows:
 
 
 CUT = analysis._BAND_REDUCTION_CUT
+#: sizes the band reduction takes: the cut, 768 (the cut until DECISIONS.md entry 24), 1024
+ROUTED = [CUT, 768, 1024]
 #: the band reduction route's panel width
 B = lapack._DENSE_BAND
 
@@ -1138,7 +1173,7 @@ def assert_matches_svd(sigma, m, allowance=16):
 class TestDenseBandSigma:
     """The band reduction route of large real matrices against the dense SVD."""
 
-    @pytest.mark.parametrize("n", [CUT, 1024])
+    @pytest.mark.parametrize("n", ROUTED)
     @pytest.mark.parametrize("case", sorted(DENSE_CASES))
     def test_matches_dense_svd(self, monkeypatch, case, n):
         m = DENSE_CASES[case](n)
@@ -1162,12 +1197,13 @@ class TestDenseBandSigma:
 
     def test_power_symbol_keeps_the_theorem_bound(self, monkeypatch):
         # d = 0: sigma_min(A_N) never increases with N and never falls below
-        # inf |g| = e^(-pi/2) for g = ((1 + z) / (1 - z))^i
+        # inf |g| = e^(-pi/2) for g = ((1 + z) / (1 - z))^i; N = 512 = CUT and 1024 take
+        # the band reduction
         routines = lapack_calls(monkeypatch)
         _, s512, s1024 = bounded_below_trend(
-            HarmonicSymbol(1.0, 0.0, power_symbol(1.0)), (256, 512, 1024)
+            HarmonicSymbol(1.0, 0.0, power_symbol(1.0)), (256, CUT, 1024)
         ).sigma_min
-        assert routines == band_reduction_calls(1024)
+        assert routines == band_reduction_calls(CUT) + band_reduction_calls(1024)
         assert np.exp(-np.pi / 2) * (1 - 1e-12) <= s1024 <= s512 * (1 + 1e-12)
 
     @pytest.mark.parametrize(
@@ -1237,7 +1273,7 @@ class TestDenseBandSigma:
         assert routines == band_reduction_calls(CUT)
         assert sigma == lapack.dense_band_sigma(m.real.copy())
 
-    @pytest.mark.parametrize("n", [CUT, 1024])
+    @pytest.mark.parametrize("n", ROUTED)
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_callers_matrix_is_left_as_it_was(self, monkeypatch, n, dtype):
         # the route reduces the array it is handed in place: a caller's writeable
@@ -1250,7 +1286,7 @@ class TestDenseBandSigma:
         assert m.flags.f_contiguous and m.flags.writeable
         assert m.tobytes() == kept.tobytes()
 
-    @pytest.mark.parametrize("n", [CUT, 1024])
+    @pytest.mark.parametrize("n", ROUTED)
     @pytest.mark.parametrize(
         "case, cd",
         [("power t=1 d=0", (1.0, 0.0)), ("power t=1 d=0.4", (1.0, 0.4)),
@@ -1285,6 +1321,80 @@ class TestDenseBandSigma:
         for i, j, rows, cols in [(2, 0, 3, 1), (0, 3, 1, 3), (-1, 0, 1, 1), (0, -1, 1, 1)]:
             with pytest.raises(ValueError, match="outside a matrix of 4 x 5"):
                 lapack._block(flat, 4, i, j, rows, cols)
+
+
+#: machine epsilon of float64, 2 u
+EPS = np.finfo(float).eps
+
+
+def bisections(monkeypatch, run):
+    """(new, old, top) for each bisection that ``run()`` reaches, whose tolerance must be
+    max(2 tiny, eps^2 top): the value :func:`lapack._band_sigma` took from ``dstebz``, the
+    value ``dstebz`` gives on the same tridiagonal at LAPACK's tightest tolerance 2 tiny,
+    and the tridiagonal's largest modulus top = max|B|, B the bidiagonal."""
+    seen = []
+    call = lapack._call_lapack
+
+    def spy(name, *args):
+        call(name, *args)
+        if name == "dstebz":
+            two_n, abstol, off, found, w = args[2], args[7], args[9], args[10], args[12]
+            old, old_found = np.zeros(two_n), np.zeros((), np.int64)
+            call(name, *args[:7], lapack._ABSTOL, *args[8:10], old_found, args[11], old,
+                 *args[13:])
+            top = np.abs(off).max()
+            assert found == old_found == 1 and abstol == max(lapack._ABSTOL, EPS**2 * top)
+            seen.append((w[0], old[0], top))
+
+    monkeypatch.setattr(lapack, "_call_lapack", spy)
+    run()
+    return seen
+
+
+def assert_floor_keeps_the_bits(seen):
+    """Each sigma of at least eps max|B| at the tightest tolerance keeps its bits; each
+    smaller one, old and new, is rounding of at most 4 eps max|B|.  Returns how many
+    values fell below."""
+    assert seen
+    below = 0
+    for new, old, top in seen:
+        if abs(old) >= EPS * top:
+            assert new.tobytes() == old.tobytes(), (new, old, top)
+        else:
+            below += 1
+            assert max(abs(new), abs(old)) <= 4 * EPS * top, (new, old, top)
+    return below
+
+
+class TestBisectionFloor:
+    """The bisection stops at eps^2 max|B| (DECISIONS.md entry 24) against the one that
+    ran to 2 tiny on the same tridiagonal."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_gallery_polynomials(self, monkeypatch, n):
+        entries = [e for e in GALLERY if isinstance(e.g, PolynomialSymbol)]
+        seen = bisections(monkeypatch, lambda: [
+            # each gallery polynomial has degree at most 2
+            bidiagonal_sigma_min(e.c, e.d, np.trim_zeros(e.g.series(8).coeffs, "b"), n)
+            for e in entries
+        ])
+        assert len(seen) == len(entries)
+        # the zeros inside the disc leave sigma at rounding level from N = 256 on
+        assert assert_floor_keeps_the_bits(seen) >= (3 if n >= 256 else 0)
+
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    def test_shift_windows(self, monkeypatch, n):
+        seen = bisections(monkeypatch, lambda: shift_window_demo(n, 2.0))
+        assert len(seen) == 2
+        assert assert_floor_keeps_the_bits(seen) == 1  # the adjoint's zero column
+
+    @pytest.mark.parametrize("n", [CUT, 1024])
+    @pytest.mark.parametrize("case", sorted(DENSE_CASES))
+    def test_dense_cases(self, monkeypatch, case, n):
+        m = np.asfortranarray(DENSE_CASES[case](n))
+        seen = bisections(monkeypatch, lambda: lapack.dense_band_sigma(m))
+        assert len(seen) == 1
+        assert_floor_keeps_the_bits(seen)
 
 
 #: the refusals of the binding, each set up in a fresh interpreter before berglab is

@@ -121,3 +121,26 @@ def test_d0_section_bound(entry, verdicts):
     sigma = np.array(verdicts[entry.name].sigma_min) / abs(entry.c)
     assert np.all(sigma[1:] <= sigma[:-1] * (1 + 1e-12)), sigma
     assert np.all(sigma >= entry.inf_g * (1 - 1e-12)), (sigma, entry.inf_g)
+
+
+#: the entries answered ``not_invertible_likely`` and ``invertible_likely`` when the
+#: trend's bisection began to stop at eps^2 max|B| (DECISIONS.md entry 24), the rest
+#: ``inconclusive``: a change that moves a verdict must name it here, and why
+RECORDED = {
+    "not_invertible_likely": {
+        "zero at 0.5", "|d| > |c|, zero at 0", "zero at 0.875 e^{i pi/256}, d = 0.3",
+        "Blaschke 0.5, -0.3i, d = 0.25",
+    },
+    "invertible_likely": {
+        "zero at 1.2", "2 + z", "|d| > |c|, 3 + z", "(1 + 0.5z)/(2 - 0.5z)", "c = d, 2 + z",
+        "d = ic, 2 + z", "d = -c, 2i + z", "power t = 1", "power t = 3", "power t = -0.5",
+        "power t = 1, d = 0.4",
+    },
+}
+
+
+def test_verdicts_are_the_recorded_ones(verdicts):
+    recorded = {name: verdict for verdict, names in RECORDED.items() for name in names}
+    assert {
+        name: report.verdict for name, report in verdicts.items()
+    } == {e.name: recorded.get(e.name, "inconclusive") for e in GALLERY}

@@ -296,6 +296,28 @@ class TestPowerSymbolSeries:
         np.testing.assert_array_equal(coeffs, product_route(0.7, -0.3, 255))
 
 
+#: one symbol of each family, and power_symbol at exponents whose short convolutions
+#: round their full-overlap term apart (t = 3 at degree 9, t = -0.5 at degree 7)
+PREFIX_SYMBOLS = {
+    "polynomial": PolynomialSymbol([2.0, 1.0, 0.3j, -0.5]),
+    "rational": RationalSymbol([1.0, 0.5j], [2.0, -0.5, 0.25j]),
+    "principal power": PrincipalPowerSymbol(1.0, 0.3),
+    "power t=1": power_symbol(1.0),
+    "power t=3": power_symbol(3.0),
+    "power t=-0.5": power_symbol(-0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_SYMBOLS))
+def test_series_begins_with_every_lower_degree_series(name):
+    # the trend and the power study expand g once per schedule and read each size's
+    # prefix, so series(k) must be the first k + 1 coefficients of series(n) bit for bit
+    g = PREFIX_SYMBOLS[name]
+    top = g.series(1023).coeffs
+    for k in range(1023):
+        assert g.series(k).coeffs.tobytes() == top[: k + 1].tobytes(), k
+
+
 class TestHarmonicSymbol:
     def test_eval(self):
         phi = HarmonicSymbol(1.0, 1.0, PolynomialSymbol([2.0, 1.0]))
