@@ -215,6 +215,15 @@ def _constant_sigma(c, d, p: np.ndarray, q: np.ndarray, *, n: int):
     return abs(c * a0 + d * np.conj(a0))
 
 
+def _pencil_or_dense(c, d, p: np.ndarray, q: np.ndarray, *, n: int) -> float:
+    """:func:`lapack.pencil_sigma`, or :func:`_dense_sigma_min` where LAPACK cannot
+    factor the pencil's B = diag(Q^*Q) (:class:`lapack.IndefinitePencil`)."""
+    try:
+        return lapack.pencil_sigma(c, d, p, q, n=n)
+    except lapack.IndefinitePencil:
+        return _dense_sigma_min(c, d, p, q, n=n)
+
+
 def _trend_sigma_min(phi: HarmonicSymbol, n: int, series: np.ndarray | None = None) -> float:
     """sigma_min of ``toeplitz_harmonic(phi, n)``.
 
@@ -227,7 +236,8 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int, series: np.ndarray | None = No
     half-bandwidth m = max(deg p, deg q) is narrow while (2m + 1) * ratio
     <= N: then a polynomial takes :func:`lapack.bidiagonal_sigma`, O(N^2 m)
     on T itself, and a rational g :func:`lapack.pencil_sigma`, its only
-    banded route.  Wider bands, and every band where LAPACK is not bound
+    banded route, unless LAPACK cannot factor the pencil (:func:`_pencil_or_dense`).
+    Wider bands, and every band where LAPACK is not bound
     (:func:`lapack.available`), take the dense SVD (:func:`_dense_sigma_min`).
     Every route runs on the same power-of-two scaling, so one symbol is
     answered or refused alike on each.
@@ -246,7 +256,7 @@ def _trend_sigma_min(phi: HarmonicSymbol, n: int, series: np.ndarray | None = No
     elif (2 * max(len(p), len(q)) - 1) * ratio > n or not lapack.available():
         route, polys = _dense_sigma_min, ((num, den) if rational else (num,))
     elif rational:
-        route, polys = lapack.pencil_sigma, (p, q)
+        route, polys = _pencil_or_dense, (p, q)
     else:
         route, polys = lapack.bidiagonal_sigma, (p,)
     return _scaled_sigma_min(route, c, d, *polys, n=n)

@@ -45,6 +45,7 @@ from .disc import (
     _eval_on_nodes,
     _inside_disc,
     _radial_rule,
+    _ring_spectra,
     disc_quadrature,
     kernel_eval,
 )
@@ -58,8 +59,7 @@ __all__ = [
     "berezin_matrix",
     "berezin_harmonic",
     "berezin_grid",
-    "grid_to_csv",
-    "grid_to_json",
+    "write_grid",
 ]
 
 ROUTES = ("integral", "matrix", "harmonic_closed_form")
@@ -219,11 +219,9 @@ def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:
     m = spec.angular_nodes
     r, mass = _radial_rule(spec.radial_nodes)
     w = mass / m  # the ring weight, constant along a ring: it scales the kernel spectrum
-    vals = _eval_on_nodes(phi, spec.points()[0]).reshape(-1, m)
     # complex spectrum as (re, im) pairs, so the real kernel multiplies it
     # without being cast to complex
-    spectrum = np.fft.fft(vals, axis=1).view(np.float64).reshape(len(r), m, 2)
-    del vals
+    spectrum = _ring_spectra(phi, spec).view(np.float64).reshape(len(r), m, 2)
     cos = np.cos(2.0 * np.pi * np.arange(m) / m)
     half = m // 2 + 1
     stride = m // grid.angles_per_radius
@@ -245,35 +243,27 @@ def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:
     return out
 
 
-def grid_to_csv(samples: list[BerezinSample], path) -> None:
-    """Plotting interface: header re_z,im_z,re_val,im_val,route,err."""
-    with open(path, "w") as fh:
-        fh.write("re_z,im_z,re_val,im_val,route,err\n")
-        for s in samples:
-            fh.write(
-                f"{s.z.real!r},{s.z.imag!r},{s.value.real!r},"
-                f"{s.value.imag!r},{s.route},{s.error_estimate!r}\n"
-            )
-
-
-#: one grid.json row in the ``json.dump(rows, fh, indent=1)`` layout
+#: one grid.csv row, and one grid.json row in the ``json.dump(rows, fh, indent=1)`` layout
+_CSV_GRID_ROW = "%s,%s,%s,%s,%s,%s\n"
 _JSON_GRID_ROW = (
-    ' {{\n  "re_z": {},\n  "im_z": {},\n  "re_val": {},\n  "im_val": {},\n'
-    '  "route": "{}",\n  "err": {}\n }}'
+    ' {\n  "re_z": %s,\n  "im_z": %s,\n  "re_val": %s,\n  "im_val": %s,\n'
+    '  "route": "%s",\n  "err": %s\n }'
 )
 
 
-def grid_to_json(samples: list[BerezinSample], path) -> None:
-    """A list of {re_z, im_z, re_val, im_val, route, err} objects, byte-identical to
-    ``json.dump(rows, fh, indent=1)`` plus a newline; finite floats are written by
-    ``float.__repr__``, as ``json`` writes them, and routes need no escaping."""
-    rows = ",\n".join(
-        _JSON_GRID_ROW.format(
-            *map(float.__repr__, (s.z.real, s.z.imag, s.value.real, s.value.imag)),
-            s.route,
-            float.__repr__(s.error_estimate),
-        )
+def write_grid(samples: list[BerezinSample], csv_path, json_path) -> None:
+    """grid.csv, headed re_z,im_z,re_val,im_val,route,err, and grid.json, a list of objects
+    of those keys byte-identical to ``json.dump(rows, fh, indent=1)`` plus a newline, from
+    one set of strings per sample.  Finite floats are written by ``float.__repr__``, as
+    ``json`` writes them; routes need no escaping."""
+    cells = [
+        (*map(float.__repr__, (s.z.real, s.z.imag, s.value.real, s.value.imag)),
+         s.route, float.__repr__(s.error_estimate))
         for s in samples
-    )
-    with open(path, "w") as fh:
+    ]
+    with open(csv_path, "w") as fh:
+        fh.write("re_z,im_z,re_val,im_val,route,err\n")
+        fh.writelines(_CSV_GRID_ROW % c for c in cells)
+    rows = ",\n".join(_JSON_GRID_ROW % c for c in cells)
+    with open(json_path, "w") as fh:
         fh.write(f"[\n{rows}\n]\n" if rows else "[]\n")

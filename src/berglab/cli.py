@@ -48,7 +48,7 @@ from .analysis import (
     shift_window_demo,
     smallest_singular_value,
 )
-from .berezin import berezin_grid, berezin_harmonic, berezin_matrix, grid_to_csv, grid_to_json
+from .berezin import berezin_grid, berezin_harmonic, berezin_matrix, write_grid
 from .disc import QuadratureSpec
 from .errors import ConfigError, NumericalError, _at_least
 from .symbols import (
@@ -58,13 +58,7 @@ from .symbols import (
     PrincipalPowerSymbol,
     RationalSymbol,
 )
-from .toeplitz import (
-    check_size,
-    matrix_to_csv,
-    matrix_to_json,
-    toeplitz_harmonic,
-    toeplitz_quadrature,
-)
+from .toeplitz import check_size, toeplitz_harmonic, toeplitz_quadrature, write_matrix
 
 __all__ = ["SCHEMA", "Scenario", "RunManifest", "parse_scenario", "run_scenario", "main"]
 
@@ -305,7 +299,7 @@ def _run_toeplitz_build(sc: Scenario) -> tuple[dict, tuple]:
         "sigma_min": sigma_min,
         "normality_defect": normality_defect(op),
     }
-    return report, ((matrix_to_json, op), (matrix_to_csv, op))
+    return report, (write_matrix, op)
 
 
 #: a ``berezin_grid`` scenario's sweep, by ``route``: each reads its route's own fields
@@ -332,7 +326,7 @@ def _run_berezin_grid(sc: Scenario) -> tuple[dict, tuple]:
         "argmin": samples[k].z,
         "max_error_estimate": max(s.error_estimate for s in samples),
     }
-    return report, ((grid_to_csv, samples), (grid_to_json, samples))
+    return report, (write_grid, samples)
 
 
 def _run_invertibility(sc: Scenario) -> tuple[dict, tuple]:
@@ -373,9 +367,10 @@ def _run_example_3_5(sc: Scenario) -> tuple[dict, tuple]:
 
 
 #: each kind's pipeline and the names of the files it returns besides report.json.  A
-#: pipeline is a function of the scenario alone, returning ``(report, files)``: files[i]
-#: is the pair ``(writer, data)`` that :func:`run_scenario` writes as
-#: ``writer(data, outdir / names[i])``; no pipeline touches the output directory
+#: pipeline is a function of the scenario alone, returning ``(report, export)``: a kind
+#: that names files returns the pair ``(writer, data)``, which :func:`run_scenario` writes
+#: as ``writer(data, *(outdir / name for name in names))``, every file in one call; any
+#: other returns ``()``.  No pipeline touches the output directory
 _PIPELINES = {
     "toeplitz_build": (_run_toeplitz_build, ("matrix.json", "matrix.csv")),
     "berezin_grid": (_run_berezin_grid, ("grid.csv", "grid.json")),
@@ -462,11 +457,12 @@ def run_scenario(config, output_dir: str | None = None) -> RunManifest:
     try:
         # overflow is refused where it matters: by the sigma_min checks and the writers
         with np.errstate(over="ignore", invalid="ignore"):
-            report, files = pipeline(sc)
+            report, export = pipeline(sc)
         t2 = time.perf_counter()
         _remove_outputs(outdir)
-        for (writer, data), path in zip(files, paths[:-1], strict=True):
-            writer(data, path)
+        if names:
+            writer, data = export
+            writer(data, *paths[:-1])
         _write_json(paths[-1], report)
         outputs = tuple(
             {"path": f.name, "sha256": _sha256(f), "bytes": f.stat().st_size} for f in paths

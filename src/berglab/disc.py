@@ -203,6 +203,14 @@ def disc_quadrature(integrand, spec: QuadratureSpec = QuadratureSpec()) -> compl
     return complex(np.sum(w * vals))
 
 
+def _ring_spectra(f, spec: QuadratureSpec) -> np.ndarray:
+    """``f`` on the rule's nodes, one FFT along each ring: shape (radial, angular), entry
+    [i, q] = sum_k f(r_i e^{2 pi i k / M}) e^{-2 pi i q k / M}.  On equispaced angles a
+    trapezoid sum of f times a Fourier mode is one entry of its ring's DFT."""
+    z = spec.points()[0]
+    return np.fft.fft(_eval_on_nodes(f, z).reshape(-1, spec.angular_nodes), axis=1)
+
+
 def _eval_on_nodes(f, z: np.ndarray) -> np.ndarray:
     """``f`` called once on the node array; anything but one value per node is refused."""
     vals = np.asarray(f(z), dtype=np.complex128)

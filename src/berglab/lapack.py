@@ -121,11 +121,17 @@ def _lapack_routine(name: str):
     return _ROUTINES[name]
 
 
+class IndefinitePencil(NumericalError):
+    """``dsbgvx``/``zhbgvx`` returned INFO > N: the split Cholesky of the pencil's B
+    failed, so B is not positive definite to working precision."""
+
+
 def _call_lapack(name: str, *args) -> None:
     """LAPACK's ``name`` on ``args``, with an INFO appended as its last argument where
     the prototype ends in ``info *``; a Python int becomes an int64 and a float a double,
-    and a nonzero INFO is refused.  A wrong number of arguments, or one that
-    :func:`_lapack_routine` does not accept, raises before the call."""
+    and a nonzero INFO is refused, as :class:`IndefinitePencil` where it says so.  A wrong
+    number of arguments, or one that :func:`_lapack_routine` does not accept, raises
+    before the call."""
     routine = _lapack_routine(name)
     info = np.zeros((), np.int64)
     tail = (info,) if _LAPACK_PROTOTYPES[name].endswith("info *)") else ()
@@ -136,7 +142,10 @@ def _call_lapack(name: str, *args) -> None:
         for a, _ in zip((*args, *tail), routine.argtypes, strict=True)
     ))
     if info:
-        raise NumericalError(f"LAPACK {name} returned info {int(info)}; refusing its result")
+        indefinite = name in ("dsbgvx", "zhbgvx") and info > args[3]  # args[3] is N
+        raise (IndefinitePencil if indefinite else NumericalError)(
+            f"LAPACK {name} returned info {int(info)}; refusing its result"
+        )
 
 
 def _gram_band(a: np.ndarray, b: np.ndarray, n: int, w: int) -> np.ndarray:

@@ -19,12 +19,13 @@ N x N corner sees only part of the operator.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .disc import PowerSeries, QuadratureSpec, _eval_on_nodes
+from .disc import PowerSeries, QuadratureSpec, _radial_rule, _ring_spectra
 from .errors import NumericalError, _at_least
 from .symbols import AnalyticSymbol, HarmonicSymbol
 
@@ -34,6 +35,7 @@ __all__ = [
     "toeplitz_analytic",
     "toeplitz_harmonic",
     "toeplitz_quadrature",
+    "write_matrix",
     "matrix_to_csv",
     "matrix_to_json",
     "matrix_from_json",
@@ -151,36 +153,39 @@ def toeplitz_quadrature(
 ) -> TruncatedOperator:
     """Truncation of T_f for any bounded evaluator, entry by entry.
 
-    Entry (m, n) is the quadrature of w -> f(w) e_n(w) conj(e_m(w)).
+    Entry (m, j) is the quadrature of w -> f(w) e_j(w) conj(e_m(w)).
     This is the independent oracle for the closed-form builders and the
-    only route for non-harmonic symbols like |w|^2.  Cost is
-    O(n^2 M_r M_theta); keep it for desk-size checks.  Nodes are summed in blocks
-    of b = max(n, 2^16 / n), 1 MiB of basis for n <= 256: beyond the result and
-    O(M) node values it holds O(n b) entries (``DECISIONS.md`` entry 20).
+    only route for non-harmonic symbols like |w|^2.  f is called once on
+    the rule's nodes; on ring i, of radius r_i and weight w_i, the angular
+    sum is an entry of the ring's DFT F_i (:func:`disc._ring_spectra`):
+
+        T[m, j] = sqrt((m+1)(j+1)) sum_i w_i r_i^{m+j} F_i[(m - j) mod M],
+
+    the same rule summed in another order, O(R M log M + R n^2) for R rings
+    of M angles.  Beyond the result it holds two R x (2n - 1) tables, read
+    through sliding windows (``DECISIONS.md`` entry 25).
     """
     check_size(n)
-    z, w = spec.points()
-    wv = w * _eval_on_nodes(f, z)
-    scale = np.sqrt(np.arange(1.0, n + 1.0))[:, None]
-    step = max(n, 2**16 // n)
-    for s in range(0, z.size, step):
-        nodes = z[s : s + step]
-        basis = np.ones((n, nodes.size), dtype=np.complex128)
-        for k in range(1, n):
-            np.multiply(basis[k - 1], nodes, out=basis[k])
-        basis *= scale
-        weighted = basis.conj()
-        weighted *= wv[s : s + step]
-        part = weighted @ basis.T
-        mat = np.add(mat, part, out=mat) if s else part
+    m = spec.angular_nodes
+    r, mass = _radial_rule(spec.radial_nodes)
+    # per ring: lagged[u] = F[(u - n + 1) mod M] and powers[u] = w r^u
+    lagged = _ring_spectra(f, spec)[:, (np.arange(2 * n - 1) - (n - 1)) % m]
+    powers = (mass / m)[:, None] * r[:, None] ** np.arange(2.0 * n - 1)
+    # [i, row, j] views: lagged[i, row - j + n - 1] and powers[i, row + j]
+    spectra = sliding_window_view(lagged, n, axis=1)[:, :, ::-1]
+    radial = sliding_window_view(powers, n, axis=1)
+    mat = np.einsum("imj,imj->mj", spectra, radial, out=np.empty((n, n), np.complex128))
+    scale = np.sqrt(np.arange(1.0, n + 1.0))
+    mat *= scale[:, None]
+    mat *= scale
     return TruncatedOperator(mat, tag or "quadrature_symbol", "quadrature", True)
 
 
-def _row_reprs(row: np.ndarray):
+def _row_reprs(row: np.ndarray) -> list[str]:
     """re, im, re, im, ... of one matrix row as shortest round-trip strings.
 
     ``float.__repr__`` is what ``json`` emits for a finite float, so
-    both writers produce the bytes of the element-wise encoders they
+    both files get the bytes of the element-wise encoders they
     replace.  A banded build is mostly +0.0, whose bit pattern is all
     zeros; those places get the constant "0.0" and ``repr`` runs on the
     rest (-0.0 has its sign bit set and keeps its own repr).
@@ -188,52 +193,49 @@ def _row_reprs(row: np.ndarray):
     flat = row.view(np.float64)
     nonzero = flat.view(np.uint64) != 0
     if nonzero.all():
-        return map(float.__repr__, flat.tolist())
+        return list(map(float.__repr__, flat.tolist()))
     idx = np.flatnonzero(nonzero).tolist()
     out = ["0.0"] * flat.size
     for i, s in zip(idx, map(float.__repr__, flat[idx].tolist())):
         out[i] = s
-    return iter(out)
+    return out
 
 
-def matrix_to_csv(op: TruncatedOperator, path) -> None:
-    """Write rows of alternating re,im entries, full double precision."""
-    with open(path, "w") as fh:
+def write_matrix(op: TruncatedOperator, json_path=None, csv_path=None) -> None:
+    """matrix.json and matrix.csv in one pass, a row at a time, each double formatted once
+    for both; a path of None sends that file to ``os.devnull``.
+
+    matrix.json is the envelope {N, symbol_tag, builder, data}, ``data`` in [re, im]
+    pairs, byte-identical to ``json.dump(payload, fh, indent=1)`` plus a newline; Python's
+    float serialization is shortest round-trip, so loading reproduces the exact doubles.
+    matrix.csv holds rows of alternating re,im entries.
+    """
+    n = op.n
+    header = json.dumps({"N": n, "symbol_tag": op.symbol_tag, "builder": op.builder}, indent=1)
+    # a row of "data" in the json.dump(indent=1) layout: these strings at the even places,
+    # re_0, im_0, re_1, ... at the odd ones
+    parts = [None] * (4 * n + 1)
+    parts[::2] = ["\n  [\n   [\n    "] + [",\n    ", "\n   ],\n   [\n    "] * n
+    parts[-1] = "\n   ]\n  ]"
+    with open(json_path or os.devnull, "w") as js, open(csv_path or os.devnull, "w") as cs:
+        js.write(header[: -len("\n}")] + ',\n "data": [')
+        sep = ""
         for row in op.matrix:
-            fh.write(",".join(_row_reprs(row)) + "\n")
-
-
-# json.dump(indent=1) layout of the [re, im] pairs of one row of "data"
-_JSON_ROW_OPEN = "\n  [\n   [\n    "
-_JSON_RE_IM = ",\n    "
-_JSON_PAIR_SEP = "\n   ],\n   [\n    "
-_JSON_ROW_CLOSE = "\n   ]\n  ]"
+            parts[1::2] = cells = _row_reprs(row)
+            js.write(sep + "".join(parts))
+            cs.write(",".join(cells) + "\n")
+            sep = ","
+        js.write("\n ]\n}\n")
 
 
 def matrix_to_json(op: TruncatedOperator, path) -> None:
-    """JSON envelope {N, symbol_tag, builder, data}; round-trips bit-exactly.
+    """matrix.json alone, by :func:`write_matrix`."""
+    write_matrix(op, json_path=path)
 
-    ``data`` holds [re, im] pairs; Python's float serialization is
-    shortest round-trip, so loading reproduces the exact doubles.  The
-    file is byte-identical to ``json.dump(payload, fh, indent=1)`` plus a
-    newline, but is written one row at a time.
-    """
-    header = json.dumps(
-        {"N": op.n, "symbol_tag": op.symbol_tag, "builder": op.builder}, indent=1
-    )
-    with open(path, "w") as fh:
-        fh.write(header[: -len("\n}")] + ',\n "data": [')
-        sep = ""
-        for row in op.matrix:
-            it = _row_reprs(row)
-            fh.write(
-                sep
-                + _JSON_ROW_OPEN
-                + _JSON_PAIR_SEP.join(map(_JSON_RE_IM.join, zip(it, it)))
-                + _JSON_ROW_CLOSE
-            )
-            sep = ","
-        fh.write("\n ]\n}\n")
+
+def matrix_to_csv(op: TruncatedOperator, path) -> None:
+    """matrix.csv alone, by :func:`write_matrix`."""
+    write_matrix(op, csv_path=path)
 
 
 def matrix_from_json(path) -> TruncatedOperator:

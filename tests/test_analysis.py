@@ -962,6 +962,32 @@ class TestBandedSigmaMin:
         for n, s in zip(sizes, trend.sigma_min):
             assert_matches_dense(s, phi, n)
 
+    @staticmethod
+    def _pencil_calls(monkeypatch):
+        calls, pencil = [], lapack.pencil_sigma
+        monkeypatch.setattr(lapack, "pencil_sigma", lambda *a, n: calls.append(n) or pencil(*a, n=n))
+        return calls
+
+    def test_indefinite_pencil_takes_the_dense_route(self, monkeypatch):
+        # q = (1 - z/2)^19 vanishes only at |z| = 2, yet at N = 640 dsbgvx cannot split
+        # B = diag(Q^*Q) by Cholesky: INFO 2516 > 2N
+        p, q = [1.0, 0.5], list(np.polynomial.polynomial.polypow([1.0, -0.5], 19))
+        with pytest.raises(lapack.IndefinitePencil, match="dsbgvx returned info 2516"):
+            pencil_sigma_min(1.0, 0.25, p, q, 640)
+        phi, sizes = pencil_symbol(1.0, 0.25, p, q), (128, 256, 640)
+        pencils = self._pencil_calls(monkeypatch)
+        trend, calls = self._dense_calls(monkeypatch, phi, sizes)
+        assert pencils == [640] and calls == [128, 256, 640]
+        assert trend.sigma_min[-1] == pytest.approx(1.9551e-4, rel=1e-4)
+        # bit for bit the trend that takes the dense route at every size
+        monkeypatch.setattr(analysis, "_BAND_RATIO_REAL", 10**6)
+        assert trend.sigma_min == bounded_below_trend(phi, sizes).sigma_min
+
+    def test_workload_rational_keeps_the_pencil(self, monkeypatch):
+        pencils = self._pencil_calls(monkeypatch)
+        _, calls = self._dense_calls(monkeypatch, WORKLOAD_RATIONAL, (32, 48, 640))
+        assert pencils == [48, 640] and calls == [32]
+
     def test_constant_symbol_uses_the_closed_form(self, monkeypatch):
         phi = HarmonicSymbol(1.0 + 2j, 0.5, PolynomialSymbol([2.0, 0.0, 0.0]))
         trend, calls = self._dense_calls(monkeypatch, phi, (1, 2, 700))
@@ -1555,6 +1581,22 @@ class TestNumpyOpenblas:
         monkeypatch.setattr(lapack, "_lapack_routine", lambda name: Routine())
         with pytest.raises(NumericalError, match="LAPACK dgbbrd returned info 3"):
             lapack._call_lapack("dgbbrd", b"N")
+
+    @pytest.mark.parametrize("name", ["dsbgvx", "zhbgvx"])
+    def test_only_a_failed_split_of_b_is_an_indefinite_pencil(self, monkeypatch, name):
+        # INFO = N + i: B's split Cholesky failed at i; INFO <= N is refused as before
+        argtypes = lapack._lapack_routine(name).argtypes
+        for info, error in ((4, NumericalError), (5, lapack.IndefinitePencil)):
+
+            class Routine:
+                def __call__(self, *args, info=info):
+                    args[-1][...] = info
+
+            Routine.argtypes = argtypes
+            monkeypatch.setattr(lapack, "_lapack_routine", lambda _: Routine())
+            with pytest.raises(NumericalError, match=f"{name} returned info {info}") as exc:
+                lapack._call_lapack(name, b"N", b"I", b"U", 4, *[0] * (len(argtypes) - 5))
+            assert type(exc.value) is error
 
 
 class TestDenseFallback:

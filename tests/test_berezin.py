@@ -15,8 +15,7 @@ from berglab.berezin import (
     berezin_harmonic,
     berezin_integral,
     berezin_matrix,
-    grid_to_csv,
-    grid_to_json,
+    write_grid,
 )
 from berglab.disc import disc_quadrature, normalized_kernel_coeffs
 from berglab.symbols import (
@@ -470,7 +469,7 @@ class TestGridSweepAndExport:
         grid = DiscGrid((0.0, 0.25, 0.5), 8)
         samples = berezin_harmonic(phi, grid.nodes())
         path = tmp_path / "grid.csv"
-        grid_to_csv(samples, path)
+        write_grid(samples, path, tmp_path / "grid.json")
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "re_z,im_z,re_val,im_val,route,err"
         assert len(lines) == 1 + 24
@@ -481,7 +480,7 @@ class TestGridSweepAndExport:
         phi = HarmonicSymbol(1.0, 0.0, PolynomialSymbol([2.0, 1.0]))
         samples = berezin_harmonic(phi, DiscGrid((0.0, 0.5), 4).nodes())
         path = tmp_path / "grid.json"
-        grid_to_json(samples, path)
+        write_grid(samples, tmp_path / "grid.csv", path)
         rows = json.loads(path.read_text())
         assert len(rows) == 8
         assert set(rows[0]) == {"re_z", "im_z", "re_val", "im_val", "route", "err"}
@@ -507,6 +506,17 @@ def json_dump_oracle(samples) -> str:
     return fh.getvalue()
 
 
+def csv_loop_oracle(samples) -> str:
+    """The per-sample CSV loop that the one-pass writer replaced."""
+    lines = ["re_z,im_z,re_val,im_val,route,err\n"]
+    for s in samples:
+        lines.append(
+            f"{s.z.real!r},{s.z.imag!r},{s.value.real!r},"
+            f"{s.value.imag!r},{s.route},{s.error_estimate!r}\n"
+        )
+    return "".join(lines)
+
+
 class TestGridJsonBytes:
     EDGE_SAMPLES = [
         BerezinSample(complex(-0.0, 5e-324), complex(1e300, -0.0), "integral", 5e-324),
@@ -522,8 +532,18 @@ class TestGridJsonBytes:
     )
     def test_equals_json_dump(self, tmp_path, samples):
         path = tmp_path / "grid.json"
-        grid_to_json(samples, path)
+        write_grid(samples, tmp_path / "grid.csv", path)
         assert path.read_text() == json_dump_oracle(samples)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [EDGE_SAMPLES, EDGE_SAMPLES[1:2], []],
+        ids=["edge-values", "one-row", "empty"],
+    )
+    def test_one_call_writes_both_files_as_their_oracles(self, tmp_path, samples):
+        write_grid(samples, tmp_path / "grid.csv", tmp_path / "grid.json")
+        assert (tmp_path / "grid.csv").read_text() == csv_loop_oracle(samples)
+        assert (tmp_path / "grid.json").read_text() == json_dump_oracle(samples)
 
     @pytest.mark.parametrize("route", ["integral", "matrix", "harmonic_closed_form"])
     def test_sweeps_equal_json_dump(self, tmp_path, route):
@@ -535,7 +555,7 @@ class TestGridJsonBytes:
             "harmonic_closed_form": lambda: berezin_harmonic(phi, grid.nodes()),
         }[route]()
         path = tmp_path / "grid.json"
-        grid_to_json(samples, path)
+        write_grid(samples, tmp_path / "grid.csv", path)
         assert path.read_text() == json_dump_oracle(samples)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -543,8 +563,9 @@ class TestGridJsonBytes:
         # the sample is refused where it is built, so no writer ever meets one
         path = tmp_path / "missing-dir" / "grid.json"  # opening it would raise FileNotFoundError
         with pytest.raises(NumericalError, match=r"non-finite \|value\| \S+ at z = 0\.5j"):
-            grid_to_json(
+            write_grid(
                 [self.EDGE_SAMPLES[0], BerezinSample(0.5j, complex(1.0, bad), "integral", 0.0)],
+                path.with_suffix(".csv"),
                 path,
             )
         assert not path.parent.exists()

@@ -504,8 +504,8 @@ class TestManifestTimings:
     @pytest.mark.parametrize(
         "writer, config",
         [
-            ("matrix_to_csv", build_config(SYMBOL, 8)),
-            ("grid_to_json", {"name": "g", "kind": "berezin_grid", "route": "harmonic_closed_form",
+            ("write_matrix", build_config(SYMBOL, 8)),
+            ("write_grid", {"name": "g", "kind": "berezin_grid", "route": "harmonic_closed_form",
                               "symbol": SYMBOL, "grid": GRID}),
             ("_write_json", build_config(SYMBOL, 8)),
         ],
@@ -1225,11 +1225,16 @@ PIPELINE_CONFIGS = [
 def test_pipelines_return_their_files_and_write_nothing(tmp_path, monkeypatch, config):
     monkeypatch.chdir(tmp_path)
     pipeline, names = cli._PIPELINES[config["kind"]]
-    report, files = pipeline(parse_scenario(config))
+    report, export = pipeline(parse_scenario(config))
     assert list(tmp_path.iterdir()) == []
     assert report["kind"] == config["kind"]
-    # one (writer, data) pair per declared name, in order: matrix.json by matrix_to_json
-    assert [writer.__name__ for writer, _ in files] == [n.replace(".", "_to_") for n in names]
+    # one (writer, data) pair for all the declared names, matrix.json and matrix.csv by
+    # write_matrix; none where no file is declared
+    writer = {"toeplitz_build": "write_matrix", "berezin_grid": "write_grid"}.get(config["kind"])
+    if writer is None:
+        assert names == () and export == ()
+    else:
+        assert export[0].__name__ == writer
 
 
 class TestExample35Command:

@@ -12,6 +12,7 @@ from berglab.errors import NumericalError
 from berglab.symbols import (
     HarmonicSymbol,
     PolynomialSymbol,
+    PrincipalPowerSymbol,
     RationalSymbol,
     power_symbol,
 )
@@ -25,6 +26,7 @@ from berglab.toeplitz import (
     toeplitz_analytic,
     toeplitz_harmonic,
     toeplitz_quadrature,
+    write_matrix,
 )
 from berglab.toeplitz import _analytic_matrix
 
@@ -255,7 +257,7 @@ class TestQuadratureBuilder:
 
     @staticmethod
     def _one_gemm(f, n, spec):
-        """The builder before it summed node blocks: one GEMM over every node."""
+        """The direct node sum the FFT assembly replaced: one GEMM over every node."""
         z, w = spec.points()
         basis = np.ones((n, z.size), dtype=np.complex128)
         for k in range(1, n):
@@ -269,21 +271,26 @@ class TestQuadratureBuilder:
         "n, spec",
         [(64, QuadratureSpec(64, 128)), (64, QuadratureSpec(9, 130)), (100, QuadratureSpec(30, 40)),
          (16, QuadratureSpec(5, 300)), (300, QuadratureSpec(4, 8)), (1, QuadratureSpec(2, 4))],
-        ids=["8 blocks", "2 blocks, remainder", "block above n", "one block", "M < n", "n = 1"],
+        ids=["workload rule", "odd M", "M < 2n - 1", "M > 2n", "M < n", "n = 1"],
     )
-    def test_node_blocks_match_one_gemm(self, n, spec):
-        # a rule of at most one block's nodes is that GEMM bit for bit; more nodes
-        # change only the summation order
-        phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3]))
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0, 0.3])),
+            lambda w: np.abs(w) ** 2,
+            HarmonicSymbol(1.0, 0.25, PrincipalPowerSymbol(1.0, -1.0)),
+            HarmonicSymbol(0.5 - 1j, 0.3j, RationalSymbol([1.0, 0.5j], [2.0, -0.5])),
+        ],
+        ids=["polynomial", "|w|^2", "principal power", "rational"],
+    )
+    def test_fft_assembly_matches_node_sum(self, phi, n, spec):
+        # the same rule summed in another order; with M < 2n - 1 the lag m - j aliases mod M
         expected = self._one_gemm(phi, n, spec)
         got = toeplitz_quadrature(phi, n, spec).matrix
-        if spec.radial_nodes * spec.angular_nodes <= max(n, 2**16 // n):
-            assert np.array_equal(got, expected)
-        else:
-            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    def test_node_blocks_bound_the_peak(self):
-        # two n x M complex arrays, 16.6 MiB on the benchmark's build, became two n x b
+    def test_assembly_bounds_the_peak(self):
+        # the node sum held two n x M complex arrays, 16.6 MiB on the benchmark's build
         phi = HarmonicSymbol(1.0, 0.5, PolynomialSymbol([2.0, 1.0]))
         spec = QuadratureSpec(64, 128)
         toeplitz_quadrature(phi, 8, spec)  # first-call allocations out of the count
@@ -453,6 +460,23 @@ class TestExports:
             writer(op, tmp_path / "new")
             oracle(op, tmp_path / "old")
             assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [*_export_cases(), pytest.param(512, id="banded-512")],
+    )
+    def test_one_call_writes_both_files_as_their_oracles(self, tmp_path, matrix):
+        # each double is formatted once, for both files; 512 stands for the banded build
+        # of build_export's size, made here rather than at collection
+        if isinstance(matrix, int):
+            phi = HarmonicSymbol(1.0 - 0.5j, 0.5, PolynomialSymbol([2.0, 1.0, 0.3]))
+            matrix = toeplitz_harmonic(phi, 512).matrix
+        op = TruncatedOperator(matrix, EXPORT_TAG, "closed_form")
+        write_matrix(op, tmp_path / "m.json", tmp_path / "m.csv")
+        _json_oracle(op, tmp_path / "json")
+        _csv_oracle(op, tmp_path / "csv")
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "json").read_bytes()
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "csv").read_bytes()
 
     @pytest.mark.parametrize("matrix", _export_cases())
     def test_json_roundtrip_special_entries(self, tmp_path, matrix):
