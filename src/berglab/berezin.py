@@ -44,7 +44,6 @@ from .disc import (
     QuadratureSpec,
     _eval_on_nodes,
     _inside_disc,
-    _radial_rule,
     _ring_spectra,
     disc_quadrature,
     kernel_eval,
@@ -217,11 +216,10 @@ def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:
     ring's convolution (see the module docstring).
     """
     m = spec.angular_nodes
-    r, mass = _radial_rule(spec.radial_nodes)
-    w = mass / m  # the ring weight, constant along a ring: it scales the kernel spectrum
-    # complex spectrum as (re, im) pairs, so the real kernel multiplies it
-    # without being cast to complex
-    spectrum = _ring_spectra(phi, spec).view(np.float64).reshape(len(r), m, 2)
+    # the ring weight w, constant along a ring, scales the kernel spectrum; the complex
+    # spectrum goes as (re, im) pairs, so the real kernel multiplies it uncast
+    r, w, spectrum = _ring_spectra(phi, spec)
+    spectrum = spectrum.view(np.float64).reshape(len(r), m, 2)
     cos = np.cos(2.0 * np.pi * np.arange(m) / m)
     half = m // 2 + 1
     stride = m // grid.angles_per_radius

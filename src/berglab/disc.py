@@ -203,12 +203,19 @@ def disc_quadrature(integrand, spec: QuadratureSpec = QuadratureSpec()) -> compl
     return complex(np.sum(w * vals))
 
 
-def _ring_spectra(f, spec: QuadratureSpec) -> np.ndarray:
-    """``f`` on the rule's nodes, one FFT along each ring: shape (radial, angular), entry
-    [i, q] = sum_k f(r_i e^{2 pi i k / M}) e^{-2 pi i q k / M}.  On equispaced angles a
-    trapezoid sum of f times a Fourier mode is one entry of its ring's DFT."""
-    z = spec.points()[0]
-    return np.fft.fft(_eval_on_nodes(f, z).reshape(-1, spec.angular_nodes), axis=1)
+def _ring_spectra(f, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule's radii r_i, ring weights w_i and ring spectra F, f called once on the
+    nodes: F[i, q] = 2^-e sum_k f(r_i e^{2 pi i k / M}) e^{-2 pi i q k / M}, one FFT per
+    ring, and w_i = 2^e mass_i / M, so that w_i F[i, q] is the rule's sum on ring i of f
+    times a Fourier mode.  2^e >= M keeps every ring sum finite where f is; a power of
+    two scales exactly above the subnormals, so each product w_i F[i, q] has the bits of
+    the unscaled one."""
+    m = spec.angular_nodes
+    e = (m - 1).bit_length()
+    r, mass = _radial_rule(spec.radial_nodes)
+    vals = np.ascontiguousarray(_eval_on_nodes(f, spec.points()[0]))
+    vals = np.ldexp(vals.view(np.float64), -e)
+    return r, np.ldexp(mass / m, e), np.fft.fft(vals.view(np.complex128).reshape(-1, m), axis=1)
 
 
 def _eval_on_nodes(f, z: np.ndarray) -> np.ndarray:

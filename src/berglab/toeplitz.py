@@ -25,7 +25,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .disc import PowerSeries, QuadratureSpec, _radial_rule, _ring_spectra
+from .disc import PowerSeries, QuadratureSpec, _ring_spectra
 from .errors import NumericalError, _at_least
 from .symbols import AnalyticSymbol, HarmonicSymbol
 
@@ -166,11 +166,10 @@ def toeplitz_quadrature(
     through sliding windows (``DECISIONS.md`` entry 25).
     """
     check_size(n)
-    m = spec.angular_nodes
-    r, mass = _radial_rule(spec.radial_nodes)
+    r, w, ring_fft = _ring_spectra(f, spec)
     # per ring: lagged[u] = F[(u - n + 1) mod M] and powers[u] = w r^u
-    lagged = _ring_spectra(f, spec)[:, (np.arange(2 * n - 1) - (n - 1)) % m]
-    powers = (mass / m)[:, None] * r[:, None] ** np.arange(2.0 * n - 1)
+    lagged = ring_fft[:, (np.arange(2 * n - 1) - (n - 1)) % spec.angular_nodes]
+    powers = w[:, None] * r[:, None] ** np.arange(2.0 * n - 1)
     # [i, row, j] views: lagged[i, row - j + n - 1] and powers[i, row + j]
     spectra = sliding_window_view(lagged, n, axis=1)[:, :, ::-1]
     radial = sliding_window_view(powers, n, axis=1)

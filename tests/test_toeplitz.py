@@ -280,11 +280,14 @@ class TestQuadratureBuilder:
             lambda w: np.abs(w) ** 2,
             HarmonicSymbol(1.0, 0.25, PrincipalPowerSymbol(1.0, -1.0)),
             HarmonicSymbol(0.5 - 1j, 0.3j, RationalSymbol([1.0, 0.5j], [2.0, -0.5])),
+            HarmonicSymbol(1e307, 5e306, PolynomialSymbol([2.0, 1.0])),
         ],
-        ids=["polynomial", "|w|^2", "principal power", "rational"],
+        ids=["polynomial", "|w|^2", "principal power", "rational", "near the float range"],
     )
     def test_fft_assembly_matches_node_sum(self, phi, n, spec):
-        # the same rule summed in another order; with M < 2n - 1 the lag m - j aliases mod M
+        # the same rule summed in another order; with M < 2n - 1 the lag m - j aliases mod M.
+        # A ring's DFT reaches M max|f|, beyond the float range for the last symbol, which
+        # the builder answers as the node sum does
         expected = self._one_gemm(phi, n, spec)
         got = toeplitz_quadrature(phi, n, spec).matrix
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
