@@ -19,7 +19,6 @@ N x N corner sees only part of the operator.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ __all__ = [
     "toeplitz_harmonic",
     "toeplitz_quadrature",
     "write_matrix",
-    "matrix_to_csv",
-    "matrix_to_json",
     "matrix_from_json",
 ]
 
@@ -200,9 +197,9 @@ def _row_reprs(row: np.ndarray) -> list[str]:
     return out
 
 
-def write_matrix(op: TruncatedOperator, json_path=None, csv_path=None) -> None:
+def write_matrix(op: TruncatedOperator, json_path, csv_path) -> None:
     """matrix.json and matrix.csv in one pass, a row at a time, each double formatted once
-    for both; a path of None sends that file to ``os.devnull``.
+    for both.
 
     matrix.json is the envelope {N, symbol_tag, builder, data}, ``data`` in [re, im]
     pairs, byte-identical to ``json.dump(payload, fh, indent=1)`` plus a newline; Python's
@@ -216,7 +213,7 @@ def write_matrix(op: TruncatedOperator, json_path=None, csv_path=None) -> None:
     parts = [None] * (4 * n + 1)
     parts[::2] = ["\n  [\n   [\n    "] + [",\n    ", "\n   ],\n   [\n    "] * n
     parts[-1] = "\n   ]\n  ]"
-    with open(json_path or os.devnull, "w") as js, open(csv_path or os.devnull, "w") as cs:
+    with open(json_path, "w") as js, open(csv_path, "w") as cs:
         js.write(header[: -len("\n}")] + ',\n "data": [')
         sep = ""
         for row in op.matrix:
@@ -227,19 +224,9 @@ def write_matrix(op: TruncatedOperator, json_path=None, csv_path=None) -> None:
         js.write("\n ]\n}\n")
 
 
-def matrix_to_json(op: TruncatedOperator, path) -> None:
-    """matrix.json alone, by :func:`write_matrix`."""
-    write_matrix(op, json_path=path)
-
-
-def matrix_to_csv(op: TruncatedOperator, path) -> None:
-    """matrix.csv alone, by :func:`write_matrix`."""
-    write_matrix(op, csv_path=path)
-
-
 def matrix_from_json(path) -> TruncatedOperator:
-    """The operator :func:`matrix_to_json` wrote, bit for bit; ``data`` of any shape but
-    N rows of N [re, im] pairs is refused."""
+    """The operator whose matrix.json :func:`write_matrix` wrote, bit for bit; ``data`` of
+    any shape but N rows of N [re, im] pairs is refused."""
     with open(path) as fh:
         payload = json.load(fh)
     n = payload["N"]

@@ -22,7 +22,7 @@ PUBLIC = [
     "HarmonicSymbol", "DiscGrid", "ModulusScan", "power_symbol", "inf_modulus",
     "default_modulus_grid",
     "TruncatedOperator", "check_size", "toeplitz_analytic", "toeplitz_harmonic",
-    "toeplitz_quadrature", "write_matrix", "matrix_to_csv", "matrix_to_json", "matrix_from_json",
+    "toeplitz_quadrature", "write_matrix", "matrix_from_json",
     "BerezinSample", "berezin_integral", "berezin_matrix", "berezin_harmonic", "berezin_grid",
     "write_grid",
     "SIGMA_POSITIVE_TOL", "INF_POSITIVE_TOL", "DRIFT_THRESHOLD", "TrendReport",
@@ -134,7 +134,7 @@ def test_one_gate_per_numerical_check():
         ("cli.py", "_write_json"),
         ("toeplitz.py", "__post_init__"),
     ]
-    writers = {"write_matrix", "matrix_to_csv", "matrix_to_json", "write_grid"}
+    writers = {"write_matrix", "write_grid"}
     assert [c for c in _calls("finite") if c[1] in writers] == []
     assert [func for _, func, _ in _owned_nodes(ast.Raise) if func in writers] == []
 

@@ -21,8 +21,6 @@ from berglab.toeplitz import (
     TruncatedOperator,
     check_size,
     matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
     toeplitz_analytic,
     toeplitz_harmonic,
     toeplitz_quadrature,
@@ -399,6 +397,16 @@ def _csv_oracle(op, path):
                 cells.append(repr(float(v.real)))
                 cells.append(repr(float(v.imag)))
             fh.write(",".join(cells) + "\n")
+
+
+def matrix_to_json(op, path):
+    """The matrix.json of one :func:`write_matrix` call at ``path``, its csv beside it."""
+    write_matrix(op, path, f"{path}.csv")
+
+
+def matrix_to_csv(op, path):
+    """The matrix.csv of one :func:`write_matrix` call at ``path``, its json beside it."""
+    write_matrix(op, f"{path}.json", path)
 
 
 EXPORT_TAG = 'quote " and \u00e9t\u00e9'
