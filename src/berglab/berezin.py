@@ -216,9 +216,12 @@ def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:
     ring's convolution (see the module docstring).
     """
     m = spec.angular_nodes
-    # the ring weight w, constant along a ring, scales the kernel spectrum; the complex
-    # spectrum goes as (re, im) pairs, so the real kernel multiplies it uncast
+    e = (m - 1).bit_length()
+    # the ring weight mass / M = 2^-e w scales the kernel spectrum, and the rings come back
+    # times 2^e: exact both, so each ring's sum keeps its bits but nears max|phi|, not M max|phi|.
+    # The complex spectrum goes as (re, im) pairs, so the real kernel multiplies it uncast
     r, w, spectrum = _ring_spectra(phi, spec)
+    w = np.ldexp(w, -e)
     spectrum = spectrum.view(np.float64).reshape(len(r), m, 2)
     cos = np.cos(2.0 * np.pi * np.arange(m) / m)
     half = m // 2 + 1
@@ -238,7 +241,7 @@ def _ring_integrals(phi, grid: DiscGrid, spec: QuadratureSpec) -> np.ndarray:
         del khat
         acc = np.einsum("jm,jmc->mc", kern, spectrum)
         out[i] = np.fft.ifft(acc.view(np.complex128).ravel())[::stride]
-    return out
+    return np.ldexp(out.view(np.float64), e).view(np.complex128)
 
 
 #: one grid.csv row, and one grid.json row in the ``json.dump(rows, fh, indent=1)`` layout

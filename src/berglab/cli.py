@@ -249,6 +249,21 @@ class Scenario(SimpleNamespace):
     fields :data:`SCHEMA` lists for its variant."""
 
 
+#: a ``3.x`` check's work units per random matrix besides matrix_size² × (matrix_size +
+#: vector_trials), its draw and checks taking about 100 µs at any size; and the most that
+#: any scenario may ask for, about half a minute at the 3 to 4 ns per unit of the ``3.1``
+#: check at matrix_size 128 (DECISIONS.md entry 26)
+_MATRIX_UNITS, _WORK_CEILING = 2**15, 10**10
+
+
+def _work(sc: Scenario) -> int:
+    """The work units of a ``theorem_check`` 3.x scenario, 0 for any other."""
+    if sc.kind != "theorem_check" or sc.check == "shift_demo":
+        return 0
+    n = sc.matrix_size
+    return sc.count * (n * n * (n + getattr(sc, "vector_trials", 0)) + _MATRIX_UNITS)
+
+
 def parse_scenario(config: dict) -> Scenario:
     """Validate a config document strictly and return the typed scenario.
 
@@ -264,7 +279,11 @@ def parse_scenario(config: dict) -> Scenario:
     if out is not None and (not isinstance(out, str) or "\0" in out):
         raise ConfigError("config.output_dir must be a string without a NUL byte")
     parsed = _object({"name": _name, **fields})(rest, "config")
-    return Scenario(**tags, output_dir=out, **parsed)
+    sc = Scenario(**tags, output_dir=out, **parsed)
+    if (work := _work(sc)) > _WORK_CEILING:
+        raise ConfigError(f"config: {work:.3g} work units exceed the ceiling of "
+                          f"{_WORK_CEILING:.0e}; lower count, matrix_size or vector_trials")
+    return sc
 
 
 def _pair(z) -> list:
@@ -496,23 +515,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_example35(args) -> int:
-    try:
-        schedule = [int(x) for x in args.schedule.split(",")]
-    except ValueError as exc:
-        raise ConfigError("--schedule must be comma-separated integers") from exc
-    config = {"name": f"example35-t{args.t:g}", "kind": "example_3_5", "t": args.t,
-              "schedule": schedule}
-    run_scenario(config, args.output_dir)
-    report = json.loads((Path(args.output_dir) / "report.json").read_text())
-    print(
-        f"t={args.t:g}  grid_min={report['grid_min']:.6g}  "
-        f"bound={report['modulus_bound']:.6g}  bounds_hold={report['bounds_hold']}  "
-        f"max_residual={max(report['residuals']):.3g}"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="berglab",
@@ -528,12 +530,6 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="parse and validate a config, run nothing")
     p_val.add_argument("config")
     p_val.set_defaults(func=_cmd_validate)
-
-    p_ex = sub.add_parser("example35", help="oscillatory quotient symbol study")
-    p_ex.add_argument("--t", type=float, required=True)
-    p_ex.add_argument("--schedule", required=True, help="comma-separated sizes")
-    p_ex.add_argument("--output-dir", default=".")
-    p_ex.set_defaults(func=_cmd_example35)
 
     args = parser.parse_args(argv)
     try:

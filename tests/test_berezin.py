@@ -424,6 +424,18 @@ class TestRingRoute:
         assert all(abs(s.value - 1.5) < 1e-12 for s in origin)
         assert max(abs(s.value - origin[0].value) for s in origin) < 1e-15
 
+    @pytest.mark.parametrize("k", [1014, 1016])
+    def test_near_the_float_range(self, k):
+        # each ring's weighted sum stays near max|phi| until the inverse FFT; where it reached
+        # M max|phi| first, these symbols overflowed on the ring route alone
+        phi = HarmonicSymbol(2.0**k, 2.0 ** (k - 1), PolynomialSymbol([2.0, 1.0]))
+        grid, spec = DiscGrid((0.0, 0.4, 0.7), 8), QuadratureSpec()
+        ring, oracle = berezin_grid(phi, grid, spec), per_node(phi, grid, spec)
+        assert [a.z for a in ring] == [b.z for b in oracle]
+        for a, b in zip(ring, oracle):
+            assert abs(a.value - b.value) <= 1e-13 * abs(b.value)
+            assert abs(a.error_estimate - b.error_estimate) <= 1e-13 * abs(b.value)
+
     def test_sweeps_the_integral_route_only(self):
         # the matrix and closed-form routes take ``grid.nodes()`` directly
         assert list(inspect.signature(berezin_grid).parameters) == ["phi", "grid", "spec"]

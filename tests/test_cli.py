@@ -30,6 +30,11 @@ def write_config(tmp_path, payload, name="scenario.json"):
     return path
 
 
+def example35_config(t, schedule):
+    """The paper's Example 3.5 study as an ``example_3_5`` scenario named ``example35-t<t>``."""
+    return {"name": f"example35-t{t:g}", "kind": "example_3_5", "t": t, "schedule": schedule}
+
+
 THRESHOLDS = {"inf_positive": 1e-3, "sigma_positive": 1e-6, "drift": 0.05}
 
 
@@ -121,6 +126,22 @@ class TestParseScenario:
         assert sc.vector_trials == 50
         with pytest.raises(ConfigError, match="config.check"):
             parse_scenario({"name": "t", "kind": "theorem_check", "check": "3.9"})
+
+    @pytest.mark.parametrize(
+        "check, sizes, units",
+        [
+            ("3.1", {"matrix_size": 1}, 1 + 2**15),
+            ("3.2", {"matrix_size": 128, "vector_trials": 200}, 128**2 * 328 + 2**15),
+            ("3.3", {"matrix_size": 8}, 8**3 + 2**15),
+        ],
+    )
+    def test_theorem_check_work_ceiling(self, check, sizes, units):
+        # each matrix costs matrix_size² × (matrix_size + vector_trials) units and a constant,
+        # so a huge count is refused at matrix_size 1 too; deciding draws nothing
+        most = cli._WORK_CEILING // units
+        assert parse_scenario(mix_config(check, count=most, **sizes)).count == most
+        with pytest.raises(ConfigError, match="work units exceed the ceiling of 1e"):
+            parse_scenario(mix_config(check, count=most + 1, **sizes))
 
     def test_rational_and_power_symbols_parse(self):
         config = invertibility_config()
@@ -231,8 +252,8 @@ class TestRunScenario:
         # the trend's SVDs and banded pencil come from LAPACK and BLAS, and the study's
         # residual from numpy's convolution of Taylor coefficients, whose complex dot products
         # numpy may hand to BLAS, so these pin the bundled OpenBLAS build (1 or 2 threads alike)
-        main(["example35", "--t", "1", "--schedule", "16,32,64,128",
-              "--output-dir", str(tmp_path / "example35")])
+        config = example35_config(1.0, [16, 32, 64, 128])
+        run_scenario(write_config(tmp_path, config, "example35.json"), str(tmp_path / "example35"))
         # a rational g of degree 1 takes the banded pencil at every size from N = 48
         config = invertibility_config(
             symbol={"c": 1.0, "d": 0.25,
@@ -578,12 +599,13 @@ class TestDeterminism:
     def test_example35_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # N = 1024 takes lapack.dense_band_sigma; at b = 32 every compact-WY block it
         # applies is a multiple of 32 wide, and kept its bits at 1 and 2 threads
+        path = write_config(tmp_path, example35_config(1.0, [128, 256, 512, 1024]))
         reports = []
         for threads in ("1", "2"):
             outdir = tmp_path / threads
             subprocess.run(
-                [sys.executable, "-m", "berglab.cli", "example35", "--t", "1",
-                 "--schedule", "128,256,512,1024", "--output-dir", str(outdir)],
+                [sys.executable, "-m", "berglab.cli", "run", str(path),
+                 "--output-dir", str(outdir)],
                 capture_output=True, check=True,
                 env=dict(subprocess_env(), OPENBLAS_NUM_THREADS=threads),
             )
@@ -808,9 +830,8 @@ class TestExitCodes:
         assert report["verdict"] == "invertible_likely"
 
     def test_example35_refuses_extreme_t(self, tmp_path):
-        args = ["example35", "--t", "25", "--schedule", "16,32,64",
-                "--output-dir", str(tmp_path)]
-        assert main(args) == 3
+        path = write_config(tmp_path, example35_config(25.0, [16, 32, 64]))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 3
 
     def test_validate_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, invertibility_config())
@@ -1201,6 +1222,10 @@ CONTRACT_REGRESSIONS = {
         f"config.schedule: schedule sizes must be at most {sys.maxsize}",
     ),
     "closed-form build n 2^32": (build_config(SYMBOL, 2**32), 3, "array is too big"),
+    "theorem_check count 2^40": (
+        mix_config("3.1", count=2**40, matrix_size=8), 2,
+        "config: 3.66e+16 work units exceed the ceiling of 1e+10",
+    ),
 }
 
 
@@ -1238,32 +1263,40 @@ def test_pipelines_return_their_files_and_write_nothing(tmp_path, monkeypatch, c
 
 
 class TestExample35Command:
-    def test_writes_report_with_exact_factorization(self, tmp_path, capsys):
-        args = ["example35", "--t", "1.0", "--schedule", "16,32,64",
-                "--output-dir", str(tmp_path)]
-        assert main(args) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
+    """The Example 3.5 study, run as every scenario is: ``berglab run`` of its config."""
+
+    def run(self, tmp_path, schedule):
+        path = write_config(tmp_path, example35_config(1.0, schedule))
+        outdir = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(outdir)]) == 0
+        return outdir
+
+    def test_writes_report_with_exact_factorization(self, tmp_path):
+        outdir = self.run(tmp_path, [16, 32, 64])
+        report = json.loads((outdir / "report.json").read_text())
         assert report["bounds_hold"] is True
         assert max(report["residuals"]) <= 1e-12
         assert report["grid_min"] >= report["modulus_bound"]
-        assert "grid_min" in capsys.readouterr().out
 
     def test_writes_a_manifest_like_run(self, tmp_path):
-        args = ["example35", "--t", "1", "--schedule", "8,16,32", "--output-dir", str(tmp_path)]
-        assert main(args) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        outdir = self.run(tmp_path, [8, 16, 32])
+        manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["scenario"] == {"name": "example35-t1", "kind": "example_3_5", "t": 1.0,
                                         "schedule": [8, 16, 32]}
-        data = (tmp_path / "report.json").read_bytes()
+        data = (outdir / "report.json").read_bytes()
         assert manifest["outputs"] == [{"path": "report.json",
                                         "sha256": hashlib.sha256(data).hexdigest(),
                                         "bytes": len(data)}]
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "report.json"]
+        assert sorted(f.name for f in outdir.iterdir()) == ["manifest.json", "report.json"]
 
-    def test_bad_schedule(self, tmp_path):
-        args = ["example35", "--t", "1.0", "--schedule", "16;32",
-                "--output-dir", str(tmp_path)]
-        assert main(args) == 2
+    def test_is_no_subcommand(self, tmp_path, capsys):
+        # ``run`` and ``validate`` are the only commands; argparse exits 2 on any other
+        args = ["example35", "--t", "1", "--schedule", "8,16,32", "--output-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "invalid choice: 'example35'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point(tmp_path):

@@ -92,6 +92,24 @@ def test_compare_lists_what_moved_in_a_json_file(tmp_path, edit, expected):
     assert output_hashes.differences(a, b) == [f"s/report.json: {line}" for line in expected]
 
 
+def test_compare_sums_up_past_twenty_moved_leaves(tmp_path):
+    # every entry of a 30 x 2 table moves by 0.25 in its first column, one by 2.0 in its second
+    data = [[0.5 * k, 1.0] for k in range(30)]
+    moved = [[x + 0.25, y] for x, y in data]
+    moved[7][1] = 3.0
+    a = tree(tmp_path / "a", report={"data": data})
+    b = tree(tmp_path / "b", report={"data": moved, "extra": 1})
+    leaves = [(k, j) for k in range(30) for j in (0, 1) if moved[k][j] != data[k][j]]
+    listed = [f"data[{k}][{j}]: {data[k][j]} -> {moved[k][j]}" for k, j in leaves[:20]]
+    assert output_hashes.differences(a, b) == [
+        f"s/report.json: {line}"
+        for line in ["added extra", *listed, "31 leaves moved, the largest absolute move 2.0"]
+    ]
+    # twenty moved leaves are listed without the summing line
+    c = tree(tmp_path / "c", report={"data": moved[:19] + data[19:]})
+    assert len(output_hashes.differences(a, c)) == 20
+
+
 def test_compare_counts_changed_csv_rows(tmp_path):
     rows = [*CSV_ROWS[:2], "0.5,0.0,2.5000000000000004", "0.9,0.0,2.8999999999999995"]
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b", rows=rows)

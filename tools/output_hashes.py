@@ -19,12 +19,13 @@ writes one JSON map (to stdout without ``--out``):
 
 The second form prints every key that only one map holds, and for each
 entry that differs: the added and the removed keys and every moved leaf
-(``path: old -> new``) of a JSON file, the number of changed rows and the
-first of them for a CSV file, else both entries.  Equal entries print
-nothing; it exits 1 if any entry differs.  To check a change, run the first
-form on a checkout of the parent commit and on the change, then compare the
-two maps.  A map that holds bare hashes, as this tool wrote before it kept
-content, compares by hash.
+(``path: old -> new``) of a JSON file, where more than twenty moved only
+the first twenty and then their number and the largest absolute move; the
+number of changed rows and the first of them for a CSV file; else both
+entries.  Equal entries print nothing; it exits 1 if any entry differs.
+To check a change, run the first form on a checkout of the parent commit
+and on the change, then compare the two maps.  A map that holds bare
+hashes, as this tool wrote before it kept content, compares by hash.
 
 Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before numpy
 loads: LAPACK's blocked steps round differently at other thread counts, and
@@ -97,23 +98,52 @@ def _digest(entry):
     return entry["sha256"] if isinstance(entry, dict) else entry
 
 
-def _json_changes(old, new, path: str = "") -> list[str]:
-    """The added and removed keys and the moved leaves between two JSON values."""
+#: the moved leaves of one JSON file listed one by one; past them, one line sums them up
+MOVES_LISTED = 20
+
+
+def _json_diff(old, new, path: str = "") -> list:
+    """The added and removed keys (as lines) and the moved leaves (as ``(path, old, new)``)
+    between two JSON values, in document order."""
     if isinstance(old, dict) and isinstance(new, dict):
-        lines = [f"added {path}{k}" for k in new if k not in old]
-        lines += [f"removed {path}{k}" for k in old if k not in new]
+        changes = [f"added {path}{k}" for k in new if k not in old]
+        changes += [f"removed {path}{k}" for k in old if k not in new]
         for k in old:
             if k in new:
-                lines += _json_changes(old[k], new[k], f"{path}{k}.")
-        return lines
+                changes += _json_diff(old[k], new[k], f"{path}{k}.")
+        return changes
     path = path.rstrip(".")
     if isinstance(old, list) and isinstance(new, list):
-        lines = [f"added {path}[{i}]" for i in range(len(old), len(new))]
-        lines += [f"removed {path}[{i}]" for i in range(len(new), len(old))]
+        changes = [f"added {path}[{i}]" for i in range(len(old), len(new))]
+        changes += [f"removed {path}[{i}]" for i in range(len(new), len(old))]
         for i, (x, y) in enumerate(zip(old, new)):
-            lines += _json_changes(x, y, f"{path}[{i}].")
-        return lines
-    return [] if old == new else [f"{path}: {json.dumps(old)} -> {json.dumps(new)}"]
+            changes += _json_diff(x, y, f"{path}[{i}].")
+        return changes
+    return [] if old == new else [(path, old, new)]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_changes(old, new) -> list[str]:
+    """The added and removed keys and the moved leaves (``path: old -> new``) between two
+    JSON values; of more than :data:`MOVES_LISTED` moved leaves, the first ones and then
+    their number and the largest absolute move between numbers."""
+    lines, moves = [], []
+    for change in _json_diff(old, new):
+        if isinstance(change, str):
+            lines.append(change)
+            continue
+        moves.append(change)
+        if len(moves) <= MOVES_LISTED:
+            path, x, y = change
+            lines.append(f"{path}: {json.dumps(x)} -> {json.dumps(y)}")
+    if len(moves) > MOVES_LISTED:
+        numeric = [abs(y - x) for _, x, y in moves if _is_number(x) and _is_number(y)]
+        largest = f", the largest absolute move {max(numeric)!r}" if numeric else ""
+        lines.append(f"{len(moves)} leaves moved{largest}")
+    return lines
 
 
 def _csv_changes(old: list[str], new: list[str]) -> list[str]:
